@@ -1,11 +1,9 @@
 #include "algo/dfree_logn.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
 #include <stdexcept>
 
 #include "algo/connect_paths.hpp"
+#include "algo/heavy_decline.hpp"
 
 namespace lcl::algo {
 
@@ -67,6 +65,13 @@ DFreeResult run_dfree_algorithm_a(const Tree& tree,
                      });
 
   // --- A* assignment around each non-Connect A-node ------------------
+  // The ball arrays are reused across A-nodes; `in_ball` is reset
+  // through `order` after each ball, so the loop costs the balls, not n.
+  std::vector<char> in_ball(static_cast<std::size_t>(n), 0);
+  std::vector<NodeId> order;           // BFS order
+  std::vector<std::size_t> parent_of;  // parallel: parent's index
+  std::vector<int> depth_of;           // parallel to order
+  std::vector<int> budget;
   for (NodeId v = 0; v < n; ++v) {
     if (!in(v) || !is_a[static_cast<std::size_t>(v)]) continue;
     if (res.output[static_cast<std::size_t>(v)] ==
@@ -76,75 +81,34 @@ DFreeResult run_dfree_algorithm_a(const Tree& tree,
 
     // BFS ball of radius ball_radius rooted at v; record parents so the
     // ball is a rooted tree.
-    std::vector<NodeId> order;           // BFS order
-    std::vector<NodeId> parent_of;       // parallel to order
-    std::vector<int> depth_of;           // parallel to order
-    std::vector<std::int64_t> ball_idx(  // node -> index in order, or -1
-        static_cast<std::size_t>(n), -1);
-    {
-      std::deque<NodeId> q{v};
-      ball_idx[static_cast<std::size_t>(v)] = 0;
-      order.push_back(v);
-      parent_of.push_back(graph::kInvalidNode);
-      depth_of.push_back(0);
-      std::size_t head = 0;
-      while (head < order.size()) {
-        const NodeId u = order[head];
-        const int du = depth_of[head];
-        ++head;
-        if (du == ball_radius) continue;
-        for (NodeId w : tree.neighbors(u)) {
-          if (!in(w) || ball_idx[static_cast<std::size_t>(w)] >= 0) continue;
-          ball_idx[static_cast<std::size_t>(w)] =
-              static_cast<std::int64_t>(order.size());
-          order.push_back(w);
-          parent_of.push_back(u);
-          depth_of.push_back(du + 1);
-        }
+    in_ball[static_cast<std::size_t>(v)] = 1;
+    order.assign(1, v);
+    parent_of.assign(1, 0);
+    depth_of.assign(1, 0);
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const int du = depth_of[head];
+      if (du == ball_radius) continue;
+      for (NodeId w : tree.neighbors(order[head])) {
+        if (!in(w) || in_ball[static_cast<std::size_t>(w)]) continue;
+        in_ball[static_cast<std::size_t>(w)] = 1;
+        order.push_back(w);
+        parent_of.push_back(head);
+        depth_of.push_back(du + 1);
       }
-    }
-
-    // Subtree sizes within the ball (children are later in BFS order).
-    std::vector<std::int64_t> subtree(order.size(), 1);
-    for (std::size_t i = order.size(); i-- > 1;) {
-      const std::int64_t pi =
-          ball_idx[static_cast<std::size_t>(parent_of[i])];
-      subtree[static_cast<std::size_t>(pi)] += subtree[i];
-    }
-    std::vector<std::vector<std::size_t>> children(order.size());
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      children[static_cast<std::size_t>(
-                   ball_idx[static_cast<std::size_t>(parent_of[i])])]
-          .push_back(i);
     }
 
     // A*: root Copy; every Copy node Declines its min(d, #children)
-    // heaviest child subtrees, keeps the rest Copy.
-    std::deque<std::size_t> q{0};
-    res.output[static_cast<std::size_t>(v)] =
-        static_cast<int>(WeightOut::kCopy);
-    res.copy_root[static_cast<std::size_t>(v)] = v;
-    res.copy_depth[static_cast<std::size_t>(v)] = 0;
-    while (!q.empty()) {
-      const std::size_t i = q.front();
-      q.pop_front();
-      auto kids = children[i];
-      std::sort(kids.begin(), kids.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return subtree[a] > subtree[b];
-                });
-      const std::size_t to_decline =
-          std::min<std::size_t>(static_cast<std::size_t>(d), kids.size());
-      for (std::size_t c = to_decline; c < kids.size(); ++c) {
-        const std::size_t child = kids[c];
-        const NodeId w = order[child];
-        res.output[static_cast<std::size_t>(w)] =
-            static_cast<int>(WeightOut::kCopy);
-        res.copy_root[static_cast<std::size_t>(w)] = v;
-        res.copy_depth[static_cast<std::size_t>(w)] = depth_of[child];
-        q.push_back(child);
-      }
-      // Declined subtrees stay at the default Decline.
+    // heaviest child subtrees, keeps the rest Copy. Declined subtrees
+    // stay at the default Decline.
+    budget.assign(order.size(), d);
+    const std::vector<char> keep = heavy_child_decline(parent_of, budget);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const auto w = static_cast<std::size_t>(order[i]);
+      in_ball[w] = 0;
+      if (!keep[i]) continue;
+      res.output[w] = static_cast<int>(WeightOut::kCopy);
+      res.copy_root[w] = v;
+      res.copy_depth[w] = depth_of[i];
     }
   }
 

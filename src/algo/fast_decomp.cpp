@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "algo/connect_paths.hpp"
+#include "algo/heavy_decline.hpp"
 
 namespace lcl::algo {
 
@@ -119,15 +120,12 @@ struct Planner {
         q.push_back(w);
       }
     }
-    int max_depth = 0;
-    for (NodeId m : members) {
-      max_depth =
-          std::max(max_depth, plan.comp_depth[static_cast<std::size_t>(m)]);
-    }
+    // BFS order: the last member is the deepest.
+    const int max_depth =
+        plan.comp_depth[static_cast<std::size_t>(members.back())];
     // rho_dec: assignment + collect the component topology (2 * depth).
     plan.ready_round[static_cast<std::size_t>(root)] =
         base_round + 2 * max_depth + 1;
-    plan.comp_of_root.resize(static_cast<std::size_t>(tree.size()), -1);
     plan.comp_of_root[static_cast<std::size_t>(root)] =
         static_cast<int>(plan.components.size());
     plan.components.push_back(std::move(members));
@@ -454,67 +452,40 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
 std::vector<char> prune_component(const Tree& tree,
                                   const FastDecompPlan& plan, int comp,
                                   int d,
-                                  const std::vector<char>& is_declined) {
+                                  const std::vector<char>& is_declined,
+                                  std::vector<std::int32_t>& member_idx) {
   const auto& members = plan.components[static_cast<std::size_t>(comp)];
   const std::size_t m = members.size();
-  std::vector<std::int64_t> member_idx(
-      static_cast<std::size_t>(tree.size()), -1);
   for (std::size_t i = 0; i < m; ++i) {
     member_idx[static_cast<std::size_t>(members[i])] =
-        static_cast<std::int64_t>(i);
+        static_cast<std::int32_t>(i);
   }
-  // Children within the component (parent = flood_parent_port target).
-  std::vector<std::vector<std::size_t>> children(m);
-  for (std::size_t i = 1; i < m; ++i) {
-    const NodeId v = members[i];
-    const int pp = plan.flood_parent_port[static_cast<std::size_t>(v)];
-    const NodeId parent =
-        tree.neighbors(v)[static_cast<std::size_t>(pp)];
-    children[static_cast<std::size_t>(
-                 member_idx[static_cast<std::size_t>(parent)])]
-        .push_back(i);
-  }
-  // Subtree sizes (members are in BFS order: children come later).
-  std::vector<std::int64_t> subtree(m, 1);
-  for (std::size_t i = m; i-- > 1;) {
-    const NodeId v = members[i];
-    const int pp = plan.flood_parent_port[static_cast<std::size_t>(v)];
-    const NodeId parent = tree.neighbors(v)[static_cast<std::size_t>(pp)];
-    subtree[static_cast<std::size_t>(
-        member_idx[static_cast<std::size_t>(parent)])] += subtree[i];
-  }
-
-  std::vector<char> keep(m, 0);
-  keep[0] = 1;  // the input-A root always stays Copy
-  std::deque<std::size_t> q{0};
-  while (!q.empty()) {
-    const std::size_t i = q.front();
-    q.pop_front();
-    const NodeId v = members[i];
-    // How many neighbors already decline (outside the component or
-    // previously pruned)?
+  // Parent within the component (the flood_parent_port target) and the
+  // Decline budget: d minus the neighbors that already decline (outside
+  // the component or previously pruned).
+  std::vector<std::size_t> parent(m, 0);
+  std::vector<int> budget(m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto nb = tree.neighbors(members[i]);
+    if (i > 0) {
+      const int pp =
+          plan.flood_parent_port[static_cast<std::size_t>(members[i])];
+      const NodeId p = nb[static_cast<std::size_t>(pp)];
+      const std::int32_t pi = member_idx[static_cast<std::size_t>(p)];
+      parent[i] = static_cast<std::size_t>(pi);
+    }
     int declined_neighbors = 0;
-    for (NodeId u : tree.neighbors(v)) {
+    for (NodeId u : nb) {
       if (member_idx[static_cast<std::size_t>(u)] < 0 &&
           is_declined[static_cast<std::size_t>(u)]) {
         ++declined_neighbors;
       }
     }
-    auto kids = children[i];
-    std::sort(kids.begin(), kids.end(), [&](std::size_t a, std::size_t b) {
-      return subtree[a] > subtree[b];
-    });
-    const int can_prune = std::max(0, d - declined_neighbors);
-    const std::size_t pruned =
-        std::min<std::size_t>(static_cast<std::size_t>(can_prune),
-                              kids.size());
-    for (std::size_t c = pruned; c < kids.size(); ++c) {
-      keep[kids[c]] = 1;
-      q.push_back(kids[c]);
-    }
-    // Heaviest `pruned` subtrees stay keep = 0 (become Decline).
+    budget[i] = std::max(0, d - declined_neighbors);
   }
-  return keep;
+  for (NodeId v : members) member_idx[static_cast<std::size_t>(v)] = -1;
+  // The input-A root always stays Copy; pruned subtrees become Decline.
+  return heavy_child_decline(parent, budget);
 }
 
 }  // namespace lcl::algo

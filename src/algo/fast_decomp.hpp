@@ -79,8 +79,11 @@ struct FastDecompPlan {
 /// most (d - #already-Declining-neighbors) of its heaviest child subtrees
 /// into Decline; returns keep[i] for components[comp].
 /// `is_declined(u)` must report whether u's final output is Decline.
+/// `member_idx` is the caller's node-indexed scratch: all -1 on entry,
+/// and reset to all -1 (through the members only) before returning.
 [[nodiscard]] std::vector<char> prune_component(
     const Tree& tree, const FastDecompPlan& plan, int comp, int d,
-    const std::vector<char>& is_declined);
+    const std::vector<char>& is_declined,
+    std::vector<std::int32_t>& member_idx);
 
 }  // namespace lcl::algo

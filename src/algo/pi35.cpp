@@ -54,6 +54,7 @@ Pi35Program::Pi35Program(const graph::Tree& tree, Pi35Options options)
       plan_(make_plan(tree, opt_.d)) {
   const std::size_t n = static_cast<std::size_t>(tree.size());
   declined_.assign(n, 0);
+  member_idx_.assign(n, -1);
   prune_round_.assign(n, -1);
   case_of_root_.assign(plan_.components.size(), 0);
   for (NodeId v = 0; v < tree.size(); ++v) {
@@ -85,7 +86,7 @@ void Pi35Program::resolve_component(local::NodeCtx& ctx, NodeId root) {
   // Case 2: prune to C'(v); pruned members decline, one hop per round.
   case_of_root_[static_cast<std::size_t>(comp)] = 2;
   const std::vector<char> keep =
-      prune_component(tree_, plan_, comp, opt_.d, declined_);
+      prune_component(tree_, plan_, comp, opt_.d, declined_, member_idx_);
   const auto& members =
       plan_.components[static_cast<std::size_t>(comp)];
   for (std::size_t i = 0; i < members.size(); ++i) {

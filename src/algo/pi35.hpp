@@ -59,6 +59,8 @@ class Pi35Program final : public local::Program {
   /// Final Decline verdicts (plan declines + runtime pruning), used by
   /// the adaptive pruning of later components.
   std::vector<char> declined_;
+  /// `prune_component`'s node -> member scratch (all -1 between calls).
+  std::vector<std::int32_t> member_idx_;
   /// Per member node: round at which a pruning Decline fires (-1 none).
   std::vector<std::int64_t> prune_round_;
   /// Per root: 0 undecided, 1 flood-all, 2 pruned.

@@ -58,11 +58,20 @@ class Parser {
     return true;
   }
 
+  /// Nesting guard, as in the .lclb decoder: a hostile document must
+  /// not be able to recurse the parser off the stack.
+  static constexpr int kMaxDepth = 192;
+
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) fail("nesting too deep");
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::kString;
@@ -221,6 +230,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -136,5 +136,34 @@ TEST(Apoly, CopyNodesWaitForActives) {
   EXPECT_GT(copy_count, 0);
 }
 
+TEST(Apoly, PinnedRunTotals) {
+  // Sum of T_v, rounds and worst case on two small Definition-25
+  // constructions, recorded from the implementation that predates the
+  // shared heavy-child-decline helper. Copying a different number or
+  // depth of weight nodes moves them; a swap between two symmetric
+  // subtrees does not, which the differential test in test_dfree covers.
+  struct Pin {
+    int delta, d, k;
+    std::int64_t target;
+    std::uint64_t id_seed;
+    std::int64_t sum_t, rounds, worst;
+  };
+  for (const Pin& p : {Pin{5, 2, 2, 3000, 29, 67654, 29, 29},
+                       Pin{5, 2, 3, 8000, 31, 242966, 33, 33}}) {
+    const double x = core::efficiency_x(p.delta, p.d);
+    const auto alphas = core::alpha_profile_poly(x, p.k);
+    const auto ell = core::lower_bound_lengths(
+        alphas, static_cast<double>(p.target), p.target);
+    auto inst = graph::make_weighted_construction(ell, p.delta);
+    Tree& t = inst.tree;
+    graph::assign_ids(t, graph::IdScheme::kShuffled, p.id_seed);
+    const auto stats =
+        algo::run_apoly(t, make_options(t, p.delta, p.d, p.k));
+    EXPECT_EQ(stats.total_rounds, p.sum_t) << "k=" << p.k;
+    EXPECT_EQ(stats.rounds, p.rounds) << "k=" << p.k;
+    EXPECT_EQ(stats.worst_case, p.worst) << "k=" << p.k;
+  }
+}
+
 }  // namespace
 }  // namespace lcl

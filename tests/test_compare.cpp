@@ -98,6 +98,17 @@ TEST(Json, IntAccessorGuardsOutOfRangeNumbers) {
   EXPECT_EQ(v.find("ok")->int_or(7), -42);
 }
 
+TEST(Json, BoundsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(json::parse(nested(192)).is_array());
+  EXPECT_THROW((void)json::parse(nested(193)), std::runtime_error);
+  EXPECT_THROW((void)json::parse(std::string(1 << 20, '{')),
+               std::runtime_error);
+}
+
 TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW((void)json::parse("{"), std::runtime_error);
   EXPECT_THROW((void)json::parse("[1, 2,]"), std::runtime_error);

@@ -3,11 +3,17 @@
 // behavior between close input-A nodes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <random>
+#include <string>
 
+#include "algo/connect_paths.hpp"
 #include "algo/dfree_logn.hpp"
 #include "core/exponents.hpp"
 #include "graph/builders.hpp"
+#include "graph/families.hpp"
 #include "problems/checkers.hpp"
 #include "problems/labels.hpp"
 #include "test_util.hpp"
@@ -151,6 +157,155 @@ TEST(DFree, ViewRadiusIsLogarithmic) {
       inst.tree, inst.participates, inst.is_a, 2, inst.tree.size());
   // 3*ceil(log_3(10000)) + 3 = 3*9 + 3 = 30.
   EXPECT_EQ(res.view_radius, 30);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: Algorithm A on the shared heavy-child-decline helper
+// against the frozen per-A-node implementation with an n-sized map.
+// ---------------------------------------------------------------------------
+
+std::int64_t reference_ceil_log_base(std::int64_t n, std::int64_t base) {
+  std::int64_t r = 0;
+  std::int64_t v = 1;
+  while (v < n) {
+    v *= base;
+    ++r;
+  }
+  return r;
+}
+
+/// Algorithm A before the shared helper, kept verbatim as the oracle.
+algo::DFreeResult reference_algorithm_a(const Tree& tree,
+                                        const std::vector<char>& participates,
+                                        const std::vector<char>& is_a, int d,
+                                        std::int64_t n_for_radius) {
+  const NodeId n = tree.size();
+  algo::DFreeResult res;
+  res.output.assign(static_cast<std::size_t>(n), -1);
+  res.copy_root.assign(static_cast<std::size_t>(n), graph::kInvalidNode);
+  res.copy_depth.assign(static_cast<std::size_t>(n), -1);
+
+  const std::int64_t logd = reference_ceil_log_base(n_for_radius, d + 1);
+  const std::int64_t ball_radius = logd + 1;
+  const std::int64_t connect_bound = 2 * logd + 2;
+  res.view_radius = 3 * logd + 3;
+
+  auto in = [&](NodeId v) {
+    return participates[static_cast<std::size_t>(v)] != 0;
+  };
+  for (NodeId v = 0; v < n; ++v) {
+    if (in(v)) {
+      res.output[static_cast<std::size_t>(v)] =
+          static_cast<int>(WeightOut::kDecline);
+    }
+  }
+  algo::mark_connect_paths(tree, participates, is_a, connect_bound,
+                           [&](NodeId v) {
+                             res.output[static_cast<std::size_t>(v)] =
+                                 static_cast<int>(WeightOut::kConnect);
+                           });
+
+  for (NodeId v = 0; v < n; ++v) {
+    if (!in(v) || !is_a[static_cast<std::size_t>(v)]) continue;
+    if (res.output[static_cast<std::size_t>(v)] ==
+        static_cast<int>(WeightOut::kConnect)) {
+      continue;
+    }
+    std::vector<NodeId> order;
+    std::vector<NodeId> parent_of;
+    std::vector<int> depth_of;
+    std::vector<std::int64_t> ball_idx(static_cast<std::size_t>(n), -1);
+    ball_idx[static_cast<std::size_t>(v)] = 0;
+    order.push_back(v);
+    parent_of.push_back(graph::kInvalidNode);
+    depth_of.push_back(0);
+    std::size_t head = 0;
+    while (head < order.size()) {
+      const NodeId u = order[head];
+      const int du = depth_of[head];
+      ++head;
+      if (du == ball_radius) continue;
+      for (NodeId w : tree.neighbors(u)) {
+        if (!in(w) || ball_idx[static_cast<std::size_t>(w)] >= 0) continue;
+        ball_idx[static_cast<std::size_t>(w)] =
+            static_cast<std::int64_t>(order.size());
+        order.push_back(w);
+        parent_of.push_back(u);
+        depth_of.push_back(du + 1);
+      }
+    }
+    std::vector<std::int64_t> subtree(order.size(), 1);
+    for (std::size_t i = order.size(); i-- > 1;) {
+      const std::int64_t pi =
+          ball_idx[static_cast<std::size_t>(parent_of[i])];
+      subtree[static_cast<std::size_t>(pi)] += subtree[i];
+    }
+    std::vector<std::vector<std::size_t>> children(order.size());
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      children[static_cast<std::size_t>(
+                   ball_idx[static_cast<std::size_t>(parent_of[i])])]
+          .push_back(i);
+    }
+    std::deque<std::size_t> q{0};
+    res.output[static_cast<std::size_t>(v)] =
+        static_cast<int>(WeightOut::kCopy);
+    res.copy_root[static_cast<std::size_t>(v)] = v;
+    res.copy_depth[static_cast<std::size_t>(v)] = 0;
+    while (!q.empty()) {
+      const std::size_t i = q.front();
+      q.pop_front();
+      auto kids = children[i];
+      std::sort(kids.begin(), kids.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return subtree[a] > subtree[b];
+                });
+      const std::size_t to_decline =
+          std::min<std::size_t>(static_cast<std::size_t>(d), kids.size());
+      for (std::size_t c = to_decline; c < kids.size(); ++c) {
+        const std::size_t child = kids[c];
+        const NodeId w = order[child];
+        res.output[static_cast<std::size_t>(w)] =
+            static_cast<int>(WeightOut::kCopy);
+        res.copy_root[static_cast<std::size_t>(w)] = v;
+        res.copy_depth[static_cast<std::size_t>(w)] = depth_of[child];
+        q.push_back(child);
+      }
+    }
+  }
+  return res;
+}
+
+TEST(DFree, MatchesFrozenReferenceOnTieHeavyFamilies) {
+  // Stars, spiders and d-ary trees are full of equal-size sibling
+  // subtrees, so any drift in the heaviest-child tie-break shows up.
+  std::int64_t copies = 0;
+  for (const char* family : {"star", "spider", "dary", "galton_watson"}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(std::string(family) + " seed=" + std::to_string(seed));
+      const Tree t = graph::make_family_instance(family, 1500, seed);
+      const NodeId n = t.size();
+      std::mt19937_64 rng(seed);
+      for (const int d : {1, 2, 3}) {
+        SCOPED_TRACE("d=" + std::to_string(d));
+        const auto a_per_mille = 10 + rng() % 40;
+        std::vector<char> part(static_cast<std::size_t>(n), 0);
+        std::vector<char> is_a(static_cast<std::size_t>(n), 0);
+        for (std::size_t v = 0; v < part.size(); ++v) {
+          part[v] = seed % 2 == 0 || rng() % 100 >= 15;
+          is_a[v] = part[v] && rng() % 1000 < a_per_mille;
+        }
+        const auto ref = reference_algorithm_a(t, part, is_a, d, n);
+        const auto got = algo::run_dfree_algorithm_a(t, part, is_a, d, n);
+        ASSERT_EQ(got.output, ref.output);
+        ASSERT_EQ(got.copy_root, ref.copy_root);
+        ASSERT_EQ(got.copy_depth, ref.copy_depth);
+        ASSERT_EQ(got.view_radius, ref.view_radius);
+        copies += std::count(got.output.begin(), got.output.end(),
+                             static_cast<int>(WeightOut::kCopy));
+      }
+    }
+  }
+  EXPECT_GT(copies, 0);
 }
 
 }  // namespace

@@ -3,11 +3,16 @@
 // pruning bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <random>
+#include <string>
 
 #include "algo/fast_decomp.hpp"
 #include "core/exponents.hpp"
 #include "graph/builders.hpp"
+#include "graph/families.hpp"
 #include "problems/checkers.hpp"
 #include "problems/labels.hpp"
 #include "test_util.hpp"
@@ -169,8 +174,9 @@ TEST(FastDecomp, PruningBoundLemma52) {
       declined[static_cast<std::size_t>(v)] = 1;
     }
   }
+  std::vector<std::int32_t> member_idx(declined.size(), -1);
   const auto keep =
-      algo::prune_component(inst.tree, plan, 0, d, declined);
+      algo::prune_component(inst.tree, plan, 0, d, declined, member_idx);
   std::int64_t kept = 0;
   for (char k : keep) kept += (k != 0);
   const double xp = core::efficiency_x_prime(delta, d);
@@ -208,6 +214,105 @@ TEST(FastDecomp, CloseANodesConnect) {
   }
   test::assert_valid(
       problems::check_dfree_weight(t, 3, plan_outputs(plan, n)));
+}
+
+// ---------------------------------------------------------------------------
+// Differential: prune_component on the shared heavy-child-decline helper
+// and a caller-owned scratch, against the frozen implementation that
+// allocated an n-sized member map per component.
+// ---------------------------------------------------------------------------
+
+/// prune_component before the shared helper, kept verbatim as the oracle.
+std::vector<char> reference_prune_component(
+    const Tree& tree, const FastDecompPlan& plan, int comp, int d,
+    const std::vector<char>& is_declined) {
+  const auto& members = plan.components[static_cast<std::size_t>(comp)];
+  const std::size_t m = members.size();
+  std::vector<std::int64_t> member_idx(
+      static_cast<std::size_t>(tree.size()), -1);
+  for (std::size_t i = 0; i < m; ++i) {
+    member_idx[static_cast<std::size_t>(members[i])] =
+        static_cast<std::int64_t>(i);
+  }
+  std::vector<std::vector<std::size_t>> children(m);
+  for (std::size_t i = 1; i < m; ++i) {
+    const NodeId v = members[i];
+    const int pp = plan.flood_parent_port[static_cast<std::size_t>(v)];
+    const NodeId parent = tree.neighbors(v)[static_cast<std::size_t>(pp)];
+    children[static_cast<std::size_t>(
+                 member_idx[static_cast<std::size_t>(parent)])]
+        .push_back(i);
+  }
+  std::vector<std::int64_t> subtree(m, 1);
+  for (std::size_t i = m; i-- > 1;) {
+    const NodeId v = members[i];
+    const int pp = plan.flood_parent_port[static_cast<std::size_t>(v)];
+    const NodeId parent = tree.neighbors(v)[static_cast<std::size_t>(pp)];
+    subtree[static_cast<std::size_t>(
+        member_idx[static_cast<std::size_t>(parent)])] += subtree[i];
+  }
+  std::vector<char> keep(m, 0);
+  keep[0] = 1;
+  std::deque<std::size_t> q{0};
+  while (!q.empty()) {
+    const std::size_t i = q.front();
+    q.pop_front();
+    int declined_neighbors = 0;
+    for (NodeId u : tree.neighbors(members[i])) {
+      if (member_idx[static_cast<std::size_t>(u)] < 0 &&
+          is_declined[static_cast<std::size_t>(u)]) {
+        ++declined_neighbors;
+      }
+    }
+    auto kids = children[i];
+    std::sort(kids.begin(), kids.end(), [&](std::size_t a, std::size_t b) {
+      return subtree[a] > subtree[b];
+    });
+    const int can_prune = std::max(0, d - declined_neighbors);
+    const std::size_t pruned = std::min<std::size_t>(
+        static_cast<std::size_t>(can_prune), kids.size());
+    for (std::size_t c = pruned; c < kids.size(); ++c) {
+      keep[kids[c]] = 1;
+      q.push_back(kids[c]);
+    }
+  }
+  return keep;
+}
+
+TEST(FastDecomp, PruneMatchesFrozenReferenceOnTieHeavyFamilies) {
+  std::int64_t components = 0;
+  for (const char* family : {"star", "spider", "dary", "galton_watson"}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(std::string(family) + " seed=" + std::to_string(seed));
+      const Tree t = graph::make_family_instance(family, 2000, seed);
+      const auto n = static_cast<std::size_t>(t.size());
+      std::mt19937_64 rng(seed);
+      std::vector<char> part(n, 0);
+      std::vector<char> is_a(n, 0);
+      for (std::size_t v = 0; v < n; ++v) {
+        part[v] = seed % 2 == 0 || rng() % 10 != 0;
+        is_a[v] = part[v] && rng() % 50 == 0;
+      }
+      const int d = 3 + static_cast<int>(seed % 2);
+      const auto plan =
+          algo::run_fast_decomposition(t, part, is_a, d, seed <= 4);
+      // One scratch across every component, as Pi35Program holds it.
+      std::vector<std::int32_t> member_idx(n, -1);
+      for (std::size_t c = 0; c < plan.components.size(); ++c) {
+        std::vector<char> declined(n, 0);
+        const auto declined_pct = rng() % 60;
+        for (char& x : declined) x = rng() % 100 < declined_pct;
+        const int comp = static_cast<int>(c);
+        const auto got =
+            algo::prune_component(t, plan, comp, d, declined, member_idx);
+        ASSERT_EQ(got, reference_prune_component(t, plan, comp, d, declined));
+        ASSERT_EQ(std::count(member_idx.begin(), member_idx.end(), -1),
+                  static_cast<std::ptrdiff_t>(n));
+        ++components;
+      }
+    }
+  }
+  EXPECT_GT(components, 50);
 }
 
 }  // namespace

@@ -107,5 +107,27 @@ TEST(Pi35, KeptCopiesBounded) {
   EXPECT_LT(program.copies_kept(), weight_nodes);
 }
 
+TEST(Pi35, PinnedRunTotals) {
+  // Sum of T_v, rounds and worst case on two small Definition-25
+  // constructions, recorded from the implementation that predates the
+  // shared heavy-child-decline helper. Pruning a different number or
+  // depth of members moves them; a swap between two symmetric subtrees
+  // does not, which the differential test in test_fastdecomp covers.
+  struct Pin {
+    int delta, d, k;
+    std::int64_t lambda, target;
+    std::uint64_t seed;
+    std::int64_t sum_t, rounds, worst;
+  };
+  for (const Pin& p : {Pin{7, 3, 2, 32, 6000, 37, 123496, 61, 61},
+                       Pin{6, 3, 3, 16, 6000, 41, 136121, 63, 63}}) {
+    auto s = make_setup(p.delta, p.d, p.k, p.lambda, p.target, p.seed);
+    const auto stats = algo::run_pi35(s.tree, s.options);
+    EXPECT_EQ(stats.total_rounds, p.sum_t) << "k=" << p.k;
+    EXPECT_EQ(stats.rounds, p.rounds) << "k=" << p.k;
+    EXPECT_EQ(stats.worst_case, p.worst) << "k=" << p.k;
+  }
+}
+
 }  // namespace
 }  // namespace lcl

@@ -143,6 +143,18 @@ TEST(ServiceProtocol, MalformedJsonIsBadJson) {
   EXPECT_EQ(v.get_string("error", ""), "bad_json");
 }
 
+TEST(ServiceProtocol, DeeplyNestedLineIsBadJson) {
+  // One 200 KB line of nested '[' used to recurse the JSON parser off
+  // the stack and take the daemon down with every client on it.
+  Server server(ServerOptions{});
+  const Value v = parse(server.handle_line(std::string(200 * 1024, '[')));
+  EXPECT_FALSE(v.get_bool("ok", true));
+  EXPECT_EQ(v.get_string("error", ""), "bad_json");
+  // The server keeps answering afterwards.
+  EXPECT_TRUE(parse(server.handle_line("{\"type\":\"info\"}"))
+                  .get_bool("ok", false));
+}
+
 TEST(ServiceProtocol, UnknownTypeIsTyped) {
   Server server(ServerOptions{});
   const Value v =

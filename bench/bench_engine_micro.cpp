@@ -1,6 +1,6 @@
-// Substrate micro-benchmarks: arena-engine round throughput against the
-// frozen pre-refactor baseline (legacy_engine.hpp), the SIMD-vs-scalar
-// kernel and whole-run series, the warm-workspace (allocation-free)
+// Substrate micro-benchmarks: engine round throughput on four synthetic
+// workloads, the SIMD-vs-scalar kernel and whole-run series, the batch
+// vs per-node dispatch series, the warm-workspace (allocation-free)
 // steady state, plus the batched multi-thread sweep speedup. These
 // guard the "simulation cost = O(sum of termination rounds)" property
 // the experiment scenarios rely on, and keep the engine's perf
@@ -17,8 +17,6 @@
 #include "algo/randomized.hpp"
 #include "core/batch.hpp"
 #include "graph/builders.hpp"
-#include "legacy_engine.hpp"
-#include "local/dispatch.hpp"
 #include "local/engine.hpp"
 #include "local/simd.hpp"
 #include "scenario.hpp"
@@ -27,11 +25,11 @@ namespace {
 
 using namespace lcl;
 
-// The micro workload, implemented identically against both engines: a
-// token wave down a path. Node 0 emits at round 1 and terminates; node i
-// forwards one hop per round and terminates when the token arrives, so
-// sum_v T_v = Theta(n^2) engine-visible node-rounds with tiny registers —
-// the engine's bookkeeping dominates, which is exactly what we measure.
+// The micro workload: a token wave down a path. Node 0 emits at round 1
+// and terminates; node i forwards one hop per round and terminates when
+// the token arrives, so sum_v T_v = Theta(n^2) engine-visible
+// node-rounds with tiny registers — the engine's bookkeeping dominates,
+// which is exactly what we measure.
 
 class ArenaWave final : public local::Program {
  public:
@@ -43,23 +41,6 @@ class ArenaWave final : public local::Program {
       return;
     }
     const local::RegView left = ctx.peek(0);
-    if (!left.empty() && left[0] == 1) {
-      ctx.publish({1});
-      ctx.terminate(0);
-    }
-  }
-};
-
-class LegacyWave final : public bench::legacy::Program {
- public:
-  void on_init(bench::legacy::NodeCtx&) override {}
-  void on_round(bench::legacy::NodeCtx& ctx) override {
-    if (ctx.node() == 0) {
-      ctx.publish({1});
-      ctx.terminate(0);
-      return;
-    }
-    const bench::legacy::Register& left = ctx.peek(0);
     if (!left.empty() && left[0] == 1) {
       ctx.publish({1});
       ctx.terminate(0);
@@ -79,19 +60,10 @@ class ArenaStagger final : public local::Program {
   }
 };
 
-class LegacyStagger final : public bench::legacy::Program {
- public:
-  void on_init(bench::legacy::NodeCtx&) override {}
-  void on_round(bench::legacy::NodeCtx& ctx) override {
-    if (ctx.round() == (ctx.node() % 64) + 1) ctx.terminate(0);
-  }
-};
-
 // A setup-dominated workload: every node terminates in round 1, so
 // sum_v T_v = n and one "run" is almost entirely per-run engine setup.
-// This is the micro that quantifies snapshot elimination: the arena
-// engine now borrows the Tree's native CSR (zero adjacency work per run)
-// where it previously rebuilt a flat offset+neighbor copy every run.
+// The engine borrows the Tree's native CSR, so there is zero adjacency
+// work per run.
 
 class ArenaFlash final : public local::Program {
  public:
@@ -99,18 +71,11 @@ class ArenaFlash final : public local::Program {
   void on_round(local::NodeCtx& ctx) override { ctx.terminate(0); }
 };
 
-class LegacyFlash final : public bench::legacy::Program {
- public:
-  void on_init(bench::legacy::NodeCtx&) override {}
-  void on_round(bench::legacy::NodeCtx& ctx) override { ctx.terminate(0); }
-};
-
 // A chatty workload mirroring the real wave programs (generic_hier's
 // 6-word wave registers, decomp_program's per-round republish): every
 // alive node republishes a 6-word register every round and terminates
-// after 64 rounds. Register traffic dominates: the legacy engine pays a
-// vector assignment on publish plus a vector copy at the flip, the arena
-// engine one 6-word write plus a parity toggle.
+// after 64 rounds. Register traffic dominates: one 6-word write plus a
+// parity toggle per node-round.
 
 class ArenaChatter final : public local::Program {
  public:
@@ -119,19 +84,6 @@ class ArenaChatter final : public local::Program {
   }
   void on_round(local::NodeCtx& ctx) override {
     const local::RegView mine = ctx.own();
-    ctx.publish({mine[0] + 1, mine[1], mine[2], mine[3], mine[4],
-                 mine[5]});
-    if (ctx.round() == 64) ctx.terminate(0);
-  }
-};
-
-class LegacyChatter final : public bench::legacy::Program {
- public:
-  void on_init(bench::legacy::NodeCtx& ctx) override {
-    ctx.publish({0, 0, 0, 0, 0, 0});
-  }
-  void on_round(bench::legacy::NodeCtx& ctx) override {
-    const bench::legacy::Register& mine = ctx.peek_self();
     ctx.publish({mine[0] + 1, mine[1], mine[2], mine[3], mine[4],
                  mine[5]});
     if (ctx.round() == 64) ctx.terminate(0);
@@ -148,7 +100,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// call), timed over enough iterations to dominate clock noise.
 template <typename F>
 double throughput(F run_once) {
-  // Warm-up also primes allocator caches for both engines alike.
+  // Warm-up also primes allocator caches.
   std::int64_t node_rounds = run_once();
   const auto start = std::chrono::steady_clock::now();
   std::int64_t total = 0;
@@ -166,8 +118,7 @@ double throughput(F run_once) {
 namespace lcl::bench {
 
 void run_engine_micro(ScenarioContext& ctx) {
-  std::printf("== substrate micro-benchmarks: arena engine vs legacy "
-              "baseline ==\n\n");
+  std::printf("== substrate micro-benchmarks: engine throughput ==\n\n");
 
   const auto wave_n = static_cast<graph::NodeId>(ctx.scaled(4096));
   const auto stagger_n = static_cast<graph::NodeId>(ctx.scaled(1 << 16));
@@ -179,20 +130,10 @@ void run_engine_micro(ScenarioContext& ctx) {
     local::Engine e(wave_tree);
     return e.run(p).total_rounds;
   });
-  const double legacy_wave = throughput([&] {
-    LegacyWave p;
-    legacy::Engine e(wave_tree);
-    return e.run(p, wave_n + 2).total_rounds;
-  });
   const double arena_stagger = throughput([&] {
     ArenaStagger p;
     local::Engine e(stagger_tree);
     return e.run(p).total_rounds;
-  });
-  const double legacy_stagger = throughput([&] {
-    LegacyStagger p;
-    legacy::Engine e(stagger_tree);
-    return e.run(p, 65).total_rounds;
   });
   const auto chatter_n = static_cast<graph::NodeId>(ctx.scaled(1 << 14));
   const graph::Tree chatter_tree = graph::make_path(chatter_n);
@@ -201,35 +142,6 @@ void run_engine_micro(ScenarioContext& ctx) {
     local::Engine e(chatter_tree);
     return e.run(p).total_rounds;
   });
-  const double legacy_chatter = throughput([&] {
-    LegacyChatter p;
-    legacy::Engine e(chatter_tree);
-    return e.run(p, 65).total_rounds;
-  });
-
-  std::printf("  %-28s %14s %14s %8s\n", "workload", "arena Mnr/s",
-              "legacy Mnr/s", "speedup");
-  std::printf("  %-28s %14.2f %14.2f %7.2fx\n",
-              ("wave path n=" + std::to_string(wave_n)).c_str(),
-              arena_wave / 1e6, legacy_wave / 1e6,
-              arena_wave / legacy_wave);
-  std::printf("  %-28s %14.2f %14.2f %7.2fx\n",
-              ("stagger n=" + std::to_string(stagger_n)).c_str(),
-              arena_stagger / 1e6, legacy_stagger / 1e6,
-              arena_stagger / legacy_stagger);
-  ctx.metric("arena_wave_node_rounds_per_s", arena_wave);
-  ctx.metric("legacy_wave_node_rounds_per_s", legacy_wave);
-  ctx.metric("wave_speedup", arena_wave / legacy_wave);
-  ctx.metric("arena_stagger_node_rounds_per_s", arena_stagger);
-  ctx.metric("legacy_stagger_node_rounds_per_s", legacy_stagger);
-  ctx.metric("stagger_speedup", arena_stagger / legacy_stagger);
-  std::printf("  %-28s %14.2f %14.2f %7.2fx\n",
-              ("chatter n=" + std::to_string(chatter_n)).c_str(),
-              arena_chatter / 1e6, legacy_chatter / 1e6,
-              arena_chatter / legacy_chatter);
-  ctx.metric("arena_chatter_node_rounds_per_s", arena_chatter);
-  ctx.metric("legacy_chatter_node_rounds_per_s", legacy_chatter);
-  ctx.metric("chatter_speedup", arena_chatter / legacy_chatter);
 
   const auto flash_n = static_cast<graph::NodeId>(ctx.scaled(1 << 15));
   const graph::Tree flash_tree = graph::make_path(flash_n);
@@ -238,18 +150,20 @@ void run_engine_micro(ScenarioContext& ctx) {
     local::Engine e(flash_tree);
     return e.run(p).total_rounds;
   });
-  const double legacy_flash = throughput([&] {
-    LegacyFlash p;
-    legacy::Engine e(flash_tree);
-    return e.run(p, 2).total_rounds;
-  });
-  std::printf("  %-28s %14.2f %14.2f %7.2fx\n",
-              ("flash (setup) n=" + std::to_string(flash_n)).c_str(),
-              arena_flash / 1e6, legacy_flash / 1e6,
-              arena_flash / legacy_flash);
-  ctx.metric("arena_flash_node_rounds_per_s", arena_flash);
-  ctx.metric("legacy_flash_node_rounds_per_s", legacy_flash);
-  ctx.metric("flash_speedup", arena_flash / legacy_flash);
+
+  std::printf("  %-28s %14s\n", "workload", "Mnr/s");
+  const auto arena_row = [&](const char* key, const std::string& label,
+                             double rate) {
+    std::printf("  %-28s %14.2f\n", label.c_str(), rate / 1e6);
+    ctx.metric(std::string("arena_") + key + "_node_rounds_per_s", rate);
+  };
+  arena_row("wave", "wave path n=" + std::to_string(wave_n), arena_wave);
+  arena_row("stagger", "stagger n=" + std::to_string(stagger_n),
+            arena_stagger);
+  arena_row("chatter", "chatter n=" + std::to_string(chatter_n),
+            arena_chatter);
+  arena_row("flash", "flash (setup) n=" + std::to_string(flash_n),
+            arena_flash);
 
   // Warm-workspace flash: same engine + one reusable workspace +
   // recycled stats across reps (the BatchRunner steady state) vs the
@@ -271,21 +185,12 @@ void run_engine_micro(ScenarioContext& ctx) {
   }
   const double warm_allocs_per_run =
       static_cast<double>(warm_ws.alloc_events() - allocs_before) / 10.0;
-  std::printf("  %-28s %14.2f %14s %7.2fx  (%.1f allocs/run)\n",
-              "flash, warm workspace", warm_flash / 1e6, "",
+  std::printf("  %-28s %14.2f  %.2fx cold, %.1f allocs/run\n",
+              "flash, warm workspace", warm_flash / 1e6,
               warm_flash / arena_flash, warm_allocs_per_run);
   ctx.metric("warm_flash_node_rounds_per_s", warm_flash);
   ctx.metric("warm_over_cold_flash", warm_flash / arena_flash);
   ctx.metric("warm_allocs_per_run", warm_allocs_per_run);
-
-  const double overall = std::pow((arena_wave / legacy_wave) *
-                                      (arena_stagger / legacy_stagger) *
-                                      (arena_chatter / legacy_chatter) *
-                                      (arena_flash / legacy_flash),
-                                  0.25);
-  std::printf("  %-28s %14s %14s %7.2fx\n", "geometric mean", "", "",
-              overall);
-  ctx.metric("overall_speedup", overall);
 
   // --- SIMD-vs-scalar series -------------------------------------------
   // (1) Whole-run A/B: the same workloads under an explicitly scalar

@@ -80,6 +80,17 @@ int count_runs(const Value& series) {
              : 0;
 }
 
+/// The `k`-th run (0-based, in recorded order) at `scale`, or nullptr.
+/// A series may sweep several instances at one scale (problem_sweep runs
+/// every family at each size), so runs pair up across snapshots by
+/// scale *and* occurrence, never by scale alone.
+const Value* run_at_scale(const Value& runs, double scale, int k) {
+  for (const Value& run : runs.array) {
+    if (run.get_number("scale", -2.0) == scale && k-- == 0) return &run;
+  }
+  return nullptr;
+}
+
 void compare_series(const std::string& where, const Value& old_series,
                     const Value& new_series, const CompareOptions& opts,
                     Tally& tally) {
@@ -131,27 +142,24 @@ void compare_series(const std::string& where, const Value& old_series,
     const Value* new_runs = new_series.find("runs");
     if (old_runs != nullptr && old_runs->is_array() &&
         new_runs != nullptr && new_runs->is_array()) {
+      std::map<double, int> seen;
       for (const Value& old_run : old_runs->array) {
-        if (!run_ok(old_run)) continue;
         const double scale = old_run.get_number("scale", -1.0);
-        for (const Value& new_run : new_runs->array) {
-          if (new_run.get_number("scale", -2.0) != scale ||
-              !run_ok(new_run)) {
-            continue;
-          }
-          const double old_avg = old_run.get_number("node_averaged", 0.0);
-          const double new_avg = new_run.get_number("node_averaged", 0.0);
-          if (old_avg > 0.0 &&
-              std::abs(new_avg / old_avg - 1.0) > opts.tol_avg) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "node-averaged at scale %.0f drifted %.1f%% "
-                          "(%.3f -> %.3f)",
-                          scale, 100.0 * (new_avg / old_avg - 1.0),
-                          old_avg, new_avg);
-            tally.regression(where + ": " + buf);
-          }
-          break;
+        const Value* new_run = run_at_scale(*new_runs, scale, seen[scale]++);
+        if (!run_ok(old_run) || new_run == nullptr || !run_ok(*new_run)) {
+          continue;
+        }
+        const double old_avg = old_run.get_number("node_averaged", 0.0);
+        const double new_avg = new_run->get_number("node_averaged", 0.0);
+        if (old_avg > 0.0 &&
+            std::abs(new_avg / old_avg - 1.0) > opts.tol_avg) {
+          char buf[160];
+          std::snprintf(buf, sizeof(buf),
+                        "node-averaged at scale %.0f drifted %.1f%% "
+                        "(%.3f -> %.3f)",
+                        scale, 100.0 * (new_avg / old_avg - 1.0), old_avg,
+                        new_avg);
+          tally.regression(where + ": " + buf);
         }
       }
     }
@@ -501,9 +509,11 @@ int history_snapshots(const std::vector<std::string>& paths,
       if (opts.tol_avg > 0.0) {
         const Value* last_runs = last_series->find("runs");
         if (last_runs != nullptr && last_runs->is_array()) {
+          std::map<double, int> seen;
           for (const Value& anchor : last_runs->array) {
-            if (!run_ok(anchor)) continue;
             const double scale = anchor.get_number("scale", -1.0);
+            const int k = seen[scale]++;
+            if (!run_ok(anchor)) continue;
             std::vector<double> avgs;
             bool complete = true;
             for (int i = n - window; i < n && complete; ++i) {
@@ -512,15 +522,13 @@ int history_snapshots(const std::vector<std::string>& paths,
                               scenario, title);
               const Value* runs = se == nullptr ? nullptr
                                                 : se->find("runs");
-              complete = false;
-              if (runs == nullptr || !runs->is_array()) break;
-              for (const Value& run : runs->array) {
-                if (run.get_number("scale", -2.0) == scale &&
-                    run_ok(run)) {
-                  avgs.push_back(run.get_number("node_averaged", 0.0));
-                  complete = true;
-                  break;
-                }
+              const Value* run =
+                  runs == nullptr || !runs->is_array()
+                      ? nullptr
+                      : run_at_scale(*runs, scale, k);
+              complete = run != nullptr && run_ok(*run);
+              if (complete) {
+                avgs.push_back(run->get_number("node_averaged", 0.0));
               }
             }
             if (complete && avgs.front() > 0.0 && is_monotone(avgs) &&

@@ -1,8 +1,7 @@
 // Unified experiment runner: every paper scenario behind one CLI.
 // Flags (see cli_main in scenario.cpp): --list, --run <name|all>,
 // --n <scale>, --reps <r>, --threads <t>, --seed <s>,
-// --engine <scalar|simd|auto>, --families <csv|all>, --json [path],
-// --binary [path]; plus the
+// --families <csv|all>, --json [path], --binary [path]; plus the
 // snapshot tooling: the pairwise regression gate --compare <old> <new>,
 // the long-horizon trend gate --history <snap> <snap>...
 // [--trend-window <k>], and the lossless JSON <-> .lclb converter
@@ -11,5 +10,5 @@
 #include "scenario.hpp"
 
 int main(int argc, char** argv) {
-  return lcl::bench::cli_main(argc, argv, /*forced_scenario=*/"");
+  return lcl::bench::cli_main(argc, argv);
 }

@@ -16,7 +16,6 @@
 #include "core/json.hpp"
 #include "core/snapshot.hpp"
 #include "graph/families.hpp"
-#include "local/dispatch.hpp"
 #include "local/simd.hpp"
 
 namespace lcl::bench {
@@ -85,13 +84,11 @@ std::string render_json(const ScenarioOptions& opts,
   os << "  \"reps\": " << opts.reps << ",\n";
   os << "  \"threads\": " << opts.threads << ",\n";
   os << "  \"seed\": " << opts.seed << ",\n";
-  // Kernel provenance (additive to schema lclbench-v3): the resolved
-  // engine path ("scalar" or "simd") every run in this snapshot used.
-  os << "  \"engine\": \"" << json_escape(opts.engine) << "\",\n";
-  // Dispatch provenance (additive to schema lclbench-v3): the resolved
-  // Program↔Engine stepping contract ("pernode" or "batch") every run
-  // in this snapshot used.
-  os << "  \"dispatch\": \"" << json_escape(opts.dispatch) << "\",\n";
+  // Kernel provenance (additive to schema lclbench-v3): the engine path
+  // this build's default engines run — "scalar" in LCL_FORCE_SCALAR
+  // builds, "simd" otherwise.
+  os << "  \"engine\": \""
+     << (local::simd_compiled() ? "simd" : "scalar") << "\",\n";
   // Problem-axis selection (additive to schema lclbench-v3): the
   // problem_sweep scenario's sampled-problem count and generator seed,
   // so snapshots pin exactly which LCLs were classified.
@@ -253,9 +250,7 @@ void print_usage() {
       "\n"
       "usage: lclbench [--list] [--list-algos] [--run <name|all>]\n"
       "                [--n <scale>] [--reps <r>] [--threads <t>]\n"
-      "                [--seed <s>] [--engine <scalar|simd|auto>]\n"
-      "                [--dispatch <pernode|batch|auto>]\n"
-      "                [--families <csv|all>]\n"
+      "                [--seed <s>] [--families <csv|all>]\n"
       "                [--algos <csv|all>] [--algo-opt <k=v>]...\n"
       "                [--problems <count>] [--problem-seed <s>]\n"
       "                [--json [path]] [--binary [path]]\n"
@@ -280,16 +275,6 @@ void print_usage() {
       "  --threads <t>   sweep worker threads (default: hardware)\n"
       "  --seed <s>      global seed mixed into every job seed (default 0\n"
       "                  = the historical deterministic sweeps)\n"
-      "  --engine <m>    engine kernel path for every scenario: `scalar`\n"
-      "                  (reference kernels), `simd` (wide kernels), or\n"
-      "                  `auto` (default; widest compiled path). The\n"
-      "                  resolved choice is recorded in the snapshot;\n"
-      "                  results are bit-identical across modes\n"
-      "  --dispatch <d>  Program↔Engine stepping contract: `pernode`\n"
-      "                  (one virtual call per alive node), `batch`\n"
-      "                  (span-level step kernels), or `auto` (default;\n"
-      "                  batch). The resolved choice is recorded in the\n"
-      "                  snapshot; results are bit-identical across modes\n"
       "  --families <f>  comma-separated instance families for the\n"
       "                  family-driven scenarios (default/`all` = every\n"
       "                  tree family in the registry)\n"
@@ -540,7 +525,8 @@ const std::vector<Scenario>& all_scenarios() {
        run_fig2_randomized},
       {"ablation", "E14: ablations of the design choices", run_ablation},
       {"engine_micro",
-       "substrate micro-benchmarks: arena engine vs legacy baseline",
+       "substrate micro-benchmarks: engine, kernel and dispatch "
+       "throughput",
        run_engine_micro},
       {"family_sweep",
        "registry coverage: distributed decomposition across --families",
@@ -561,7 +547,7 @@ const std::vector<Scenario>& all_scenarios() {
   return registry;
 }
 
-int cli_main(int argc, char** argv, const std::string& forced_scenario) {
+int cli_main(int argc, char** argv) {
   ScenarioOptions opts;
   bool list = false;
   bool list_algos = false;
@@ -569,7 +555,7 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
   std::string json_path;
   bool want_binary = false;
   std::string binary_path;
-  std::string run_name = forced_scenario;
+  std::string run_name;
   bool compare_mode = false;
   std::string compare_old;
   std::string compare_new;
@@ -644,8 +630,7 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
       list_algos = true;
     } else if (arg == "--run") {
       once("--run");
-      const std::string name = next_value("--run");
-      if (forced_scenario.empty()) run_name = name;
+      run_name = next_value("--run");
     } else if (arg == "--n") {
       once("--n");
       opts.n_scale = parse_double("--n");
@@ -658,30 +643,6 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
     } else if (arg == "--seed") {
       once("--seed");
       opts.seed = parse_uint64("--seed");
-    } else if (arg == "--engine") {
-      once("--engine");
-      const std::string value = next_value("--engine");
-      local::KernelMode mode;
-      if (!local::parse_kernel_mode(value, mode)) {
-        std::fprintf(stderr,
-                     "lclbench: --engine expects scalar|simd|auto, got "
-                     "'%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
-      opts.engine = value;
-    } else if (arg == "--dispatch") {
-      once("--dispatch");
-      const std::string value = next_value("--dispatch");
-      local::DispatchMode mode;
-      if (!local::parse_dispatch_mode(value, mode)) {
-        std::fprintf(stderr,
-                     "lclbench: --dispatch expects pernode|batch|auto, got "
-                     "'%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
-      opts.dispatch = value;
     } else if (arg == "--problems") {
       once("--problems");
       opts.problems = parse_int("--problems");
@@ -864,27 +825,6 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
       std::fprintf(stderr, "lclbench: --algo-opt %s\n", e.what());
       return 2;
     }
-  }
-
-  // Kernel selection: install the process-wide default before any
-  // scenario constructs an engine, and record the *resolved* path in
-  // the snapshot ("auto" collapses to what actually ran — "scalar" in
-  // LCL_FORCE_SCALAR builds, "simd" otherwise).
-  {
-    local::KernelMode mode = local::KernelMode::kAuto;
-    (void)local::parse_kernel_mode(opts.engine, mode);  // validated above
-    local::set_default_kernel_mode(mode);
-    opts.engine = local::kernel_mode_name(local::resolve_kernel_mode(mode));
-  }
-
-  // Dispatch selection, same shape: install the process-wide default and
-  // record the resolved contract ("auto" collapses to "batch").
-  {
-    local::DispatchMode mode = local::DispatchMode::kAuto;
-    (void)local::parse_dispatch_mode(opts.dispatch, mode);  // validated above
-    local::set_default_dispatch_mode(mode);
-    opts.dispatch =
-        local::dispatch_mode_name(local::resolve_dispatch_mode(mode));
   }
 
   core::BatchOptions pool_opts;

@@ -7,9 +7,7 @@
 // BENCH_*.json snapshot (schema lclbench-v3: termination-round
 // distributions, rep spread, and RunStatus per run) so the perf
 // trajectory is tracked across PRs; `lclbench --compare old new` diffs
-// two snapshots and exits nonzero on regression (see compare.hpp). The
-// historical one-binary-per-experiment targets are thin shims over this
-// registry (see shim_main.cpp).
+// two snapshots and exits nonzero on regression (see compare.hpp).
 #pragma once
 
 #include <cstdint>
@@ -49,17 +47,6 @@ struct ScenarioOptions {
   /// solver that declares the key (validated by cli_main against the
   /// registry). Recorded in BENCH_*.json.
   std::vector<std::string> algo_opts;
-  /// Engine kernel selection (--engine scalar|simd|auto). cli_main sets
-  /// the process-wide default kernel mode from it before scenarios run
-  /// and resolves "auto" to the concrete path for the snapshot, so
-  /// every BENCH_*.json records which kernels produced it. Recorded in
-  /// BENCH_*.json (additive to schema lclbench-v3).
-  std::string engine = "auto";
-  /// Program dispatch selection (--dispatch pernode|batch|auto). cli_main
-  /// sets the process-wide default dispatch mode from it before scenarios
-  /// run and resolves "auto" to the concrete contract for the snapshot.
-  /// Recorded in BENCH_*.json (additive to schema lclbench-v3).
-  std::string dispatch = "auto";
   /// Distinct sampled LCL problems the problem_sweep scenario classifies
   /// and certifies (--problems). Recorded in BENCH_*.json.
   int problems = 60;
@@ -140,8 +127,7 @@ class ScenarioContext {
 };
 
 /// A registered scenario. `run` prints its human-readable report as a side
-/// effect (shims behave exactly like the historical per-bench mains) and
-/// accumulates structure in the context.
+/// effect and accumulates structure in the context.
 struct Scenario {
   std::string name;
   std::string summary;
@@ -151,9 +137,8 @@ struct Scenario {
 /// The full registry, in landscape order. Names are stable CLI/JSON keys.
 [[nodiscard]] const std::vector<Scenario>& all_scenarios();
 
-/// Unified CLI entry point (used by lclbench's main and the per-scenario
-/// shims). `forced_scenario` non-empty pins --run to that scenario.
-int cli_main(int argc, char** argv, const std::string& forced_scenario);
+/// Unified CLI entry point (lclbench's main).
+int cli_main(int argc, char** argv);
 
 // Scenario functions, one per paper experiment (defined in bench_*.cpp).
 void run_fig2_landscape(ScenarioContext& ctx);       // E1

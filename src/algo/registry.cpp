@@ -872,15 +872,14 @@ void prepare_instance(graph::Tree& tree, unsigned needs,
 // ---------------------------------------------------------------------------
 
 SolverRun run_registered(const SolverSpec& spec, const graph::Tree& tree,
-                         SolverConfig config, std::int64_t max_rounds,
-                         local::DispatchMode dispatch) {
+                         SolverConfig config, std::int64_t max_rounds) {
   config.validate(spec);
   const std::unique_ptr<local::Program> program =
       spec.factory(tree, config);
   // Reuses this thread's shared workspace; certify runs after the
   // engine run completes, so helpers that spin up their own engines
   // never nest inside it.
-  local::Engine engine(tree, local::KernelMode::kAuto, dispatch);
+  local::Engine engine(tree);
   SolverRun out;
   out.stats = engine.run(*program, local::tls_workspace(), max_rounds);
   // Mirror core::make_job: a truncated run is measured, not certified

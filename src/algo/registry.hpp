@@ -203,12 +203,9 @@ struct SolverRun {
 /// outputs with the spec's checker binding. A truncated run is measured
 /// but not certified (partial outputs are not checkable), mirroring
 /// `core::make_job`. The instance must already be prepared (or be a
-/// paper construction that carries its own inputs). `dispatch` selects
-/// the Program↔Engine stepping contract (per-node hooks vs span-level
-/// batch kernels); results are bit-identical either way.
+/// paper construction that carries its own inputs).
 [[nodiscard]] SolverRun run_registered(
     const SolverSpec& spec, const graph::Tree& tree, SolverConfig config,
-    std::int64_t max_rounds = std::numeric_limits<int>::max(),
-    local::DispatchMode dispatch = local::DispatchMode::kAuto);
+    std::int64_t max_rounds = std::numeric_limits<int>::max());
 
 }  // namespace lcl::algo

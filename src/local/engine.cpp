@@ -252,7 +252,7 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
   const auto n = static_cast<std::size_t>(tree_.size());
   round_ = 0;
   simd_ = resolve_kernel_mode(mode_) == KernelMode::kSimd;
-  batch_ = resolve_dispatch_mode(dispatch_) == DispatchMode::kBatch;
+  batch_ = dispatch_ != DispatchMode::kPerNode;
 
   // The only adjacency "setup": borrow the Tree's native CSR pointers.
   // Nothing is copied or rebuilt per run.

@@ -25,8 +25,8 @@
 // per-plane `len` lanes, and the `term_round` lane. That split is what
 // makes the three hot bulk passes — the end-of-round publish-flip, the
 // alive-list compaction, and the final T_v reduction — branch-free
-// kernels over contiguous memory (see local/simd.hpp; `--engine
-// scalar|simd|auto` and LCL_FORCE_SCALAR pick the variant). Reads
+// kernels over contiguous memory (see local/simd.hpp; the engine's
+// `KernelMode` and LCL_FORCE_SCALAR pick the variant). Reads
 // (`peek`/`own`) return views of the committed plane; a `publish` writes
 // the staging side; the synchronous flip at the end of the round toggles
 // the parity of the publishers — either as one wide XOR over a dense
@@ -65,12 +65,12 @@
 // Dispatch. The engine drives a program either through the classic
 // per-node virtual hooks (one `on_round` call per alive node) or
 // through span-level batch hooks (one `on_round_batch` call per round
-// over the whole compacted alive list) — `DispatchMode
-// {pernode, batch, auto}` picks, exactly like `KernelMode` picks the
-// kernels (see local/dispatch.hpp). The default batch hooks loop the
-// per-node hooks in alive order, so the two modes are bit-identical for
-// every program; ported programs override them with lane-level kernels
-// over `BatchCtx`'s direct SoA views and bulk writers.
+// over the whole compacted alive list). Both `DispatchMode` and
+// `KernelMode` are chosen once, where the engine is constructed. The
+// default batch hooks loop the per-node hooks in alive order, so the
+// two modes are bit-identical for every program; ported programs
+// override them with lane-level kernels over `BatchCtx`'s direct SoA
+// views and bulk writers.
 //
 // Algorithms implement `Program`. Independent runs (one engine per
 // instance) share nothing and can execute concurrently; see
@@ -88,7 +88,6 @@
 #include <vector>
 
 #include "graph/tree.hpp"
-#include "local/dispatch.hpp"
 #include "local/simd.hpp"
 
 namespace lcl::local {
@@ -112,6 +111,14 @@ struct Output {
   int primary = -1;
   int secondary = -1;
 };
+
+/// How an engine run drives the program.
+///   kPerNode — the per-node hooks (the reference path).
+///   kBatch   — the span-level hooks (ported programs run their batch
+///              kernels; the default hooks replay the per-node
+///              schedule, so the two modes are bit-identical).
+///   kAuto    — kBatch: with the default hooks batch never loses.
+enum class DispatchMode { kPerNode = 0, kBatch = 1, kAuto = 2 };
 
 /// A 64-byte-aligned lane of trivially-copyable elements, padded to a
 /// whole number of 64-byte blocks so kernels never need a masked tail.
@@ -383,9 +390,9 @@ struct RunProfile {
 };
 
 /// The synchronous engine. Construct with a graph (frozen by
-/// construction — every `Tree` is) and optionally a kernel mode, `run` a
-/// program; the engine enforces the synchronous schedule and records
-/// termination rounds.
+/// construction — every `Tree` is) and optionally a kernel and dispatch
+/// mode, `run` a program; the engine enforces the synchronous schedule
+/// and records termination rounds.
 class Engine {
  public:
   /// Reusable per-run state (the ACL decompression_context idiom): all

@@ -1,18 +1,13 @@
 #include "local/simd.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 namespace lcl::local {
 
-namespace {
-
-std::atomic<KernelMode> g_default_mode{KernelMode::kAuto};
-
 // The scalar kernels are the *reference* path: they must stay genuinely
 // one-element-per-step so the simd-vs-scalar series measures the
-// data-parallel win (and so `--engine scalar` behaves the same under
+// data-parallel win (and so a kScalar engine behaves the same under
 // every compiler), hence auto-vectorization is pinned off per function
 // (GCC) or per loop (Clang).
 #if defined(__clang__)
@@ -28,18 +23,7 @@ std::atomic<KernelMode> g_default_mode{KernelMode::kAuto};
 #define LCL_SCALAR_LOOP
 #endif
 
-}  // namespace
-
-KernelMode default_kernel_mode() {
-  return g_default_mode.load(std::memory_order_relaxed);
-}
-
-void set_default_kernel_mode(KernelMode mode) {
-  g_default_mode.store(mode, std::memory_order_relaxed);
-}
-
 KernelMode resolve_kernel_mode(KernelMode mode) {
-  if (mode == KernelMode::kAuto) mode = default_kernel_mode();
   if (mode == KernelMode::kAuto) {
     mode = simd_compiled() ? KernelMode::kSimd : KernelMode::kScalar;
   }
@@ -47,34 +31,6 @@ KernelMode resolve_kernel_mode(KernelMode mode) {
     mode = KernelMode::kScalar;
   }
   return mode;
-}
-
-const char* kernel_mode_name(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kScalar:
-      return "scalar";
-    case KernelMode::kSimd:
-      return "simd";
-    case KernelMode::kAuto:
-      return "auto";
-  }
-  return "auto";
-}
-
-bool parse_kernel_mode(const std::string& text, KernelMode& out) {
-  if (text == "scalar") {
-    out = KernelMode::kScalar;
-    return true;
-  }
-  if (text == "simd") {
-    out = KernelMode::kSimd;
-    return true;
-  }
-  if (text == "auto") {
-    out = KernelMode::kAuto;
-    return true;
-  }
-  return false;
 }
 
 LCL_SCALAR_KERNEL

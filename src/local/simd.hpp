@@ -11,13 +11,13 @@
 // Each exists in two semantically identical variants. The *scalar*
 // variant is the reference implementation: one element per step, with
 // compiler auto-vectorization explicitly disabled so the pair measures
-// the data-parallel win rather than the optimizer's mood — and so the
-// `--engine scalar` path is a stable baseline across compilers. The
-// *simd* variant uses GCC/Clang portable vector extensions (32-byte
-// lanes; no intrinsics, no -march requirement). Building with
-// -DLCL_FORCE_SCALAR=ON compiles the simd entry points as forwards to
-// the scalar ones, so every call site stays valid on targets without
-// vector support and sanitizer CI can pin both paths.
+// the data-parallel win rather than the optimizer's mood — and so an
+// engine built with KernelMode::kScalar is a stable baseline across
+// compilers. The *simd* variant uses GCC/Clang portable vector
+// extensions (32-byte lanes; no intrinsics, no -march requirement).
+// Building with -DLCL_FORCE_SCALAR=ON compiles the simd entry points as
+// forwards to the scalar ones, so every call site stays valid on
+// targets without vector support and sanitizer CI can pin both paths.
 //
 // Differential guarantee: for identical inputs the two variants produce
 // bit-identical outputs (same stable order from compaction, same exact
@@ -27,19 +27,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "graph/tree.hpp"
 
 namespace lcl::local {
 
-/// Which kernel family an engine run dispatches to.
+/// Which kernel family an engine run dispatches to, chosen where the
+/// engine is constructed.
 ///   kScalar — reference one-element-per-step kernels.
 ///   kSimd   — wide kernels (degrades to kScalar in LCL_FORCE_SCALAR
 ///             builds).
-///   kAuto   — the process-wide default (set_default_kernel_mode, wired
-///             to `lclbench --engine`), which itself defaults to the
-///             widest compiled path.
+///   kAuto   — the widest compiled path.
 enum class KernelMode { kScalar = 0, kSimd = 1, kAuto = 2 };
 
 /// Whether this build compiled the wide kernels (false under
@@ -52,21 +50,10 @@ enum class KernelMode { kScalar = 0, kSimd = 1, kAuto = 2 };
 #endif
 }
 
-/// Process-wide default used by engines constructed with kAuto.
-[[nodiscard]] KernelMode default_kernel_mode();
-void set_default_kernel_mode(KernelMode mode);
-
 /// Collapses a requested mode to the concrete kScalar/kSimd an engine
-/// run will execute: kAuto defers to the process default, and kSimd
+/// run will execute: kAuto picks the widest compiled path, and kSimd
 /// degrades to kScalar when the wide kernels are not compiled.
 [[nodiscard]] KernelMode resolve_kernel_mode(KernelMode mode);
-
-/// "scalar" / "simd" / "auto".
-[[nodiscard]] const char* kernel_mode_name(KernelMode mode);
-
-/// Parses "scalar" / "simd" / "auto"; returns false on anything else.
-[[nodiscard]] bool parse_kernel_mode(const std::string& text,
-                                     KernelMode& out);
 
 /// End-of-run T_v reduction result: sum_v T_v (the node-averaged
 /// numerator) and max_v T_v (the worst case).

@@ -24,8 +24,7 @@ void expect_cli_failure(const std::vector<std::string>& args,
   argv.reserve(storage.size());
   for (std::string& s : storage) argv.push_back(s.data());
   EXPECT_EXIT(
-      std::exit(bench::cli_main(static_cast<int>(argv.size()), argv.data(),
-                                /*forced_scenario=*/"")),
+      std::exit(bench::cli_main(static_cast<int>(argv.size()), argv.data())),
       ::testing::ExitedWithCode(2), message_regex);
 }
 
@@ -73,30 +72,11 @@ TEST(CliHardening, DuplicateProblemsFlag) {
                      "lclbench: duplicate --problems");
 }
 
-TEST(CliHardening, DuplicateEngineFlag) {
-  expect_cli_failure({"--engine", "simd", "--engine", "scalar"},
-                     "lclbench: duplicate --engine");
-}
-
-TEST(CliHardening, UnknownEngineMode) {
-  expect_cli_failure(
-      {"--engine", "turbo"},
-      "lclbench: --engine expects scalar\\|simd\\|auto, got 'turbo'");
-  expect_cli_failure({"--engine"}, "lclbench: --engine requires a value");
-}
-
-TEST(CliHardening, DuplicateDispatchFlag) {
-  expect_cli_failure({"--dispatch", "batch", "--dispatch", "pernode"},
-                     "lclbench: duplicate --dispatch");
-}
-
-TEST(CliHardening, UnknownDispatchMode) {
-  expect_cli_failure(
-      {"--dispatch", "vectorized"},
-      "lclbench: --dispatch expects pernode\\|batch\\|auto, got "
-      "'vectorized'");
-  expect_cli_failure({"--dispatch"},
-                     "lclbench: --dispatch requires a value");
+TEST(CliHardening, EngineFlagIsAnUnknownArgument) {
+  // Kernel and dispatch modes are chosen where an engine is built, not
+  // per process, so the CLI has no flag for either.
+  expect_cli_failure({"--engine", "simd"},
+                     "lclbench: unknown argument --engine");
 }
 
 TEST(CliHardening, DuplicateValuelessFlags) {

@@ -216,6 +216,33 @@ TEST(Compare, NodeAveragedDriftIsOptInAtMatchingScales) {
   EXPECT_EQ(compare_snapshots(old_path, new_path, gated), 0);
 }
 
+/// One series sweeping two instances at the same scale (the
+/// problem_sweep shape), with the second instance's node-average set.
+std::string repeated_scale_snapshot(double second_avg) {
+  return "{\"schema\": \"lclbench-v3\", \"scenarios\": ["
+         "{\"name\": \"s1\", \"wall_ms\": 100, \"series\": ["
+         "{\"title\": \"t1\", \"runs\": ["
+         "{\"scale\": 10, \"node_averaged\": 2.0, \"status\": \"ok\", "
+         "\"valid\": true}, "
+         "{\"scale\": 10, \"node_averaged\": " +
+         std::to_string(second_avg) +
+         ", \"status\": \"ok\", \"valid\": true}]}]}]}";
+}
+
+TEST(Compare, RepeatedScalesPairByOccurrence) {
+  // Runs pair up by scale and occurrence: a self-diff stays clean at a
+  // near-zero tolerance, and drift in the second run at a scale is
+  // caught rather than measured against the first.
+  CompareOptions gated;
+  gated.tol_avg = 1e-9;
+  const std::string same =
+      write_temp("rep_same.json", repeated_scale_snapshot(5.0));
+  EXPECT_EQ(compare_snapshots(same, same, gated), 0);
+  const std::string drifted =
+      write_temp("rep_drift.json", repeated_scale_snapshot(2.0));
+  EXPECT_EQ(compare_snapshots(same, drifted, gated), 1);
+}
+
 TEST(Compare, LostRunCoverageIsARegression) {
   // A series that silently dropped sweep points must not read as
   // healthy just because none of its surviving runs failed.

@@ -209,7 +209,7 @@ TEST(DifferentialFuzz, ScalarSimdLegacyAgreeOnRandomFamilies) {
 // node-average down to the ulp) and certify identically through the
 // solver's own checker, and the shared schedule must replay
 // bit-identically on the frozen legacy engine. This is the contract
-// that lets `--dispatch auto` resolve to batch: a batch kernel that
+// that lets DispatchMode::kAuto resolve to batch: a batch kernel that
 // drifts from its pinned per-node reference twin fails here on the
 // exact (solver, family, seed) triple.
 TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {

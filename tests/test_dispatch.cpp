@@ -1,6 +1,7 @@
-// Batched dispatch: the DispatchMode knob (parse/name/resolve and the
-// process-wide default), the BatchCtx contract (lane views, bulk
-// writers, synchronous visibility masking), and the guarantee the whole
+// Batched dispatch: the DispatchMode an engine is constructed with
+// (which hooks each mode drives, and that the default is batch), the
+// BatchCtx contract (lane views, bulk writers, synchronous visibility
+// masking), and the guarantee the whole
 // refactor rests on — a program with only per-node hooks runs
 // bit-identically under batch dispatch through the default span loops,
 // and a program with real batch kernels matches its per-node twin.
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "graph/builders.hpp"
-#include "local/dispatch.hpp"
 #include "local/engine.hpp"
 
 namespace lcl {
@@ -37,44 +37,52 @@ void expect_identical(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.secondaries(), b.secondaries());
 }
 
-TEST(DispatchMode, ParseNameRoundTrip) {
-  DispatchMode mode = DispatchMode::kAuto;
-  EXPECT_TRUE(local::parse_dispatch_mode("pernode", mode));
-  EXPECT_EQ(mode, DispatchMode::kPerNode);
-  EXPECT_TRUE(local::parse_dispatch_mode("batch", mode));
-  EXPECT_EQ(mode, DispatchMode::kBatch);
-  EXPECT_TRUE(local::parse_dispatch_mode("auto", mode));
-  EXPECT_EQ(mode, DispatchMode::kAuto);
+/// Counts which hooks an engine run drives; the batch hooks forward to
+/// the default span loops, so both modes run the same schedule.
+class HookCounter final : public Program {
+ public:
+  void on_init(NodeCtx&) override { ++node_calls; }
+  void on_round(NodeCtx& ctx) override {
+    ++node_calls;
+    if (ctx.round() == 2) ctx.terminate(0);
+  }
+  void on_init_batch(BatchCtx& batch, NodeSpan nodes) override {
+    ++batch_calls;
+    Program::on_init_batch(batch, nodes);
+  }
+  void on_round_batch(BatchCtx& batch, NodeSpan nodes) override {
+    ++batch_calls;
+    Program::on_round_batch(batch, nodes);
+  }
 
-  EXPECT_FALSE(local::parse_dispatch_mode("vectorized", mode));
-  EXPECT_FALSE(local::parse_dispatch_mode("", mode));
-  EXPECT_FALSE(local::parse_dispatch_mode("Batch", mode));
-  // A failed parse leaves the out-parameter untouched.
-  EXPECT_EQ(mode, DispatchMode::kAuto);
-
-  EXPECT_STREQ(local::dispatch_mode_name(DispatchMode::kPerNode),
-               "pernode");
-  EXPECT_STREQ(local::dispatch_mode_name(DispatchMode::kBatch), "batch");
-  EXPECT_STREQ(local::dispatch_mode_name(DispatchMode::kAuto), "auto");
-}
+  int node_calls = 0;
+  int batch_calls = 0;
+};
 
 TEST(DispatchMode, ResolveCollapsesAutoThroughTheDefault) {
-  const DispatchMode saved = local::default_dispatch_mode();
-  // Explicit modes resolve to themselves regardless of the default.
-  EXPECT_EQ(local::resolve_dispatch_mode(DispatchMode::kPerNode),
-            DispatchMode::kPerNode);
-  EXPECT_EQ(local::resolve_dispatch_mode(DispatchMode::kBatch),
-            DispatchMode::kBatch);
-  // Auto follows the process default; an auto default means batch
-  // (default hooks make batch semantically identical, so it never
-  // loses).
-  local::set_default_dispatch_mode(DispatchMode::kPerNode);
-  EXPECT_EQ(local::resolve_dispatch_mode(DispatchMode::kAuto),
-            DispatchMode::kPerNode);
-  local::set_default_dispatch_mode(DispatchMode::kAuto);
-  EXPECT_EQ(local::resolve_dispatch_mode(DispatchMode::kAuto),
-            DispatchMode::kBatch);
-  local::set_default_dispatch_mode(saved);
+  // Each mode drives exactly its own hooks: one batch call per phase
+  // (init + 2 rounds) under kBatch, none under kPerNode. kAuto collapses
+  // to batch: with the default hooks batch replays the per-node
+  // schedule, so it never loses.
+  Tree t = graph::make_path(16);
+  const auto run = [&t](DispatchMode mode) {
+    HookCounter p;
+    Engine(t, local::KernelMode::kAuto, mode).run(p);
+    EXPECT_EQ(p.node_calls, 3 * 16);
+    return p.batch_calls;
+  };
+  EXPECT_EQ(run(DispatchMode::kPerNode), 0);
+  EXPECT_EQ(run(DispatchMode::kBatch), 3);
+  EXPECT_EQ(run(DispatchMode::kAuto), 3);
+}
+
+TEST(DispatchMode, DefaultConstructedEngineCallsTheBatchHooks) {
+  Tree t = graph::make_path(16);
+  HookCounter p;
+  Engine engine(t);
+  engine.run(p);
+  EXPECT_EQ(engine.dispatch(), DispatchMode::kAuto);
+  EXPECT_EQ(p.batch_calls, 3);
 }
 
 /// A per-node-only program exercising every NodeCtx facility: register

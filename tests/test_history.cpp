@@ -197,6 +197,30 @@ TEST(History, NodeAveragedTrendGateIsOptIn) {
   EXPECT_EQ(history_snapshots(paths, gated), 0);
 }
 
+TEST(History, RepeatedScalesTrendByOccurrence) {
+  // Two instances at one scale: only the second drifts (5.0 -> 6.5),
+  // and the trend gate must follow it rather than the flat first one.
+  const auto body = [](const std::string& timestamp, double second_avg) {
+    return "{\"schema\": \"lclbench-v3\", \"timestamp\": \"" +
+           timestamp +
+           "\", \"scenarios\": [{\"name\": \"s1\", \"wall_ms\": 100, "
+           "\"series\": [{\"title\": \"t1\", \"runs\": ["
+           "{\"scale\": 10, \"node_averaged\": 2.0, \"status\": \"ok\", "
+           "\"valid\": true}, "
+           "{\"scale\": 10, \"node_averaged\": " +
+           std::to_string(second_avg) +
+           ", \"status\": \"ok\", \"valid\": true}]}]}]}";
+  };
+  const std::vector<std::string> paths = {
+      write_temp("rep1.json", body("2026-01-01T00:00:00Z", 5.0)),
+      write_temp("rep2.json", body("2026-01-02T00:00:00Z", 5.5)),
+      write_temp("rep3.json", body("2026-01-03T00:00:00Z", 6.5)),
+  };
+  HistoryOptions gated;
+  gated.tol_avg = 0.20;
+  EXPECT_EQ(history_snapshots(paths, gated), 1);
+}
+
 TEST(History, MixedJsonAndBinaryHistoriesWork) {
   // The middle snapshot rides in .lclb form; the trend must be flagged
   // exactly as in the all-JSON case.

@@ -1,7 +1,7 @@
 // Kernel-level differential tests: every wide kernel must be
 // bit-identical to its scalar twin on adversarial inputs (random flag
-// patterns, all-dense, all-sparse, unaligned counts), and the mode
-// plumbing (parse/resolve/default) must collapse exactly as documented.
+// patterns, all-dense, all-sparse, unaligned counts), and the kernel
+// mode must resolve exactly as documented.
 // The engine-level scalar-vs-simd equivalence is covered separately by
 // tests/test_engine.cpp and the fuzz loop in tests/test_differential.cpp.
 #include <gtest/gtest.h>
@@ -16,21 +16,6 @@
 namespace lcl::local {
 namespace {
 
-TEST(KernelMode, ParseAndName) {
-  KernelMode m = KernelMode::kAuto;
-  EXPECT_TRUE(parse_kernel_mode("scalar", m));
-  EXPECT_EQ(m, KernelMode::kScalar);
-  EXPECT_TRUE(parse_kernel_mode("simd", m));
-  EXPECT_EQ(m, KernelMode::kSimd);
-  EXPECT_TRUE(parse_kernel_mode("auto", m));
-  EXPECT_EQ(m, KernelMode::kAuto);
-  EXPECT_FALSE(parse_kernel_mode("turbo", m));
-  EXPECT_FALSE(parse_kernel_mode("", m));
-  EXPECT_STREQ(kernel_mode_name(KernelMode::kScalar), "scalar");
-  EXPECT_STREQ(kernel_mode_name(KernelMode::kSimd), "simd");
-  EXPECT_STREQ(kernel_mode_name(KernelMode::kAuto), "auto");
-}
-
 TEST(KernelMode, ResolveCollapsesAutoAndDegrades) {
   // Explicit requests resolve to themselves (simd degrades to scalar
   // only in forced-scalar builds).
@@ -39,15 +24,9 @@ TEST(KernelMode, ResolveCollapsesAutoAndDegrades) {
   EXPECT_EQ(resolve_kernel_mode(KernelMode::kSimd),
             simd_compiled() ? KernelMode::kSimd : KernelMode::kScalar);
 
-  // kAuto defers to the settable process default; an auto default
-  // collapses to the widest compiled path.
-  const KernelMode saved = default_kernel_mode();
-  set_default_kernel_mode(KernelMode::kScalar);
-  EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto), KernelMode::kScalar);
-  set_default_kernel_mode(KernelMode::kAuto);
+  // kAuto collapses to the widest compiled path.
   EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto),
             simd_compiled() ? KernelMode::kSimd : KernelMode::kScalar);
-  set_default_kernel_mode(saved);
 }
 
 TEST(Kernels, FlipCommitMatchesScalar) {

@@ -47,8 +47,7 @@ void ablation_weight_handling(bench::ScenarioContext& ctx) {
     algo::SolverConfig cfg;
     cfg.set("k", 2);
     cfg.set("d", 2);
-    cfg.set("gammas", std::vector<std::int64_t>{std::max<std::int64_t>(
-                          2, inst.skeleton_lengths[0])});
+    cfg.set("gammas", core::decline_gammas(inst.skeleton_lengths, 2));
     const auto smart = algo::run_registered(spec, inst.tree, cfg);
     cfg.set("naive_all_copy", 1);
     const auto naive = algo::run_registered(spec, inst.tree, cfg);

@@ -64,7 +64,7 @@ void run_family_sweep(ScenarioContext& ctx) {
       jobs.push_back(core::make_solver_job(
           family + "-" + std::to_string(n), static_cast<double>(n),
           /*seed=*/family_seed + static_cast<std::uint64_t>(n),
-          "rake_compress", decomp_cfg, family, n, /*delta=*/0,
+          algo::solver("rake_compress"), decomp_cfg, family, n, /*delta=*/0,
           max_rounds));
     }
     auto runs = ctx.run_sweep(std::move(jobs));

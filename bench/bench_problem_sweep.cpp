@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "algo/bw_generic.hpp"
+#include "algo/registry.hpp"
 #include "core/batch.hpp"
 #include "graph/families.hpp"
 #include "problems/classify.hpp"
@@ -155,8 +156,8 @@ void run_problem_sweep(ScenarioContext& ctx) {
           jobs.push_back(core::make_solver_job(
               "p" + std::to_string(table.seed) + "@" + family + "-n" +
                   std::to_string(n),
-              static_cast<double>(n), job_seed, "bw_generic", config,
-              family, n, family_delta(family), max_rounds));
+              static_cast<double>(n), job_seed, algo::solver("bw_generic"),
+              config, family, n, family_delta(family), max_rounds));
         }
       }
       std::vector<core::MeasuredRun> runs = ctx.run_sweep(std::move(jobs));

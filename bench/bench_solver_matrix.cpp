@@ -71,7 +71,8 @@ void run_solver_matrix(ScenarioContext& ctx) {
         jobs.push_back(core::make_solver_job(
             algo_name + "@" + family + "-n" + std::to_string(n),
             static_cast<double>(n), cell_seed + static_cast<std::uint64_t>(n),
-            algo_name, base, family, n, /*delta=*/0, max_rounds));
+            algo::solver(algo_name), base, family, n, /*delta=*/0,
+            max_rounds));
       }
       auto runs = ctx.run_sweep(std::move(jobs));
 

@@ -26,12 +26,7 @@ core::MeasuredRun spot_run(const core::DensityChoice& choice,
   algo::SolverConfig cfg;
   cfg.set("k", choice.k);
   cfg.set("d", choice.params.d);
-  std::vector<std::int64_t> gammas;
-  for (int i = 0; i + 1 < choice.k; ++i) {
-    gammas.push_back(std::max<std::int64_t>(
-        2, inst.skeleton_lengths[static_cast<std::size_t>(i)]));
-  }
-  cfg.set("gammas", std::move(gammas));
+  cfg.set("gammas", core::decline_gammas(inst.skeleton_lengths, choice.k));
   const auto run =
       algo::run_registered(algo::solver("apoly"), inst.tree, cfg);
   return core::measure_run_weight_adjusted(

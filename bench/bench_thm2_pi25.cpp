@@ -29,15 +29,7 @@ core::MeasuredRun run_one(int delta, int d, int k, std::int64_t target_n,
   algo::SolverConfig cfg;
   cfg.set("k", k);
   cfg.set("d", d);
-  // gamma_i = skeleton length ell'_i: level-i paths sit exactly at the
-  // Decline threshold — the regime of the Theorem-3 lower bound, where
-  // the weight waits on the level-k coloring.
-  std::vector<std::int64_t> gammas;
-  for (int i = 0; i + 1 < k; ++i) {
-    gammas.push_back(std::max<std::int64_t>(
-        2, inst.skeleton_lengths[static_cast<std::size_t>(i)]));
-  }
-  cfg.set("gammas", std::move(gammas));
+  cfg.set("gammas", core::decline_gammas(inst.skeleton_lengths, k));
   const auto run =
       algo::run_registered(algo::solver("apoly"), inst.tree, cfg);
   return core::measure_run_weight_adjusted(

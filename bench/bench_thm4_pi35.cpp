@@ -26,13 +26,7 @@ core::MeasuredRun run_one(int delta, int d, int k, std::int64_t lambda,
   algo::SolverConfig cfg;
   cfg.set("k", k);
   cfg.set("d", d);
-  // Decline-regime gammas (see bench_thm2_pi25).
-  std::vector<std::int64_t> gammas;
-  for (int i = 0; i + 1 < k; ++i) {
-    gammas.push_back(std::max<std::int64_t>(
-        2, inst.skeleton_lengths[static_cast<std::size_t>(i)]));
-  }
-  cfg.set("gammas", std::move(gammas));
+  cfg.set("gammas", core::decline_gammas(inst.skeleton_lengths, k));
   cfg.set("symmetry_pad", lambda);
   const auto run =
       algo::run_registered(algo::solver("pi35"), inst.tree, cfg);

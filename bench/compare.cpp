@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -91,30 +92,85 @@ const Value* run_at_scale(const Value& runs, double scale, int k) {
   return nullptr;
 }
 
+/// The pairwise coverage and validity gate `--compare` and `--history`
+/// share. Every scenario and series of `old_snap` must still be in
+/// `new_snap` (`allow_missing` downgrades a missing one to a warning,
+/// reported against the `new_name` snapshot), and no matched series may
+/// record fewer runs or more non-ok runs. `on_scenario` and `on_series`
+/// (either may be empty) see each matched pair after its checks, in
+/// `old_snap` order. Both snapshots must carry a "scenarios" array.
+void check_pair(
+    const Value& old_snap, const Value& new_snap, const char* new_name,
+    bool allow_missing, Tally& tally,
+    const std::function<void(const std::string&, const Value&,
+                             const Value&)>& on_scenario,
+    const std::function<void(const std::string&, const Value&,
+                             const Value&)>& on_series) {
+  const auto missing = [&](const std::string& what) {
+    const std::string msg = what + " missing from " + new_name + " snapshot";
+    if (allow_missing) {
+      tally.warning(msg);
+    } else {
+      tally.regression(msg);
+    }
+  };
+  const Value& new_scenarios = *new_snap.find("scenarios");
+  for (const Value& old_scenario : old_snap.find("scenarios")->array) {
+    const std::string name = old_scenario.get_string("name", "?");
+    const Value* new_scenario = find_by_key(new_scenarios, "name", name);
+    if (new_scenario == nullptr) {
+      missing("scenario '" + name + "'");
+      continue;
+    }
+    if (on_scenario) on_scenario(name, old_scenario, *new_scenario);
+
+    const Value* old_series_arr = old_scenario.find("series");
+    const Value* new_series_arr = new_scenario->find("series");
+    if (old_series_arr == nullptr || !old_series_arr->is_array()) continue;
+    for (const Value& old_series : old_series_arr->array) {
+      const std::string title = old_series.get_string("title", "?");
+      const Value* new_series =
+          new_series_arr == nullptr
+              ? nullptr
+              : find_by_key(*new_series_arr, "title", title);
+      const std::string where = name + " / \"" + title + "\"";
+      if (new_series == nullptr) {
+        missing(where + ": series");
+        continue;
+      }
+
+      // Coverage: losing sweep points is a regression — a series that
+      // silently recorded fewer (or no) runs must not read as healthy
+      // just because nothing in it failed.
+      const int old_count = count_runs(old_series);
+      const int new_count = count_runs(*new_series);
+      if (new_count < old_count) {
+        tally.regression(where + ": only " + std::to_string(new_count) +
+                         " runs recorded (was " +
+                         std::to_string(old_count) + ")");
+      }
+
+      // Validity: the new snapshot must not have more failing runs than
+      // the old one (statuses truncated/build_failed/exception all
+      // count).
+      const int old_bad = count_not_ok(old_series);
+      const int new_bad = count_not_ok(*new_series);
+      if (new_bad > old_bad) {
+        tally.regression(where + ": " + std::to_string(new_bad) +
+                         " non-ok runs (was " + std::to_string(old_bad) +
+                         ")");
+      }
+      if (on_series) on_series(where, old_series, *new_series);
+    }
+  }
+}
+
+/// Drift checks on one matched series pair, beyond `check_pair`'s
+/// coverage and validity.
 void compare_series(const std::string& where, const Value& old_series,
                     const Value& new_series, const CompareOptions& opts,
                     Tally& tally) {
   ++tally.series_compared;
-
-  // Coverage: losing sweep points is a regression — a series that
-  // silently recorded fewer (or no) runs must not read as healthy just
-  // because nothing in it failed.
-  const int old_count = count_runs(old_series);
-  const int new_count = count_runs(new_series);
-  if (new_count < old_count) {
-    tally.regression(where + ": only " + std::to_string(new_count) +
-                     " runs recorded (was " + std::to_string(old_count) +
-                     ")");
-  }
-
-  // Validity: the new snapshot must not have more failing runs than the
-  // old one (statuses truncated/build_failed/exception all count).
-  const int old_bad = count_not_ok(old_series);
-  const int new_bad = count_not_ok(new_series);
-  if (new_bad > old_bad) {
-    tally.regression(where + ": " + std::to_string(new_bad) +
-                     " non-ok runs (was " + std::to_string(old_bad) + ")");
-  }
 
   // Exponent drift, when both snapshots managed a fit.
   const Value* old_fit = old_series.find("fitted_exponent");
@@ -213,56 +269,29 @@ int compare_snapshots(const std::string& old_path,
 
   double old_wall_total = 0.0;
   double new_wall_total = 0.0;
-  for (const Value& old_scenario : old_scenarios->array) {
-    const std::string name = old_scenario.get_string("name", "?");
-    const Value* new_scenario = find_by_key(*new_scenarios, "name", name);
-    if (new_scenario == nullptr) {
-      if (opts.allow_missing) {
-        tally.warning("scenario '" + name + "' missing from new snapshot");
-      } else {
-        tally.regression("scenario '" + name +
-                         "' missing from new snapshot");
-      }
-      continue;
-    }
-
-    const double old_wall = old_scenario.get_number("wall_ms", 0.0);
-    const double new_wall = new_scenario->get_number("wall_ms", 0.0);
-    old_wall_total += old_wall;
-    new_wall_total += new_wall;
-    if (old_wall > 0.0 && new_wall > 0.0) {
-      const double ratio = new_wall / old_wall;
-      std::printf("  %-22s wall %8.0f ms -> %8.0f ms (%.2fx)\n",
-                  name.c_str(), old_wall, new_wall, ratio);
-      if (opts.tol_wall > 0.0 && ratio > opts.tol_wall) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "wall time %.2fx > %.2fx budget",
-                      ratio, opts.tol_wall);
-        tally.regression(name + ": " + buf);
-      }
-    }
-
-    const Value* old_series_arr = old_scenario.find("series");
-    const Value* new_series_arr = new_scenario->find("series");
-    if (old_series_arr == nullptr || !old_series_arr->is_array()) continue;
-    for (const Value& old_series : old_series_arr->array) {
-      const std::string title = old_series.get_string("title", "?");
-      const Value* new_series =
-          new_series_arr == nullptr
-              ? nullptr
-              : find_by_key(*new_series_arr, "title", title);
-      const std::string where = name + " / \"" + title + "\"";
-      if (new_series == nullptr) {
-        if (opts.allow_missing) {
-          tally.warning(where + ": series missing from new snapshot");
-        } else {
-          tally.regression(where + ": series missing from new snapshot");
+  check_pair(
+      old_snap, new_snap, "new", opts.allow_missing, tally,
+      [&](const std::string& name, const Value& old_scenario,
+          const Value& new_scenario) {
+        const double old_wall = old_scenario.get_number("wall_ms", 0.0);
+        const double new_wall = new_scenario.get_number("wall_ms", 0.0);
+        old_wall_total += old_wall;
+        new_wall_total += new_wall;
+        if (old_wall <= 0.0 || new_wall <= 0.0) return;
+        const double ratio = new_wall / old_wall;
+        std::printf("  %-22s wall %8.0f ms -> %8.0f ms (%.2fx)\n",
+                    name.c_str(), old_wall, new_wall, ratio);
+        if (opts.tol_wall > 0.0 && ratio > opts.tol_wall) {
+          char buf[96];
+          std::snprintf(buf, sizeof(buf), "wall time %.2fx > %.2fx budget",
+                        ratio, opts.tol_wall);
+          tally.regression(name + ": " + buf);
         }
-        continue;
-      }
-      compare_series(where, old_series, *new_series, opts, tally);
-    }
-  }
+      },
+      [&](const std::string& where, const Value& old_series,
+          const Value& new_series) {
+        compare_series(where, old_series, new_series, opts, tally);
+      });
 
   if (old_wall_total > 0.0 && new_wall_total > 0.0) {
     std::printf("total wall: %.0f ms -> %.0f ms (%.2fx)\n", old_wall_total,
@@ -393,6 +422,11 @@ int history_snapshots(const std::vector<std::string>& paths,
     max_seen = std::max(max_seen, v);
   }
 
+  // Latest vs previous: the same coverage and validity gate as
+  // --compare, so a scenario or series that vanished is never silent.
+  check_pair(previous.snap, latest.snap, "latest", opts.allow_missing,
+             tally, {}, {});
+
   // Collect the series universe in first-appearance order, and the
   // scenario universe likewise.
   std::vector<std::pair<std::string, std::string>> series_keys;
@@ -444,37 +478,11 @@ int history_snapshots(const std::vector<std::string>& paths,
 
   for (const auto& [scenario, title] : series_keys) {
     ++tally.series_compared;
-    const std::string where = scenario + " / \"" + title + "\"";
-
-    // Coverage: a series the previous snapshot had must not vanish from
-    // the latest, and its sweep must not shrink.
-    const Value* prev_series = find_series(previous.snap, scenario, title);
+    // Coverage and validity were gated above; a series missing from the
+    // latest snapshot has no trend left to check.
     const Value* last_series = find_series(latest.snap, scenario, title);
-    if (prev_series != nullptr && last_series == nullptr) {
-      if (opts.allow_missing) {
-        tally.warning(where + ": series missing from latest snapshot");
-      } else {
-        tally.regression(where + ": series missing from latest snapshot");
-      }
-      continue;
-    }
-    if (last_series == nullptr) continue;  // long-gone series: ignore
-    if (prev_series != nullptr) {
-      const int prev_count = count_runs(*prev_series);
-      const int last_count = count_runs(*last_series);
-      if (last_count < prev_count) {
-        tally.regression(where + ": only " + std::to_string(last_count) +
-                         " runs recorded (was " +
-                         std::to_string(prev_count) + ")");
-      }
-      const int prev_bad = count_not_ok(*prev_series);
-      const int last_bad = count_not_ok(*last_series);
-      if (last_bad > prev_bad) {
-        tally.regression(where + ": " + std::to_string(last_bad) +
-                         " non-ok runs (was " + std::to_string(prev_bad) +
-                         ")");
-      }
-    }
+    if (last_series == nullptr) continue;
+    const std::string where = scenario + " / \"" + title + "\"";
 
     // Sustained exponent drift across the window: every step in one
     // direction, total beyond tolerance — even when each pairwise step

@@ -49,12 +49,8 @@ int main(int argc, char** argv) {
     algo::SolverConfig cfg;
     cfg.set("k", choice.k);
     cfg.set("d", choice.params.d);
-    std::vector<std::int64_t> gammas;
-    for (int j = 0; j + 1 < choice.k; ++j) {
-      gammas.push_back(std::max<std::int64_t>(
-          2, inst.skeleton_lengths[static_cast<std::size_t>(j)]));
-    }
-    cfg.set("gammas", std::move(gammas));
+    cfg.set("gammas",
+            core::decline_gammas(inst.skeleton_lengths, choice.k));
     const auto run =
         algo::run_registered(algo::solver("apoly"), inst.tree, cfg);
     std::printf("n=%7d: node-avg %8.2f  worst %6lld  valid=%s\n",

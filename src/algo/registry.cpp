@@ -882,8 +882,8 @@ SolverRun run_registered(const SolverSpec& spec, const graph::Tree& tree,
   local::Engine engine(tree);
   SolverRun out;
   out.stats = engine.run(*program, local::tls_workspace(), max_rounds);
-  // Mirror core::make_job: a truncated run is measured, not certified
-  // (partial outputs are not checkable).
+  // A truncated run is measured, not certified (partial outputs are not
+  // checkable).
   out.verdict = out.stats.truncated
                     ? problems::CheckResult::pass()
                     : spec.certify(tree, *program, out.stats, config);

@@ -24,7 +24,7 @@
 //   * `prepare_instance` — applies a spec's declared input needs to a
 //     freshly built instance, so any solver runs on any compatible
 //     family through one code path (`core::make_solver_job` composes
-//     this with `core::make_family_job`'s instance construction).
+//     the family build, this, and `run_registered`).
 //
 // The `solver_matrix` bench scenario sweeps the full compatible
 // algorithm × family cross-product through exactly this surface.
@@ -198,12 +198,13 @@ struct SolverRun {
   problems::CheckResult verdict;
 };
 
-/// One uniform run: validates `config`, builds the program through the
-/// spec's factory, executes it on a fresh engine, and certifies the
+/// One uniform run, the only code that executes a solver: validates
+/// `config`, builds the program through the spec's factory, executes it
+/// on a fresh engine over this thread's workspace, and certifies the
 /// outputs with the spec's checker binding. A truncated run is measured
-/// but not certified (partial outputs are not checkable), mirroring
-/// `core::make_job`. The instance must already be prepared (or be a
-/// paper construction that carries its own inputs).
+/// but not certified (partial outputs are not checkable). The instance
+/// must already be prepared (or be a paper construction that carries
+/// its own inputs); `core::make_solver_job` wraps this for batches.
 [[nodiscard]] SolverRun run_registered(
     const SolverSpec& spec, const graph::Tree& tree, SolverConfig config,
     std::int64_t max_rounds = std::numeric_limits<int>::max());

@@ -10,82 +10,14 @@
 
 namespace lcl::core {
 
-BatchJob make_job(std::string label, double scale, std::uint64_t seed,
-                  InstanceBuilder build, ProgramFactory make_program,
-                  RunChecker check, std::int64_t max_rounds) {
-  BatchJob job;
-  job.label = std::move(label);
-  job.scale = scale;
-  job.seed = seed;
-  job.run = [scale, build = std::move(build),
-             make_program = std::move(make_program),
-             check = std::move(check), max_rounds](std::uint64_t s) {
-    // Instance construction gets its own failure class: a bad generator
-    // parameterization is a different bug than a solver crash, and the
-    // structured status keeps them apart in every snapshot.
-    const auto build_start = std::chrono::steady_clock::now();
-    graph::Tree tree;
-    try {
-      tree = build(s);
-    } catch (const std::exception& e) {
-      MeasuredRun r;
-      r.scale = scale;
-      r.status = RunStatus::kBuildFailed;
-      r.check_reason = std::string("instance build threw: ") + e.what();
-      return r;
-    }
-    const double build_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - build_start)
-            .count();
-    const std::unique_ptr<local::Program> program = make_program(tree);
-    // One reusable workspace per worker thread: every job after a
-    // thread's first runs the engine allocation-free.
-    local::Engine engine(tree);
-    const local::RunStats stats =
-        engine.run(*program, local::tls_workspace(), max_rounds);
-    // A truncated run is measured, not checked: measure_run marks it
-    // kTruncated and records the censored partial stats.
-    const problems::CheckResult verdict =
-        stats.truncated ? problems::CheckResult::pass() : check(tree, stats);
-    MeasuredRun r = measure_run(scale, stats, verdict);
-    r.build_ms = build_ms;
-    return r;
-  };
-  return job;
-}
-
-BatchJob make_family_job(std::string label, double scale,
-                         std::uint64_t seed, std::string family,
-                         graph::NodeId n, int delta,
-                         ProgramFactory make_program, RunChecker check,
-                         std::int64_t max_rounds) {
-  // Validate the configuration eagerly so misconfigured sweeps fail at
-  // construction, not on a worker thread mid-batch: the name must
-  // resolve, and a tiny dry build exercises the family's own parameter
-  // checks (unsatisfiable delta etc.) through the real code path.
-  if (graph::find_family(family) == nullptr) {
-    throw std::invalid_argument("make_family_job: unknown family '" +
-                                family + "'");
-  }
-  (void)graph::make_family_instance(family, /*n=*/8, /*seed=*/0, delta);
-  InstanceBuilder build = [family = std::move(family), n,
-                           delta](std::uint64_t s) {
-    return graph::make_family_instance(family, n, s, delta);
-  };
-  return make_job(std::move(label), scale, seed, std::move(build),
-                  std::move(make_program), std::move(check), max_rounds);
-}
-
 BatchJob make_solver_job(std::string label, double scale,
-                         std::uint64_t seed, std::string solver,
+                         std::uint64_t seed, const algo::SolverSpec& spec,
                          algo::SolverConfig config, std::string family,
                          graph::NodeId n, int delta,
                          std::int64_t max_rounds) {
-  // Resolve and validate both registry axes eagerly: an unknown solver,
-  // an out-of-range option, or an unknown/unsatisfiable family throws
-  // here, at sweep construction, not on a worker thread mid-batch.
-  const algo::SolverSpec& spec = algo::solver(solver);
+  // Validate both registry axes eagerly: an out-of-range option or an
+  // unknown/unsatisfiable family throws here, at sweep construction, not
+  // on a worker thread mid-batch.
   config.validate(spec);
   if (graph::find_family(family) == nullptr) {
     throw std::invalid_argument("make_solver_job: unknown family '" +
@@ -112,6 +44,9 @@ BatchJob make_solver_job(std::string label, double scale,
   job.run = [scale, &spec, config = std::move(config),
              family = std::move(family), n, delta,
              max_rounds](std::uint64_t s) {
+    // Instance construction gets its own failure class: a bad generator
+    // parameterization is a different bug than a solver crash, and the
+    // structured status keeps them apart in every snapshot.
     const auto build_start = std::chrono::steady_clock::now();
     graph::Tree tree;
     try {
@@ -130,15 +65,9 @@ BatchJob make_solver_job(std::string label, double scale,
             .count();
     algo::SolverConfig run_config = config;
     run_config.seed = s;
-    const std::unique_ptr<local::Program> program =
-        spec.factory(tree, run_config);
-    local::Engine engine(tree);
-    const local::RunStats stats =
-        engine.run(*program, local::tls_workspace(), max_rounds);
-    const problems::CheckResult verdict =
-        stats.truncated ? problems::CheckResult::pass()
-                        : spec.certify(tree, *program, stats, run_config);
-    MeasuredRun r = measure_run(scale, stats, verdict);
+    const algo::SolverRun run =
+        algo::run_registered(spec, tree, std::move(run_config), max_rounds);
+    MeasuredRun r = measure_run(scale, run.stats, run.verdict);
     r.build_ms = build_ms;
     return r;
   };

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -30,8 +29,6 @@
 #include "algo/registry.hpp"
 #include "core/experiment.hpp"
 #include "graph/tree.hpp"
-#include "local/engine.hpp"
-#include "problems/checkers.hpp"
 
 namespace lcl::core {
 
@@ -45,51 +42,24 @@ struct BatchJob {
   std::function<MeasuredRun(std::uint64_t seed)> run;
 };
 
-/// Builds the instance for one job. Must not touch shared mutable state.
-using InstanceBuilder = std::function<graph::Tree(std::uint64_t seed)>;
-/// Creates the program that will run on the built instance.
-using ProgramFactory =
-    std::function<std::unique_ptr<local::Program>(const graph::Tree&)>;
-/// Verifies the run's outputs against the instance.
-using RunChecker = std::function<problems::CheckResult(
-    const graph::Tree&, const local::RunStats&)>;
-
-/// Composes the canonical (instance-builder, program-factory, checker)
-/// triple into a `BatchJob`: builds the tree, runs the program on a
-/// fresh `Engine`, checks the outputs, and fills in the `MeasuredRun`
-/// through `core::measure_run` (termination distribution included).
-/// Failures map onto the `RunStatus` taxonomy: a throwing builder yields
-/// `kBuildFailed`, a run that hits `max_rounds` yields `kTruncated` with
-/// censored partial stats (the checker is skipped), a rejected output
-/// yields `kCheckFailed`.
-[[nodiscard]] BatchJob make_job(
-    std::string label, double scale, std::uint64_t seed,
-    InstanceBuilder build, ProgramFactory make_program, RunChecker check,
-    std::int64_t max_rounds = std::numeric_limits<int>::max());
-
-/// Like `make_job`, but builds the instance from the named registry
-/// family (graph/families.hpp) at `n` nodes with the job seed, so any
-/// scenario can sweep any solver across any family by name. `delta` == 0
-/// uses the family's default degree bound.
-[[nodiscard]] BatchJob make_family_job(
-    std::string label, double scale, std::uint64_t seed,
-    std::string family, graph::NodeId n, int delta,
-    ProgramFactory make_program, RunChecker check,
-    std::int64_t max_rounds = std::numeric_limits<int>::max());
-
-/// The fully registry-driven composition: instance from the named
-/// *family* registry entry, algorithm from the named *solver* registry
-/// entry (algo/registry.hpp). The job builds the family instance at `n`
-/// with the job seed, applies the solver's declared input needs
-/// (`algo::prepare_instance`), instantiates the solver through its
-/// factory with `config` (validated eagerly, so misconfigured sweeps
-/// fail at construction), runs it, and certifies the outputs with the
-/// solver's own checker binding — any solver on any compatible family
-/// through one code path.
+/// The registry-driven verified run: instance from the named *family*
+/// registry entry (graph/families.hpp), algorithm from `spec`
+/// (algo/registry.hpp; `algo::solver(name)` for a registered one, or an
+/// ad-hoc spec, which must outlive the job). The job builds the family
+/// instance at `n` with the job seed, applies the spec's declared input
+/// needs (`algo::prepare_instance`), and hands the prepared instance to
+/// `algo::run_registered` — the one place a solver is validated, built,
+/// run and certified — before filling the `MeasuredRun` through
+/// `core::measure_run`. An unknown family, an unsatisfiable `delta`
+/// (0 = the family default) or a misconfigured solver throws here, at
+/// sweep construction, not on a worker thread mid-batch. A build that
+/// throws anyway yields `kBuildFailed`; a run that hits `max_rounds`
+/// yields `kTruncated` with censored partial stats (never certified); a
+/// rejected output yields `kCheckFailed`.
 [[nodiscard]] BatchJob make_solver_job(
     std::string label, double scale, std::uint64_t seed,
-    std::string solver, algo::SolverConfig config, std::string family,
-    graph::NodeId n, int delta,
+    const algo::SolverSpec& spec, algo::SolverConfig config,
+    std::string family, graph::NodeId n, int delta,
     std::int64_t max_rounds = std::numeric_limits<int>::max());
 
 struct BatchOptions {

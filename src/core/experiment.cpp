@@ -284,4 +284,14 @@ std::vector<std::int64_t> lower_bound_lengths(
   return ell;
 }
 
+std::vector<std::int64_t> decline_gammas(
+    const std::vector<std::int64_t>& skeleton_lengths, int k) {
+  std::vector<std::int64_t> gammas;
+  for (int i = 0; i + 1 < k; ++i) {
+    gammas.push_back(std::max<std::int64_t>(
+        2, skeleton_lengths[static_cast<std::size_t>(i)]));
+  }
+  return gammas;
+}
+
 }  // namespace lcl::core

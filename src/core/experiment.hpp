@@ -82,8 +82,8 @@ struct MeasuredRun {
   std::int64_t worst_case = 0;
   std::int64_t n = 0;
   double build_ms = -1.0;     ///< instance-construction wall time;
-                              ///< < 0 = not recorded (only make_job /
-                              ///< make_family_job-based jobs measure it)
+                              ///< < 0 = not recorded (only
+                              ///< make_solver_job jobs measure it)
   /// Defaults to kException: a record nobody filled in represents a
   /// production failure, never a silently-valid measurement.
   RunStatus status = RunStatus::kException;
@@ -151,5 +151,12 @@ void print_experiment(const std::string& title,
 /// combinations degrade to ell_k == 1 rather than UB.
 [[nodiscard]] std::vector<std::int64_t> lower_bound_lengths(
     const std::vector<double>& alphas, double base, std::int64_t target_n);
+
+/// Decline-regime gammas for a weighted construction's skeleton lengths:
+/// gamma_i = max(2, ell'_i) for the k-1 lower levels, so level-i paths
+/// sit exactly at the Decline threshold — the regime of the Theorem-3
+/// lower bound, where the weight waits on the level-k coloring.
+[[nodiscard]] std::vector<std::int64_t> decline_gammas(
+    const std::vector<std::int64_t>& skeleton_lengths, int k);
 
 }  // namespace lcl::core

@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 
+#include "algo/registry.hpp"
 #include "core/batch.hpp"
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
@@ -124,6 +126,26 @@ TEST(BatchRunner, ThrowingJobYieldsInvalidRunAndBatchCompletes) {
   EXPECT_TRUE(results[4].ok());
 }
 
+/// An ad-hoc solver spec around a test program: no options, no input
+/// needs, graded by `certify`. Jobs keep a reference, so the spec must
+/// outlive them.
+template <typename P>
+algo::SolverSpec program_spec(
+    std::function<problems::CheckResult(const graph::Tree&,
+                                        const local::RunStats&)>
+        certify) {
+  algo::SolverSpec spec;
+  spec.name = "test_program";
+  spec.factory = [](const graph::Tree&, const algo::SolverConfig&) {
+    return std::make_unique<P>();
+  };
+  spec.certify = [certify = std::move(certify)](
+                     const graph::Tree& t, const local::Program&,
+                     const local::RunStats& stats,
+                     const algo::SolverConfig&) { return certify(t, stats); };
+  return spec;
+}
+
 /// A run that hits max_rounds round-trips through the batch as a typed
 /// kTruncated record with censored partial stats — the job is a
 /// measurement, not an exception.
@@ -136,15 +158,14 @@ TEST(BatchRunner, TruncatedRunRoundTripsWithStatus) {
     }
   };
   bool checker_ran = false;
-  const BatchJob job = core::make_job(
-      "stall", 8.0, 1,
-      [](std::uint64_t) { return graph::make_path(8); },
-      [](const graph::Tree&) { return std::make_unique<AllButOneStall>(); },
+  const algo::SolverSpec spec = program_spec<AllButOneStall>(
       [&checker_ran](const graph::Tree&, const local::RunStats&) {
         checker_ran = true;
         return problems::CheckResult::pass();
-      },
-      /*max_rounds=*/5);
+      });
+  const BatchJob job =
+      core::make_solver_job("stall", 8.0, 1, spec, {}, "path", 8,
+                            /*delta=*/0, /*max_rounds=*/5);
   const auto results = core::run_batch({job}, 1);
   ASSERT_EQ(results.size(), 1u);
   const MeasuredRun& r = results[0];
@@ -160,31 +181,9 @@ TEST(BatchRunner, TruncatedRunRoundTripsWithStatus) {
   EXPECT_EQ(r.reps_ok, 0);
 }
 
-/// A throwing instance builder is its own failure class.
-TEST(BatchRunner, BuildFailureIsTyped) {
-  const BatchJob job = core::make_job(
-      "bad-build", 1.0, 0,
-      [](std::uint64_t) -> graph::Tree {
-        throw std::invalid_argument("bad generator parameters");
-      },
-      [](const graph::Tree&) -> std::unique_ptr<local::Program> {
-        ADD_FAILURE() << "program must not be constructed";
-        return nullptr;
-      },
-      [](const graph::Tree&, const local::RunStats&) {
-        return problems::CheckResult::pass();
-      });
-  const auto results = core::run_batch({job}, 1);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status, core::RunStatus::kBuildFailed);
-  EXPECT_NE(results[0].check_reason.find("bad generator parameters"),
-            std::string::npos);
-  EXPECT_LT(results[0].build_ms, 0.0);  // never recorded
-}
-
-TEST(BatchRunner, MakeJobComposesBuilderProgramChecker) {
-  // The canonical triple: build a path, 2-color it via a trivial
-  // parity-of-index program, verify with the real checker.
+TEST(BatchRunner, SolverJobCertifiesThroughTheSpec) {
+  // 2-color a path via a trivial parity-of-index program: the spec's
+  // certify decides ok vs kCheckFailed.
   class Parity final : public local::Program {
    public:
     void on_init(local::NodeCtx& ctx) override {
@@ -192,27 +191,32 @@ TEST(BatchRunner, MakeJobComposesBuilderProgramChecker) {
     }
     void on_round(local::NodeCtx&) override {}
   };
-  const BatchJob job = core::make_job(
-      "parity", 64.0, 7,
-      [](std::uint64_t) {
-        graph::Tree t = graph::make_path(64);
-        return t;
-      },
-      [](const graph::Tree&) { return std::make_unique<Parity>(); },
+  const algo::SolverSpec coloring = program_spec<Parity>(
       [](const graph::Tree& t, const local::RunStats& stats) {
         return problems::check_two_coloring(t, stats.primaries());
       });
-  const auto results = core::run_batch({job}, 2);
-  ASSERT_EQ(results.size(), 1u);
+  const algo::SolverSpec rejecting = program_spec<Parity>(
+      [](const graph::Tree&, const local::RunStats&) {
+        return problems::CheckResult::fail("rejected by the spec");
+      });
+  const auto results = core::run_batch(
+      {core::make_solver_job("parity", 64.0, 7, coloring, {}, "path", 64, 0),
+       core::make_solver_job("reject", 64.0, 7, rejecting, {}, "path", 64,
+                             0)},
+      2);
+  ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].ok()) << results[0].check_reason;
   EXPECT_EQ(results[0].n, 64);
   EXPECT_DOUBLE_EQ(results[0].scale, 64.0);
   // Every node terminates at init: the distribution is a point mass.
   EXPECT_EQ(results[0].term.total(), 64);
   EXPECT_EQ(results[0].term.p99, 0);
+  EXPECT_EQ(results[1].status, core::RunStatus::kCheckFailed);
+  EXPECT_NE(results[1].check_reason.find("rejected by the spec"),
+            std::string::npos);
 }
 
-TEST(BatchRunner, MakeFamilyJobBuildsThroughTheRegistry) {
+TEST(BatchRunner, SolverJobBuildsFamiliesByName) {
   // A do-nothing program (terminate at init) over registry families:
   // exercises family-by-name instance construction on worker threads,
   // including the per-thread arena, and the build-time recording.
@@ -221,15 +225,15 @@ TEST(BatchRunner, MakeFamilyJobBuildsThroughTheRegistry) {
     void on_init(local::NodeCtx& ctx) override { ctx.terminate(0); }
     void on_round(local::NodeCtx&) override {}
   };
+  const algo::SolverSpec spec = program_spec<Immediate>(
+      [](const graph::Tree& t, const local::RunStats&) {
+        return t.is_tree() ? problems::CheckResult::pass()
+                           : problems::CheckResult::fail("not a tree");
+      });
   std::vector<BatchJob> jobs;
   for (const char* family : {"spider", "broom", "prufer", "galton_watson"}) {
-    jobs.push_back(core::make_family_job(
-        family, 200.0, 5, family, 200, /*delta=*/0,
-        [](const graph::Tree&) { return std::make_unique<Immediate>(); },
-        [](const graph::Tree& t, const local::RunStats&) {
-          return t.is_tree() ? problems::CheckResult::pass()
-                             : problems::CheckResult::fail("not a tree");
-        }));
+    jobs.push_back(core::make_solver_job(family, 200.0, 5, spec, {}, family,
+                                         200, /*delta=*/0));
   }
   const auto results = core::run_batch(jobs, 2);
   ASSERT_EQ(results.size(), 4u);
@@ -240,20 +244,12 @@ TEST(BatchRunner, MakeFamilyJobBuildsThroughTheRegistry) {
   }
   // Misconfiguration fails at construction, not on a worker: unknown
   // name, and a degree bound the family cannot honor.
-  const auto program = [](const graph::Tree&) {
-    return std::make_unique<Immediate>();
-  };
-  const auto pass = [](const graph::Tree&, const local::RunStats&) {
-    return problems::CheckResult::pass();
-  };
   EXPECT_THROW(
-      (void)core::make_family_job("nope", 1.0, 0, "nope", 10, 0, program,
-                                  pass),
+      (void)core::make_solver_job("nope", 1.0, 0, spec, {}, "nope", 10, 0),
       std::invalid_argument);
-  EXPECT_THROW(
-      (void)core::make_family_job("path", 1.0, 0, "path", 10, /*delta=*/4,
-                                  program, pass),
-      std::invalid_argument);
+  EXPECT_THROW((void)core::make_solver_job("path", 1.0, 0, spec, {}, "path",
+                                           10, /*delta=*/4),
+               std::invalid_argument);
 }
 
 TEST(BatchRunner, EmptyBatchAndThreadCount) {

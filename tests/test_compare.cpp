@@ -10,10 +10,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "algo/registry.hpp"
 #include "compare.hpp"
 #include "core/batch.hpp"
 #include "core/json.hpp"
-#include "graph/builders.hpp"
 #include "local/engine.hpp"
 #include "problems/checkers.hpp"
 #include "scenario.hpp"
@@ -48,14 +48,18 @@ TEST(RunSweep, FullyTruncatedPointKeepsCensoredStats) {
   opts.reps = 1;
   core::BatchRunner pool(core::BatchOptions{.threads = 1});
   bench::ScenarioContext ctx(opts, pool);
+  algo::SolverSpec spec;
+  spec.name = "stall";
+  spec.factory = [](const graph::Tree&, const algo::SolverConfig&) {
+    return std::make_unique<Stall>();
+  };
+  spec.certify = [](const graph::Tree&, const local::Program&,
+                    const local::RunStats&, const algo::SolverConfig&) {
+    return problems::CheckResult::pass();
+  };
   std::vector<core::BatchJob> jobs;
-  jobs.push_back(core::make_job(
-      "stall", 6.0, 3, [](std::uint64_t) { return graph::make_path(6); },
-      [](const graph::Tree&) { return std::make_unique<Stall>(); },
-      [](const graph::Tree&, const local::RunStats&) {
-        return problems::CheckResult::pass();
-      },
-      /*max_rounds=*/4));
+  jobs.push_back(core::make_solver_job("stall", 6.0, 3, spec, {}, "path", 6,
+                                       /*delta=*/0, /*max_rounds=*/4));
   const auto points = ctx.run_sweep(std::move(jobs));
   ASSERT_EQ(points.size(), 1u);
   const core::MeasuredRun& p = points[0];

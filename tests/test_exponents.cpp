@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/exponents.hpp"
@@ -181,6 +182,14 @@ TEST(Experiment, LowerBoundLengthsSaturatesInsteadOfOverflowing) {
   ASSERT_EQ(prod.size(), 4u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(prod[i], 1000000000000);
   EXPECT_EQ(prod.back(), 1);
+}
+
+/// Decline-regime gammas take the k-1 lower skeleton lengths, floored at
+/// 2 (gamma == 1 is not a valid Decline threshold).
+TEST(Experiment, DeclineGammasFloorTheLowerSkeletonLengths) {
+  EXPECT_EQ(core::decline_gammas({1, 7, 30}, 3),
+            (std::vector<std::int64_t>{2, 7}));
+  EXPECT_TRUE(core::decline_gammas({5}, 1).empty());
 }
 
 }  // namespace

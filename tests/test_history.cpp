@@ -154,6 +154,30 @@ TEST(History, CoverageLossRespectsAllowMissing) {
   EXPECT_EQ(history_snapshots({full, empty}, allow), 0);
 }
 
+TEST(History, VanishedSeriesLessScenarioIsARegression) {
+  // Metrics-only scenarios (engine_micro, service_sweep, ...) record no
+  // series, so only the scenario-level coverage check can see them go —
+  // the same check --compare runs.
+  const auto body = [](const std::string& timestamp, bool with_micro) {
+    return "{\"schema\": \"lclbench-v3\", \"timestamp\": \"" +
+           timestamp + "\", \"scenarios\": [" +
+           (with_micro ? "{\"name\": \"engine_micro\", \"wall_ms\": 5, "
+                         "\"metrics\": {\"arena_flash\": 1.5}}"
+                       : "") +
+           "]}";
+  };
+  const std::string before =
+      write_temp("micro1.json", body("2026-01-01T00:00:00Z", true));
+  const std::string after =
+      write_temp("micro2.json", body("2026-01-02T00:00:00Z", false));
+  EXPECT_EQ(bench::compare_snapshots(before, after, bench::CompareOptions{}),
+            1);
+  EXPECT_EQ(history_snapshots({before, after}, HistoryOptions{}), 1);
+  HistoryOptions allow;
+  allow.allow_missing = true;
+  EXPECT_EQ(history_snapshots({before, after}, allow), 0);
+}
+
 TEST(History, ShrunkSweepAndNewFailuresAreRegressions) {
   const std::string before =
       write_snapshot("val1.json", "2026-01-01T00:00:00Z", 0.50, 2.0, 100,

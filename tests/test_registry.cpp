@@ -233,8 +233,8 @@ TEST(Registry, MakeSolverJobEndToEnd) {
   algo::SolverConfig cfg;
   cfg.set("k", 2);
   core::BatchJob job = core::make_solver_job(
-      "waug-prufer", /*scale=*/150.0, /*seed=*/77, "weight_aug", cfg,
-      "prufer", /*n=*/150, /*delta=*/0);
+      "waug-prufer", /*scale=*/150.0, /*seed=*/77,
+      algo::solver("weight_aug"), cfg, "prufer", /*n=*/150, /*delta=*/0);
   const core::MeasuredRun run = job.run(job.seed);
   EXPECT_EQ(run.status, core::RunStatus::kOk) << run.check_reason;
   EXPECT_GT(run.n, 0);
@@ -244,13 +244,15 @@ TEST(Registry, MakeSolverJobEndToEnd) {
   // Misconfiguration fails at construction, not on a worker thread.
   algo::SolverConfig bad;
   bad.set("k", 99);
-  EXPECT_THROW((void)core::make_solver_job("x", 1.0, 0, "weight_aug", bad,
-                                           "path", 64, 0),
+  const algo::SolverSpec& waug = algo::solver("weight_aug");
+  EXPECT_THROW(
+      (void)core::make_solver_job("x", 1.0, 0, waug, bad, "path", 64, 0),
+      std::invalid_argument);
+  EXPECT_THROW((void)core::make_solver_job(
+                   "x", 1.0, 0, algo::solver("no_such_solver"), {}, "path",
+                   64, 0),
                std::invalid_argument);
-  EXPECT_THROW((void)core::make_solver_job("x", 1.0, 0, "no_such_solver",
-                                           {}, "path", 64, 0),
-               std::invalid_argument);
-  EXPECT_THROW((void)core::make_solver_job("x", 1.0, 0, "weight_aug", {},
+  EXPECT_THROW((void)core::make_solver_job("x", 1.0, 0, waug, {},
                                            "no_such_family", 64, 0),
                std::invalid_argument);
 }

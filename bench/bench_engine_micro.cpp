@@ -1,10 +1,9 @@
 // Substrate micro-benchmarks: engine round throughput on four synthetic
-// workloads, the SIMD-vs-scalar kernel and whole-run series, the batch
-// vs per-node dispatch series, the warm-workspace (allocation-free)
-// steady state, plus the batched multi-thread sweep speedup. These
-// guard the "simulation cost = O(sum of termination rounds)" property
-// the experiment scenarios rely on, and keep the engine's perf
-// trajectory visible in BENCH_*.json.
+// workloads, the batch vs per-node dispatch series, the warm-workspace
+// (allocation-free) steady state, plus the batched multi-thread sweep
+// speedup. These guard the "simulation cost = O(sum of termination
+// rounds)" property the experiment scenarios rely on, and keep the
+// engine's perf trajectory visible in BENCH_*.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -18,7 +17,6 @@
 #include "core/batch.hpp"
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
-#include "local/simd.hpp"
 #include "scenario.hpp"
 
 namespace {
@@ -192,117 +190,6 @@ void run_engine_micro(ScenarioContext& ctx) {
   ctx.metric("warm_over_cold_flash", warm_flash / arena_flash);
   ctx.metric("warm_allocs_per_run", warm_allocs_per_run);
 
-  // --- SIMD-vs-scalar series -------------------------------------------
-  // (1) Whole-run A/B: the same workloads under an explicitly scalar
-  // engine. Virtual program callbacks dominate whole runs, so these
-  // ratios understate the kernels; they pin "simd never loses".
-  std::printf("\n  %-28s %14s %14s %8s\n", "simd vs scalar", "simd Mnr/s",
-              "scalar Mnr/s", "ratio");
-  const auto engine_ab = [&](const char* key, double simd_rate,
-                             double scalar_rate) {
-    std::printf("  %-28s %14.2f %14.2f %7.2fx\n", key, simd_rate / 1e6,
-                scalar_rate / 1e6, simd_rate / scalar_rate);
-    ctx.metric(std::string("engine_") + key + "_simd_vs_scalar",
-               simd_rate / scalar_rate);
-  };
-  const double scalar_stagger = throughput([&] {
-    ArenaStagger p;
-    local::Engine e(stagger_tree, local::KernelMode::kScalar);
-    return e.run(p).total_rounds;
-  });
-  const double scalar_chatter = throughput([&] {
-    ArenaChatter p;
-    local::Engine e(chatter_tree, local::KernelMode::kScalar);
-    return e.run(p).total_rounds;
-  });
-  const double scalar_flash = throughput([&] {
-    ArenaFlash p;
-    local::Engine e(flash_tree, local::KernelMode::kScalar);
-    return e.run(p).total_rounds;
-  });
-  engine_ab("stagger", arena_stagger, scalar_stagger);
-  engine_ab("chatter", arena_chatter, scalar_chatter);
-  engine_ab("flash", arena_flash, scalar_flash);
-
-  // (2) Kernel-level A/B at full scale: the three SoA hot-path passes
-  // in isolation, wide kernels vs the de-vectorized scalar reference
-  // (local/simd.hpp). This is the honest measure of the data-parallel
-  // win — and the series the >=2x target gates on. In LCL_FORCE_SCALAR
-  // builds both sides run the reference kernels and the ratios sit at
-  // ~1.
-  {
-    const auto flip_n = static_cast<std::size_t>(ctx.scaled(4 << 20));
-    const std::size_t flip_padded =
-        local::AlignedPlane<std::uint8_t>::padded(flip_n);
-    local::AlignedPlane<std::uint8_t> cur;
-    local::AlignedPlane<std::uint8_t> pub;
-    cur.assign(flip_n, 1);
-    pub.assign(flip_n, 1);
-    const double flip_simd = throughput([&] {
-      local::flip_commit_simd(cur.data(), pub.data(), flip_padded);
-      return static_cast<std::int64_t>(flip_n);
-    });
-    const double flip_scalar = throughput([&] {
-      local::flip_commit_scalar(cur.data(), pub.data(), flip_padded);
-      return static_cast<std::int64_t>(flip_n);
-    });
-
-    // Reduce and compact run over cache-resident extents on purpose:
-    // the engine reduces the T_v lane (and rewrites the alive list) it
-    // just touched during the run, so the lane is warm. A DRAM-sized
-    // extent would measure memory bandwidth, not the kernels.
-    const auto reduce_n = static_cast<std::size_t>(ctx.scaled(128 << 10));
-    local::AlignedPlane<std::int64_t> tv;
-    tv.assign(reduce_n, 0);
-    for (std::size_t i = 0; i < reduce_n; ++i) {
-      tv.data()[i] = static_cast<std::int64_t>((i * 2654435761U) % 4096);
-    }
-    const double reduce_simd = throughput([&] {
-      const local::TvReduction r =
-          local::reduce_tv_simd(tv.data(), reduce_n);
-      return static_cast<std::int64_t>(reduce_n) + (r.sum & 1);
-    });
-    const double reduce_scalar = throughput([&] {
-      const local::TvReduction r =
-          local::reduce_tv_scalar(tv.data(), reduce_n);
-      return static_cast<std::int64_t>(reduce_n) + (r.sum & 1);
-    });
-
-    // Compaction in its steady state: a fully-surviving alive list (the
-    // dominant round shape — most rounds touch no terminated block, and
-    // the blocked kernel's whole win is skipping those stores).
-    const auto compact_n = static_cast<std::size_t>(ctx.scaled(256 << 10));
-    std::vector<graph::NodeId> alive(compact_n);
-    for (std::size_t i = 0; i < compact_n; ++i) {
-      alive[i] = static_cast<graph::NodeId>(i);
-    }
-    local::AlignedPlane<std::uint8_t> term;
-    term.assign(compact_n, 0);
-    const double compact_simd = throughput([&] {
-      return static_cast<std::int64_t>(local::compact_alive_simd(
-          alive.data(), compact_n, term.data()));
-    });
-    const double compact_scalar = throughput([&] {
-      return static_cast<std::int64_t>(local::compact_alive_scalar(
-          alive.data(), compact_n, term.data()));
-    });
-
-    const auto kernel_ab = [&](const char* key, const char* unit,
-                               double simd_rate, double scalar_rate) {
-      std::printf("  kernel %-21s %11.1f %s %11.1f %s %6.2fx\n", key,
-                  simd_rate / 1e6, unit, scalar_rate / 1e6, unit,
-                  simd_rate / scalar_rate);
-      ctx.metric(std::string("kernel_") + key + "_simd_per_s", simd_rate);
-      ctx.metric(std::string("kernel_") + key + "_scalar_per_s",
-                 scalar_rate);
-      ctx.metric(std::string("kernel_") + key + "_speedup",
-                 simd_rate / scalar_rate);
-    };
-    kernel_ab("flip", "MB/s", flip_simd, flip_scalar);
-    kernel_ab("reduce", "MW/s", reduce_simd, reduce_scalar);
-    kernel_ab("compact", "Mi/s", compact_simd, compact_scalar);
-  }
-
   // --- Dispatch A/B: batch step kernels vs per-node virtual hooks ------
   // The registry solvers ported to span-level batch kernels, whole runs
   // at full scale. Both sides execute the same program source — only the
@@ -323,14 +210,12 @@ void run_engine_micro(ScenarioContext& ctx) {
                                  const graph::Tree& tree) {
       const double batch_rate = throughput([&] {
         auto p = make_program();
-        local::Engine e(tree, local::KernelMode::kAuto,
-                        local::DispatchMode::kBatch);
+        local::Engine e(tree, local::DispatchMode::kBatch);
         return e.run(*p).total_rounds;
       });
       const double pernode_rate = throughput([&] {
         auto p = make_program();
-        local::Engine e(tree, local::KernelMode::kAuto,
-                        local::DispatchMode::kPerNode);
+        local::Engine e(tree, local::DispatchMode::kPerNode);
         return e.run(*p).total_rounds;
       });
       const double speedup = batch_rate / pernode_rate;

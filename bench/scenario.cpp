@@ -7,6 +7,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +17,6 @@
 #include "core/json.hpp"
 #include "core/snapshot.hpp"
 #include "graph/families.hpp"
-#include "local/simd.hpp"
 
 namespace lcl::bench {
 
@@ -84,11 +84,6 @@ std::string render_json(const ScenarioOptions& opts,
   os << "  \"reps\": " << opts.reps << ",\n";
   os << "  \"threads\": " << opts.threads << ",\n";
   os << "  \"seed\": " << opts.seed << ",\n";
-  // Kernel provenance (additive to schema lclbench-v3): the engine path
-  // this build's default engines run — "scalar" in LCL_FORCE_SCALAR
-  // builds, "simd" otherwise.
-  os << "  \"engine\": \""
-     << (local::simd_compiled() ? "simd" : "scalar") << "\",\n";
   // Problem-axis selection (additive to schema lclbench-v3): the
   // problem_sweep scenario's sampled-problem count and generator seed,
   // so snapshots pin exactly which LCLs were classified.
@@ -267,8 +262,8 @@ void print_usage() {
       "  --list-algos    enumerate the algorithm registry (solvers,\n"
       "                  paper bindings, options) and exit\n"
       "  --run <name>    run one scenario, or `all` for the full sweep\n"
-      "  --n <scale>     instance-size multiplier (default 1.0 = paper "
-      "scale)\n"
+      "  --n <scale>     instance-size multiplier in (0, 100] (default\n"
+      "                  1.0 = paper scale)\n"
       "  --reps <r>      repetitions per measurement point (default 1);\n"
       "                  points carry mean/stddev/min/max and a pooled\n"
       "                  termination histogram over the ok reps\n"
@@ -525,8 +520,7 @@ const std::vector<Scenario>& all_scenarios() {
        run_fig2_randomized},
       {"ablation", "E14: ablations of the design choices", run_ablation},
       {"engine_micro",
-       "substrate micro-benchmarks: engine, kernel and dispatch "
-       "throughput",
+       "substrate micro-benchmarks: engine and dispatch throughput",
        run_engine_micro},
       {"family_sweep",
        "registry coverage: distributed decomposition across --families",
@@ -619,8 +613,22 @@ int cli_main(int argc, char** argv) {
         std::exit(2);
       }
     };
-    auto parse_int = [&](const char* flag) {
-      return static_cast<int>(parse_double(flag));
+    auto parse_int = [&](const char* flag) -> int {
+      const std::string value = next_value(flag);
+      try {
+        std::size_t used = 0;
+        const long long parsed = std::stoll(value, &used);
+        if (used != value.size() ||
+            parsed < std::numeric_limits<int>::min() ||
+            parsed > std::numeric_limits<int>::max()) {
+          throw std::invalid_argument(value);
+        }
+        return static_cast<int>(parsed);
+      } catch (const std::exception&) {
+        std::fprintf(stderr, "lclbench: %s expects an integer, got '%s'\n",
+                     flag, value.c_str());
+        std::exit(2);
+      }
     };
     if (arg == "--list") {
       once("--list");
@@ -634,6 +642,14 @@ int cli_main(int argc, char** argv) {
     } else if (arg == "--n") {
       once("--n");
       opts.n_scale = parse_double("--n");
+      // Also rejects nan: every comparison with it is false.
+      if (!(opts.n_scale > 0.0 && opts.n_scale <= 100.0)) {
+        std::fprintf(stderr,
+                     "lclbench: --n expects a scale in (0, 100], got '%s'\n",
+                     argv[i]);
+        print_usage();
+        std::exit(2);
+      }
     } else if (arg == "--reps") {
       once("--reps");
       opts.reps = parse_int("--reps");

@@ -92,8 +92,6 @@ void BatchCtx::publish_lane(NodeSpan nodes, const std::int64_t* words,
     if (e.pub_[i] == 0) {
       e.pub_[i] = 1;
       e.ws_->published.push_back(v);
-      e.pub_lo_ = std::min(e.pub_lo_, i);
-      e.pub_hi_ = std::max(e.pub_hi_, i);
     }
     src += width;
   }
@@ -114,10 +112,8 @@ void Engine::Workspace::prepare(std::int64_t n) {
   for (auto& plane : words) {
     allocs += plane.ensure(count * static_cast<std::size_t>(cap)) ? 1 : 0;
   }
-  // Bookkeeping lanes ARE cleared over their full padded extent: the
-  // wide kernels treat pad elements as data (pub=0 makes the dense flip
-  // a no-op there, term_round=0 is neutral for sum/max), and a
-  // workspace hops between runs of different n.
+  // Bookkeeping lanes ARE cleared: a workspace hops between runs of
+  // different n, and every run reads these lanes before writing them.
   for (auto& plane : len) allocs += plane.assign(count, 0) ? 1 : 0;
   allocs += cur.assign(count, 0) ? 1 : 0;
   allocs += pub.assign(count, 0) ? 1 : 0;
@@ -151,8 +147,6 @@ void Engine::bind(Workspace& ws) {
   term_ = ws.terminated.data();
   term_round_ = ws.term_round.data();
   outputs_ = ws.outputs.data();
-  pub_lo_ = std::numeric_limits<std::size_t>::max();
-  pub_hi_ = 0;
 }
 
 void Engine::grow(std::int64_t width) {
@@ -184,43 +178,25 @@ void Engine::grow(std::int64_t width) {
 }
 
 void Engine::commit_publishes() {
+  // Toggle the owners' parity bits via the publisher list; silent and
+  // terminated nodes cost nothing.
   std::vector<NodeId>& published = ws_->published;
-  if (!published.empty()) {
-    const std::size_t count = published.size();
-    const std::size_t span = pub_hi_ - pub_lo_ + 1;
-    if (simd_ &&
-        span <= static_cast<std::size_t>(kDenseFlipFactor) * count) {
-      // Dense flip: one wide XOR over the 64-byte-aligned block range
-      // covering every publisher. The span bound keeps this
-      // O(#published); pub bytes outside the publisher set are 0, so
-      // the XOR is a no-op there.
-      const std::size_t lo = pub_lo_ & ~static_cast<std::size_t>(63);
-      const std::size_t hi = (pub_hi_ + 64) & ~static_cast<std::size_t>(63);
-      flip_commit_simd(cur_ + lo, pub_ + lo, hi - lo);
-    } else {
-      // Sparse round: toggle the owners' parity bits via the publisher
-      // list; silent and terminated nodes cost nothing.
-      for (const NodeId v : published) {
-        cur_[static_cast<std::size_t>(v)] ^= 1;
-        pub_[static_cast<std::size_t>(v)] = 0;
-      }
-    }
-    published.clear();
-    pub_lo_ = std::numeric_limits<std::size_t>::max();
-    pub_hi_ = 0;
+  for (const NodeId v : published) {
+    cur_[static_cast<std::size_t>(v)] ^= 1;
+    pub_[static_cast<std::size_t>(v)] = 0;
   }
+  published.clear();
   ws_->retired.clear();
 }
 
-void Engine::flip_and_compact() {
-  commit_publishes();
-
-  // Compact the alive list in place (stable; identical order under both
-  // kernel variants).
+void Engine::compact_alive() {
+  // Stable in-place removal of the terminated ids: survivors keep their
+  // relative order, so the alive list stays strictly increasing.
   std::vector<NodeId>& alive = ws_->alive;
-  const std::size_t w =
-      simd_ ? compact_alive_simd(alive.data(), alive.size(), term_)
-            : compact_alive_scalar(alive.data(), alive.size(), term_);
+  std::size_t w = 0;
+  for (const NodeId v : alive) {
+    if (term_[static_cast<std::size_t>(v)] == 0) alive[w++] = v;
+  }
   alive.resize(w);
 }
 
@@ -251,7 +227,6 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
 
   const auto n = static_cast<std::size_t>(tree_.size());
   round_ = 0;
-  simd_ = resolve_kernel_mode(mode_) == KernelMode::kSimd;
   batch_ = dispatch_ != DispatchMode::kPerNode;
 
   // The only adjacency "setup": borrow the Tree's native CSR pointers.
@@ -275,10 +250,7 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
       alive[i] = static_cast<NodeId>(i);
     }
     program.on_init_batch(bctx, NodeSpan(alive.data(), alive.size()));
-    const std::size_t w =
-        simd_ ? compact_alive_simd(alive.data(), alive.size(), term_)
-              : compact_alive_scalar(alive.data(), alive.size(), term_);
-    alive.resize(w);
+    compact_alive();
   } else {
     for (NodeId v = 0; v < tree_.size(); ++v) {
       NodeCtx ctx(*this, v);
@@ -321,22 +293,23 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
         program.on_round(ctx);
       }
     }
-    flip_and_compact();
+    commit_publishes();
+    compact_alive();
   }
 
   stats.n = tree_.size();
   stats.rounds = round_;
   stats.termination_round.assign(term_round_, term_round_ + n);
   stats.output.assign(outputs_, outputs_ + n);
-  // The padded tail of the term_round lane is zero (prepare clears it,
-  // truncation writes only real ids), and zero is neutral for both sum
-  // and max, so the reduction may run over whole blocks.
-  const TvReduction r =
-      simd_ ? reduce_tv_simd(term_round_,
-                             AlignedPlane<std::int64_t>::padded(n))
-            : reduce_tv_scalar(term_round_, n);
-  stats.worst_case = r.max;
-  stats.total_rounds = r.sum;
+  // Exact integer sum and max of T_v (T_v >= 0, so 0 seeds the max).
+  std::int64_t sum = 0;
+  std::int64_t worst = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    sum += term_round_[v];
+    worst = std::max(worst, term_round_[v]);
+  }
+  stats.worst_case = worst;
+  stats.total_rounds = sum;
   stats.node_averaged =
       stats.n == 0 ? 0.0
                    : static_cast<double>(stats.total_rounds) /

@@ -22,16 +22,13 @@
 // plane; the other plane is the staging side. All per-node bookkeeping
 // is split into separate 64-byte-aligned lanes, each padded to a whole
 // number of 64-byte blocks: the `cur`/`pub`/`terminated` byte lanes, the
-// per-plane `len` lanes, and the `term_round` lane. That split is what
-// makes the three hot bulk passes — the end-of-round publish-flip, the
-// alive-list compaction, and the final T_v reduction — branch-free
-// kernels over contiguous memory (see local/simd.hpp; the engine's
-// `KernelMode` and LCL_FORCE_SCALAR pick the variant). Reads
+// per-plane `len` lanes, and the `term_round` lane. The three bulk
+// passes — the end-of-round publish-flip, the alive-list compaction,
+// and the final T_v reduction — are plain loops over those lanes. Reads
 // (`peek`/`own`) return views of the committed plane; a `publish` writes
 // the staging side; the synchronous flip at the end of the round toggles
-// the parity of the publishers — either as one wide XOR over a dense
-// publisher range or as a scatter over the publisher list, whichever is
-// cheaper — so no register is ever copied. Adjacency is NOT snapshotted:
+// the parity of the publishers by a scatter over the publisher list, so
+// no register is ever copied. Adjacency is NOT snapshotted:
 // `graph::Tree` is CSR-native and frozen (see graph/tree.hpp and
 // DESIGN.md), so the engine borrows the tree's own offset/neighbor
 // arrays at the start of each run and a `peek` is two array indexations
@@ -52,11 +49,9 @@
 //
 // Cost model. The engine keeps a compacted list of alive nodes (compacted
 // in place after each round, so terminated nodes cost nothing — not even a
-// branch) and a per-round list of publishers. The flip is O(#published):
-// the dense wide-XOR kernel is only chosen when the publishers' id-span
-// is within a constant factor of their count, so it never degrades a
-// sparse round to O(n). Per round the work is one program callback per
-// alive node plus one O(register width) write per publish. Total
+// branch) and a per-round list of publishers, so the flip is
+// O(#published). Per round the work is one program callback per alive
+// node plus one O(register width) write per publish. Total
 // simulation cost is therefore O(sum_v T_v) — proportional to exactly
 // the quantity the paper's theorems bound, which keeps fast instances
 // fast. A terminated node's committed words are simply never touched
@@ -65,18 +60,18 @@
 // Dispatch. The engine drives a program either through the classic
 // per-node virtual hooks (one `on_round` call per alive node) or
 // through span-level batch hooks (one `on_round_batch` call per round
-// over the whole compacted alive list). Both `DispatchMode` and
-// `KernelMode` are chosen once, where the engine is constructed. The
-// default batch hooks loop the per-node hooks in alive order, so the
-// two modes are bit-identical for every program; ported programs
-// override them with lane-level kernels over `BatchCtx`'s direct SoA
-// views and bulk writers.
+// over the whole compacted alive list). The `DispatchMode` is chosen
+// once, where the engine is constructed. The default batch hooks loop
+// the per-node hooks in alive order, so the two modes are bit-identical
+// for every program; ported programs override them with lane-level
+// kernels over `BatchCtx`'s direct SoA views and bulk writers.
 //
 // Algorithms implement `Program`. Independent runs (one engine per
 // instance) share nothing and can execute concurrently; see
 // `core/batch.hpp` for the thread-pooled sweep runner.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -88,7 +83,6 @@
 #include <vector>
 
 #include "graph/tree.hpp"
-#include "local/simd.hpp"
 
 namespace lcl::local {
 
@@ -120,12 +114,14 @@ struct Output {
 ///   kAuto    — kBatch: with the default hooks batch never loses.
 enum class DispatchMode { kPerNode = 0, kBatch = 1, kAuto = 2 };
 
+/// Accepted by one `Engine` constructor and ignored: the engine has one
+/// kernel per pass, and callers that still name a mode keep compiling.
+enum class KernelMode { kScalar, kSimd, kAuto };
+
 /// A 64-byte-aligned lane of trivially-copyable elements, padded to a
-/// whole number of 64-byte blocks so kernels never need a masked tail.
-/// Capacity only grows (`ensure`/`assign` return true exactly when they
-/// had to allocate — the workspace's allocation accounting), and
-/// `assign` clears the *padding* too: the kernels treat pad elements as
-/// data, so they must always hold the neutral value.
+/// whole number of 64-byte blocks. Capacity only grows (`ensure`/`assign`
+/// return true exactly when they had to allocate — the workspace's
+/// allocation accounting), and `assign` fills the padding too.
 template <typename T>
 class AlignedPlane {
  public:
@@ -390,9 +386,9 @@ struct RunProfile {
 };
 
 /// The synchronous engine. Construct with a graph (frozen by
-/// construction — every `Tree` is) and optionally a kernel and dispatch
-/// mode, `run` a program; the engine enforces the synchronous schedule
-/// and records termination rounds.
+/// construction — every `Tree` is) and optionally a dispatch mode, `run`
+/// a program; the engine enforces the synchronous schedule and records
+/// termination rounds.
 class Engine {
  public:
   /// Reusable per-run state (the ACL decompression_context idiom): all
@@ -442,9 +438,13 @@ class Engine {
     bool in_use = false;
   };
 
-  explicit Engine(const Tree& tree, KernelMode mode = KernelMode::kAuto,
+  explicit Engine(const Tree& tree,
                   DispatchMode dispatch = DispatchMode::kAuto)
-      : tree_(tree), mode_(mode), dispatch_(dispatch) {}
+      : tree_(tree), dispatch_(dispatch) {}
+  /// The kernel mode is ignored (see `KernelMode`).
+  Engine(const Tree& tree, KernelMode,
+         DispatchMode dispatch = DispatchMode::kAuto)
+      : Engine(tree, dispatch) {}
 
   /// Runs `program` to completion, or until `max_rounds` rounds have
   /// executed — in which case the returned stats carry
@@ -471,19 +471,12 @@ class Engine {
                 RunProfile* profile = nullptr);
 
   [[nodiscard]] const Tree& tree() const { return tree_; }
-  /// The mode this engine was constructed with (possibly kAuto).
-  [[nodiscard]] KernelMode mode() const { return mode_; }
   /// The dispatch this engine was constructed with (possibly kAuto).
   [[nodiscard]] DispatchMode dispatch() const { return dispatch_; }
 
  private:
   friend class NodeCtx;
   friend class BatchCtx;
-
-  /// The dense publish-flip kernel is used only when the publishers'
-  /// id-span is at most this factor times their count, keeping the flip
-  /// O(#published) even under the wide kernels.
-  static constexpr std::int64_t kDenseFlipFactor = 4;
 
   /// Grows the word planes so a register of `width` words fits. The
   /// outgoing planes are retired (kept alive until the end of the
@@ -492,16 +485,13 @@ class Engine {
   /// Commits this round's publishes (parity toggles) and releases any
   /// retired planes. Called at the end of init and of every round.
   void commit_publishes();
-  /// End-of-round synchronous flip: commit publishes, then compact the
-  /// alive list in place.
-  void flip_and_compact();
+  /// Drops the terminated ids from the alive list, in place and stable.
+  void compact_alive();
   /// Points the hot-path mirrors at `ws`'s (re)prepared lanes.
   void bind(Workspace& ws);
 
   const Tree& tree_;
-  KernelMode mode_;
   DispatchMode dispatch_;
-  bool simd_ = false;   ///< resolved kernel choice for the current run
   bool batch_ = false;  ///< resolved dispatch choice for the current run
   std::int64_t round_ = 0;
 
@@ -525,9 +515,6 @@ class Engine {
   std::uint8_t* term_ = nullptr;
   std::int64_t* term_round_ = nullptr;
   Output* outputs_ = nullptr;
-  // Publisher id-range of the current round, for the dense-flip choice.
-  std::size_t pub_lo_ = 0;
-  std::size_t pub_hi_ = 0;
 
   Workspace own_ws_;  ///< backs the workspace-less run() overload
 };
@@ -599,8 +586,6 @@ inline void NodeCtx::publish(RegView reg) {
   if (e.pub_[v] == 0) {
     e.pub_[v] = 1;
     e.ws_->published.push_back(v_);
-    e.pub_lo_ = std::min(e.pub_lo_, v);
-    e.pub_hi_ = std::max(e.pub_hi_, v);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <numeric>
 #include <stdexcept>
 
@@ -46,15 +45,7 @@ struct MultisetCache {
   std::array<int, kKeySpace> index_by_key{};
 };
 
-const MultisetCache& cache_for(int alphabet, int degree) {
-  if (alphabet < 1 || alphabet > kMaxAlphabet || degree < 1 ||
-      degree > kMaxTableDegree) {
-    throw std::invalid_argument("lclgen: alphabet/degree out of range");
-  }
-  static std::map<std::pair<int, int>, MultisetCache> caches;
-  auto it = caches.find({alphabet, degree});
-  if (it != caches.end()) return it->second;
-
+MultisetCache build_cache(int alphabet, int degree) {
   MultisetCache c;
   c.index_by_key.fill(-1);
   std::vector<int> cur(static_cast<std::size_t>(degree), 0);
@@ -69,8 +60,30 @@ const MultisetCache& cache_for(int alphabet, int degree) {
     const int v = cur[static_cast<std::size_t>(i)] + 1;
     for (int j = i; j < degree; ++j) cur[static_cast<std::size_t>(j)] = v;
   }
-  return caches.emplace(std::make_pair(alphabet, degree), std::move(c))
-      .first->second;
+  return c;
+}
+
+const MultisetCache& cache_for(int alphabet, int degree) {
+  if (alphabet < 1 || alphabet > kMaxAlphabet || degree < 1 ||
+      degree > kMaxTableDegree) {
+    throw std::invalid_argument("lclgen: alphabet/degree out of range");
+  }
+  // Every (alphabet, degree) table is built once, inside the static's
+  // initialisation, which C++ makes thread-safe: lcld classifies on
+  // several worker threads at once, so the tables are never filled
+  // lazily.
+  static const std::vector<MultisetCache> caches = [] {
+    std::vector<MultisetCache> all;
+    all.reserve(static_cast<std::size_t>(kMaxAlphabet * kMaxTableDegree));
+    for (int a = 1; a <= kMaxAlphabet; ++a) {
+      for (int d = 1; d <= kMaxTableDegree; ++d) {
+        all.push_back(build_cache(a, d));
+      }
+    }
+    return all;
+  }();
+  return caches[static_cast<std::size_t>((alphabet - 1) * kMaxTableDegree +
+                                         degree - 1)];
 }
 
 }  // namespace

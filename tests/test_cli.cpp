@@ -1,8 +1,8 @@
 // lclbench CLI hardening: malformed --algo-opt pairs, duplicate flags,
-// and unknown scenario names must fail with exit code 2 and a clear
-// one-line error — pinned here with exact-message death tests so a
-// parser refactor can't silently regress the messages users script
-// against.
+// out-of-range scales, non-integer counts and unknown scenario names
+// must fail with exit code 2 and a clear one-line error — pinned here
+// with exact-message death tests so a parser refactor can't silently
+// regress the messages users script against.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -73,8 +73,8 @@ TEST(CliHardening, DuplicateProblemsFlag) {
 }
 
 TEST(CliHardening, EngineFlagIsAnUnknownArgument) {
-  // Kernel and dispatch modes are chosen where an engine is built, not
-  // per process, so the CLI has no flag for either.
+  // The dispatch mode is chosen where an engine is built, not per
+  // process, and there is one kernel, so the CLI has no engine flag.
   expect_cli_failure({"--engine", "simd"},
                      "lclbench: unknown argument --engine");
 }
@@ -136,6 +136,66 @@ TEST(CliHardening, DuplicateSnapshotModeFlags) {
                      "lclbench: duplicate --binary");
   expect_cli_failure({"--export", "a", "b", "--export", "c", "d"},
                      "lclbench: duplicate --export");
+}
+
+TEST(CliHardening, ScaleRejectsNan) {
+  // --list would otherwise exit 0: the scale is checked as it is parsed.
+  expect_cli_failure({"--list", "--n", "nan"},
+                     "lclbench: --n expects a scale in \\(0, 100], "
+                     "got 'nan'");
+}
+
+TEST(CliHardening, ScaleRejectsInfinity) {
+  expect_cli_failure({"--list", "--n", "inf"},
+                     "lclbench: --n expects a scale in \\(0, 100], "
+                     "got 'inf'");
+}
+
+TEST(CliHardening, ScaleRejectsNonPositive) {
+  expect_cli_failure({"--list", "--n", "-1"},
+                     "lclbench: --n expects a scale in \\(0, 100], "
+                     "got '-1'");
+  expect_cli_failure({"--list", "--n", "0"},
+                     "lclbench: --n expects a scale in \\(0, 100], "
+                     "got '0'");
+}
+
+TEST(CliHardening, ScaleRejectsHugeValues) {
+  // 1e300 used to overflow llround in ScenarioContext::scaled, dropping
+  // every instance to its floor size.
+  expect_cli_failure({"--list", "--n", "1e300"},
+                     "lclbench: --n expects a scale in \\(0, 100], "
+                     "got '1e300'");
+  expect_cli_failure({"--list", "--n", "100.5"},
+                     "lclbench: --n expects a scale in \\(0, 100], "
+                     "got '100.5'");
+}
+
+TEST(CliHardening, IntegerFlagsRejectFractions) {
+  for (const char* flag : {"--reps", "--threads", "--problems"}) {
+    expect_cli_failure({"--list", flag, "2.5"},
+                       std::string("lclbench: ") + flag +
+                           " expects an integer, got '2.5'");
+  }
+}
+
+TEST(CliHardening, IntegerFlagsRejectNan) {
+  for (const char* flag : {"--reps", "--threads", "--problems"}) {
+    expect_cli_failure({"--list", flag, "nan"},
+                       std::string("lclbench: ") + flag +
+                           " expects an integer, got 'nan'");
+  }
+}
+
+TEST(CliHardening, IntegerFlagsRejectValuesBeyondInt) {
+  for (const char* flag : {"--reps", "--threads", "--problems"}) {
+    expect_cli_failure({"--list", flag, "2147483648"},
+                       std::string("lclbench: ") + flag +
+                           " expects an integer, got '2147483648'");
+    expect_cli_failure({"--list", flag, "-2147483649"},
+                       std::string("lclbench: ") + flag +
+                           " expects an integer, got '-2147483649'");
+  }
 }
 
 TEST(CliHardening, RepeatableAlgoOptStaysRepeatable) {

@@ -138,70 +138,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param).seed);
     });
 
-// Seeded three-way fuzz: every registered solver on freshly sampled
-// random families, run under BOTH kernel paths. The scalar and SIMD
-// engines must agree *bit-identically* (termination rounds, outputs,
-// node-average down to the ulp), and the shared schedule must replay
-// bit-identically on the frozen legacy engine — so a kernel bug can't
-// hide behind instances the parameterized suite happens not to cover.
-TEST(DifferentialFuzz, ScalarSimdLegacyAgreeOnRandomFamilies) {
-  const std::vector<std::string> families = {"prufer", "galton_watson",
-                                             "caterpillar"};
-  std::uint64_t seed = 0x51D0FACADE;
-  for (int iter = 0; iter < 6; ++iter) {
-    const std::string& family = families[static_cast<std::size_t>(iter) %
-                                         families.size()];
-    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto n = static_cast<graph::NodeId>(64 + (seed >> 32) % 300);
-
-    for (const std::string& solver_name : algo::solver_names()) {
-      SCOPED_TRACE("solver=" + solver_name + " family=" + family +
-                   " n=" + std::to_string(n) +
-                   " seed=" + std::to_string(seed));
-      const algo::SolverSpec& spec = algo::solver(solver_name);
-      graph::Tree tree =
-          graph::make_family_instance(family, n, seed, /*delta=*/3);
-      algo::prepare_instance(tree, spec.needs, seed);
-      algo::SolverConfig config;
-      config.seed = seed;
-      config.validate(spec);
-
-      // One frozen instance, two kernel paths. Each path gets its own
-      // program instance so seeded per-node state is regenerated
-      // identically rather than shared.
-      const std::unique_ptr<local::Program> scalar_program =
-          spec.factory(tree, config);
-      local::Engine scalar_engine(tree, local::KernelMode::kScalar);
-      const local::RunStats scalar_stats =
-          scalar_engine.run(*scalar_program);
-
-      const std::unique_ptr<local::Program> simd_program =
-          spec.factory(tree, config);
-      local::Engine simd_engine(tree, local::KernelMode::kSimd);
-      const local::RunStats simd_stats = simd_engine.run(*simd_program);
-
-      ASSERT_FALSE(scalar_stats.truncated);
-      EXPECT_EQ(scalar_stats.rounds, simd_stats.rounds);
-      EXPECT_EQ(scalar_stats.total_rounds, simd_stats.total_rounds);
-      EXPECT_EQ(scalar_stats.node_averaged, simd_stats.node_averaged);
-      EXPECT_EQ(scalar_stats.termination_round,
-                simd_stats.termination_round);
-      EXPECT_EQ(scalar_stats.primaries(), simd_stats.primaries());
-      EXPECT_EQ(scalar_stats.secondaries(), simd_stats.secondaries());
-
-      // And the schedule both paths produced replays bit-identically on
-      // the frozen legacy oracle.
-      ReplayProgram replay(scalar_stats.termination_round);
-      bench::legacy::Engine legacy(tree);
-      const bench::legacy::RunStats legacy_stats =
-          legacy.run(replay, scalar_stats.worst_case + 2);
-      EXPECT_EQ(legacy_stats.rounds, scalar_stats.rounds);
-      EXPECT_EQ(legacy_stats.total_rounds, scalar_stats.total_rounds);
-      EXPECT_EQ(replay.observed(), scalar_stats.termination_round);
-    }
-  }
-}
-
 // Seeded three-way dispatch fuzz: every registered solver on freshly
 // sampled random families, run under BOTH Program↔Engine contracts.
 // The per-node virtual-hook path and the span-level batch-kernel path
@@ -239,15 +175,13 @@ TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
       // identically rather than shared.
       const std::unique_ptr<local::Program> pernode_program =
           spec.factory(tree, config);
-      local::Engine pernode_engine(tree, local::KernelMode::kAuto,
-                                   local::DispatchMode::kPerNode);
+      local::Engine pernode_engine(tree, local::DispatchMode::kPerNode);
       const local::RunStats pernode_stats =
           pernode_engine.run(*pernode_program);
 
       const std::unique_ptr<local::Program> batch_program =
           spec.factory(tree, config);
-      local::Engine batch_engine(tree, local::KernelMode::kAuto,
-                                 local::DispatchMode::kBatch);
+      local::Engine batch_engine(tree, local::DispatchMode::kBatch);
       const local::RunStats batch_stats =
           batch_engine.run(*batch_program);
 
@@ -328,14 +262,12 @@ TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
     options.symmetry_pad = c.pad;
 
     algo::GenericHierProgram pernode_program(c.tree, options, levels);
-    local::Engine pernode_engine(c.tree, local::KernelMode::kAuto,
-                                 local::DispatchMode::kPerNode);
+    local::Engine pernode_engine(c.tree, local::DispatchMode::kPerNode);
     const local::RunStats pernode_stats =
         pernode_engine.run(pernode_program);
 
     algo::GenericHierProgram batch_program(c.tree, options, levels);
-    local::Engine batch_engine(c.tree, local::KernelMode::kAuto,
-                               local::DispatchMode::kBatch);
+    local::Engine batch_engine(c.tree, local::DispatchMode::kBatch);
     const local::RunStats batch_stats = batch_engine.run(batch_program);
 
     ASSERT_FALSE(pernode_stats.truncated);

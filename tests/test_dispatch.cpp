@@ -67,7 +67,7 @@ TEST(DispatchMode, ResolveCollapsesAutoThroughTheDefault) {
   Tree t = graph::make_path(16);
   const auto run = [&t](DispatchMode mode) {
     HookCounter p;
-    Engine(t, local::KernelMode::kAuto, mode).run(p);
+    Engine(t, mode).run(p);
     EXPECT_EQ(p.node_calls, 3 * 16);
     return p.batch_calls;
   };
@@ -112,10 +112,10 @@ TEST(BatchDispatch, DefaultHooksAreBitIdenticalToPerNode) {
   // auto resolve to batch for arbitrary programs.
   Tree t = graph::make_random_tree(500, 4, 31);
   PerNodeOnly a;
-  Engine pernode(t, local::KernelMode::kAuto, DispatchMode::kPerNode);
+  Engine pernode(t, DispatchMode::kPerNode);
   const RunStats ref = pernode.run(a);
   PerNodeOnly b;
-  Engine batch(t, local::KernelMode::kAuto, DispatchMode::kBatch);
+  Engine batch(t, DispatchMode::kBatch);
   expect_identical(ref, batch.run(b));
   EXPECT_EQ(batch.dispatch(), DispatchMode::kBatch);
   EXPECT_EQ(pernode.dispatch(), DispatchMode::kPerNode);
@@ -182,10 +182,10 @@ class TwinPaths final : public Program {
 TEST(BatchDispatch, HandWrittenKernelsMatchTheirPerNodeTwin) {
   Tree t = graph::make_random_tree(400, 4, 77);
   TwinPaths a(t);
-  Engine pernode(t, local::KernelMode::kAuto, DispatchMode::kPerNode);
+  Engine pernode(t, DispatchMode::kPerNode);
   const RunStats ref = pernode.run(a);
   TwinPaths b(t);
-  Engine batch(t, local::KernelMode::kAuto, DispatchMode::kBatch);
+  Engine batch(t, DispatchMode::kBatch);
   expect_identical(ref, batch.run(b));
 }
 
@@ -228,7 +228,7 @@ class VisibilityWave final : public Program {
 TEST(BatchDispatch, TerminationLanesCarrySynchronousVisibility) {
   Tree t = graph::make_path(6);
   VisibilityWave p;
-  Engine engine(t, local::KernelMode::kAuto, DispatchMode::kBatch);
+  Engine engine(t, DispatchMode::kBatch);
   const RunStats stats = engine.run(p);
   // Node 0 terminates in round 1; node i only observes node i-1's
   // termination in round i+1 — the wave advances one hop per round
@@ -258,7 +258,7 @@ class LaneOutputs final : public Program {
 TEST(BatchDispatch, TerminateLaneRecordsPerNodeOutputs) {
   Tree t = graph::make_star(7);
   LaneOutputs p;
-  Engine engine(t, local::KernelMode::kAuto, DispatchMode::kBatch);
+  Engine engine(t, DispatchMode::kBatch);
   const RunStats stats = engine.run(p);
   for (NodeId v = 0; v < 8; ++v) {
     const auto vi = static_cast<std::size_t>(v);
@@ -283,7 +283,7 @@ class DoubleTerminate final : public Program {
 TEST(BatchDispatch, DoubleTerminationThrows) {
   Tree t = graph::make_path(4);
   DoubleTerminate p;
-  Engine engine(t, local::KernelMode::kAuto, DispatchMode::kBatch);
+  Engine engine(t, DispatchMode::kBatch);
   EXPECT_THROW(engine.run(p), std::logic_error);
 }
 
@@ -312,13 +312,13 @@ class InitTerminates final : public Program {
 TEST(BatchDispatch, InitTerminationsCompactTheFirstSpan) {
   Tree t = graph::make_path(10);
   InitTerminates batch_p;
-  Engine batch(t, local::KernelMode::kAuto, DispatchMode::kBatch);
+  Engine batch(t, DispatchMode::kBatch);
   const RunStats batch_stats = batch.run(batch_p);
   const std::vector<NodeId> expected = {1, 2, 4, 5, 7, 8};
   EXPECT_EQ(batch_p.first_round_span_, expected);
 
   InitTerminates pernode_p;
-  Engine pernode(t, local::KernelMode::kAuto, DispatchMode::kPerNode);
+  Engine pernode(t, DispatchMode::kPerNode);
   expect_identical(pernode.run(pernode_p), batch_stats);
 }
 

@@ -1,7 +1,10 @@
 // Engine semantics: synchronous register visibility, termination rounds,
 // node-averaged accounting, and the one-round delay of termination
-// visibility (the property every wave protocol relies on).
+// visibility (the property every wave protocol relies on), plus the
+// workspace reuse and aligned-lane contracts.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
@@ -364,7 +367,7 @@ TEST(Engine, DoubleTerminationThrows) {
   EXPECT_THROW(engine.run(p), std::logic_error);
 }
 
-/// A register-heavy stagger used by the workspace/kernel tests: node v
+/// A register-heavy stagger used by the workspace tests: node v
 /// republishes a growing register every round and terminates at round
 /// (v mod 13) + 1, so runs exercise publish, flip, compaction, growth,
 /// and uneven T_v in one program.
@@ -410,9 +413,8 @@ TEST(EngineWorkspace, WarmRunsAreAllocationFreeAndIdentical) {
 }
 
 TEST(EngineWorkspace, ReusedAcrossDifferentSizesAndGrowth) {
-  // A workspace hopping big -> small -> big must not leak stale lane or
-  // padding state between runs (the small run leaves garbage beyond its
-  // n; the kernels read whole 64-byte blocks).
+  // A workspace hopping big -> small -> big must not leak stale lane
+  // state between runs (the small run leaves garbage beyond its n).
   Engine::Workspace ws;
   Tree big = graph::make_path(500);
   Tree small = graph::make_path(37);
@@ -427,22 +429,6 @@ TEST(EngineWorkspace, ReusedAcrossDifferentSizesAndGrowth) {
   // Capacity growth inside a shared workspace persists across runs
   // (ChurnProgram's widest register exceeds the initial 8 words).
   expect_identical(ref_small, small_engine.run(p, ws));
-}
-
-TEST(EngineWorkspace, ScalarAndSimdRunsAreBitIdentical) {
-  Tree t = graph::make_random_tree(700, 4, 123);
-  ChurnProgram p;
-  Engine scalar_engine(t, local::KernelMode::kScalar);
-  Engine simd_engine(t, local::KernelMode::kSimd);
-  const RunStats a = scalar_engine.run(p);
-  const RunStats b = simd_engine.run(p);
-  expect_identical(a, b);
-
-  // Truncated runs too: censoring + reduction agree across kernels.
-  const RunStats ta = scalar_engine.run(p, 3);
-  const RunStats tb = simd_engine.run(p, 3);
-  EXPECT_TRUE(ta.truncated);
-  expect_identical(ta, tb);
 }
 
 /// A program that (illegally) starts a nested engine run on the same
@@ -480,10 +466,8 @@ TEST(EngineWorkspace, BatchDispatchWarmRunsAreAllocationFree) {
   // warm reps must stay allocation-free exactly like per-node dispatch,
   // and produce bit-identical results.
   Tree t = graph::make_random_tree(600, 4, 99);
-  Engine pernode_engine(t, local::KernelMode::kAuto,
-                        local::DispatchMode::kPerNode);
-  Engine batch_engine(t, local::KernelMode::kAuto,
-                      local::DispatchMode::kBatch);
+  Engine pernode_engine(t, local::DispatchMode::kPerNode);
+  Engine batch_engine(t, local::DispatchMode::kBatch);
   ChurnProgram p;
   const RunStats reference = pernode_engine.run(p);
 
@@ -506,7 +490,7 @@ TEST(EngineWorkspace, NestedUseUnderBatchDispatchThrows) {
   // nested run here is attempted from inside on_round_batch (the
   // default hook drives on_round), against the same workspace.
   Tree t = graph::make_path(4);
-  Engine engine(t, local::KernelMode::kAuto, local::DispatchMode::kBatch);
+  Engine engine(t, local::DispatchMode::kBatch);
   Engine::Workspace ws;
   NestedRun p(ws);
   EXPECT_THROW(engine.run(p, ws), std::logic_error);
@@ -523,6 +507,27 @@ TEST(EngineWorkspace, TlsWorkspaceIsSticky) {
   ChurnProgram p;
   const RunStats direct = engine.run(p);
   expect_identical(direct, engine.run(p, ws));
+}
+
+TEST(AlignedPlaneContract, PaddingAlignmentAndAllocAccounting) {
+  using local::AlignedPlane;
+  AlignedPlane<std::int64_t> plane;
+  EXPECT_EQ(AlignedPlane<std::int64_t>::padded(0), 0u);
+  EXPECT_EQ(AlignedPlane<std::int64_t>::padded(1), 8u);
+  EXPECT_EQ(AlignedPlane<std::int64_t>::padded(8), 8u);
+  EXPECT_EQ(AlignedPlane<std::int64_t>::padded(9), 16u);
+  EXPECT_EQ(AlignedPlane<std::uint8_t>::padded(1), 64u);
+
+  EXPECT_TRUE(plane.assign(100, 7));  // first sizing allocates
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(plane.data()) % 64, 0u);
+  // The fill covers the padded extent, not just the requested count.
+  for (std::size_t i = 0; i < AlignedPlane<std::int64_t>::padded(100);
+       ++i) {
+    EXPECT_EQ(plane.data()[i], 7);
+  }
+  EXPECT_FALSE(plane.assign(50, 1));   // shrinking reuses
+  EXPECT_FALSE(plane.assign(104, 2));  // fits the padded capacity
+  EXPECT_TRUE(plane.assign(105, 3));   // genuine growth reallocates
 }
 
 }  // namespace

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "bw/tree_problem.hpp"
 #include "graph/builders.hpp"
@@ -34,6 +37,48 @@ TEST(LclGen, MultisetEnumerationIsRankable) {
     EXPECT_EQ(problems::multiset_index(3, sets[i]), static_cast<int>(i));
   }
   EXPECT_EQ(problems::multisets(4, 4).size(), 35u);  // C(7, 4) fits a word
+}
+
+TEST(LclGen, FirstUseOfTheMultisetTablesIsThreadSafe) {
+  // lcld classifies on several worker threads, so the first lookups of
+  // the multiset tables can happen concurrently. Each test runs in a
+  // fresh process, so the tables are cold here. Every thread must get
+  // the complete C(a+d-1, d) enumeration for every (alphabet, degree).
+  constexpr int kThreads = 8;
+  constexpr int kShapes = problems::kMaxAlphabet * problems::kMaxTableDegree;
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::size_t>> sizes(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int k = 0; k < kShapes; ++k) {
+        const int shape = (k + t) % kShapes;  // threads start apart
+        sizes[static_cast<std::size_t>(t)].push_back(
+            problems::multisets(1 + shape / problems::kMaxTableDegree,
+                                1 + shape % problems::kMaxTableDegree)
+                .size());
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kShapes; ++k) {
+      const int shape = (k + t) % kShapes;
+      const int a = 1 + shape / problems::kMaxTableDegree;
+      const int d = 1 + shape % problems::kMaxTableDegree;
+      std::size_t expected = 1;  // C(a+d-1, d)
+      for (int i = 1; i <= d; ++i) {
+        expected = expected * static_cast<std::size_t>(a - 1 + i) /
+                   static_cast<std::size_t>(i);
+      }
+      EXPECT_EQ(sizes[static_cast<std::size_t>(t)]
+                     [static_cast<std::size_t>(k)],
+                expected)
+          << "thread " << t << " alphabet " << a << " degree " << d;
+    }
+  }
 }
 
 TEST(LclGen, WitnessTablesMatchTheirPredicates) {

@@ -621,7 +621,15 @@ TEST(ServiceTransport, WriteBacklogStallsReadsAndResumes) {
   const int fd = tcp_connect(transport.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(send_all(fd, batch));
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Wait for the supervisor to park the connection. Polling the stats
+  // (instead of sleeping a fixed time) keeps the test stable on a
+  // loaded machine; the deadline only bounds a genuine failure.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (transport.stats().read_pauses < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
 
   const TransportStats stalled = transport.stats();
   EXPECT_GE(stalled.read_pauses, 1u) << "reads never paused";

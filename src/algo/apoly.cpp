@@ -14,16 +14,6 @@ namespace {
 using graph::NodeId;
 using problems::WeightOut;
 
-std::vector<int> active_levels(const graph::Tree& tree, int k) {
-  std::vector<char> mask(static_cast<std::size_t>(tree.size()), 0);
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    mask[static_cast<std::size_t>(v)] =
-        tree.input(v) == static_cast<int>(graph::WeightInput::kActive) ? 1
-                                                                       : 0;
-  }
-  return problems::compute_levels_masked(tree, k, mask);
-}
-
 }  // namespace
 
 ApolyProgram::ApolyProgram(const graph::Tree& tree, ApolyOptions options)
@@ -32,19 +22,11 @@ ApolyProgram::ApolyProgram(const graph::Tree& tree, ApolyOptions options)
       generic_(tree,
                GenericOptions{opt_.variant, opt_.k, opt_.gammas,
                               opt_.id_space, opt_.symmetry_pad},
-               active_levels(tree, opt_.k)) {
+               problems::active_levels(tree, opt_.k)) {
   // Algorithm A on the weight subgraph: participants are weight nodes,
   // input-A nodes are the weight nodes adjacent to at least one active.
   const NodeId n = tree_.size();
-  std::vector<char> participates(static_cast<std::size_t>(n), 0);
-  std::vector<char> is_a(static_cast<std::size_t>(n), 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_active(v)) continue;
-    participates[static_cast<std::size_t>(v)] = 1;
-    for (NodeId u : tree_.neighbors(v)) {
-      if (is_active(u)) is_a[static_cast<std::size_t>(v)] = 1;
-    }
-  }
+  const auto [participates, is_a] = problems::weight_subgraph(tree_);
   if (opt_.naive_all_copy) {
     // Every weight node copies; components root at an arbitrary input-A
     // node (BFS over the weight subgraph from all A-nodes at once).

@@ -180,8 +180,10 @@ void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
     }
   }
 
-  // 2. Forward: toward port[s] goes the wave of the other side.
-  local::Register out(kWaveRegSize, kNoEntry);
+  // 2. Forward: toward port[s] goes the wave of the other side. The
+  // register lives on the stack: this runs on every wave node-round.
+  std::int64_t out[kWaveRegSize] = {kNoEntry, kNoEntry, kNoEntry,
+                                    kNoEntry, kNoEntry, kNoEntry};
   bool publish = false;
   for (int s = 0; s < 2; ++s) {
     const int other = 1 - s;
@@ -192,7 +194,7 @@ void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
     out[base + 2] = w.dist[other];
     publish = true;
   }
-  if (publish) ctx.publish(out);
+  if (publish) ctx.publish(local::RegView(out, kWaveRegSize));
 
   // 3. Decide.
   if (w.src[0] >= 0 && w.src[1] >= 0) {
@@ -304,295 +306,6 @@ void GenericHierProgram::on_round(local::NodeCtx& ctx) {
     wave_round(ctx, opt_.k);
   } else {
     cv_round(ctx);
-  }
-}
-
-// --- Batch-dispatch lane kernels ------------------------------------
-// Span-level twins of on_init/on_round (the pinned per-node reference).
-// The per-round phase — constant across the whole alive span — is
-// computed once instead of per node, neighbors resolve through the raw
-// CSR, and neighbor state reads go through BatchCtx's committed-plane
-// views (`reg`, `terminated_visible`), which by construction see only
-// round-start state. All writes are staged into the member lanes and
-// flushed at the end of the span: registers as one width-6 wave lane
-// plus one width-1 CV lane, terminations as a per-node output lane.
-// Since per-node writes also only become visible at the end-of-round
-// flip, the deferral is unobservable and the schedule is bit-identical
-// (pinned by the generic_hier case in tests/test_differential.cpp).
-
-void GenericHierProgram::on_init_batch(local::BatchCtx& batch,
-                                       local::NodeSpan nodes) {
-  batch_term_nodes_.clear();
-  for (const NodeId v : nodes) {
-    if (!is_active(v)) continue;
-    if (level(v) == opt_.k + 1) batch_term_nodes_.push_back(v);
-  }
-  if (!batch_term_nodes_.empty()) {
-    batch.terminate_lane(batch_term_nodes_,
-                         local::Output{static_cast<int>(Color::kE), -1});
-  }
-}
-
-bool GenericHierProgram::try_exempt_batch(local::BatchCtx& batch,
-                                          NodeId v) {
-  const int lv = level(v);
-  const std::int32_t* off = batch.offsets();
-  const NodeId* adj = batch.adjacency();
-  const auto begin = static_cast<std::size_t>(off[v]);
-  const auto end = static_cast<std::size_t>(off[v + 1]);
-
-  if (lv >= 2 && lv <= opt_.k - 1) {
-    for (std::size_t p = begin; p < end; ++p) {
-      const NodeId u = adj[p];
-      if (!is_active(u) || level(u) >= lv) continue;
-      if (!batch.terminated_visible(u)) continue;
-      const Color cu = static_cast<Color>(batch.output(u).primary);
-      if (problems::is_two_color(cu) || cu == Color::kE) {
-        if (batch.round() >= phase_start_[static_cast<std::size_t>(lv)]) {
-          throw std::logic_error(
-              "generic: Exempt fired after own phase started (scheduling "
-              "gap too small)");
-        }
-        batch_term_nodes_.push_back(v);
-        batch_term_outputs_.push_back(
-            local::Output{static_cast<int>(Color::kE), -1});
-        return true;
-      }
-    }
-    return false;
-  }
-
-  if (lv == opt_.k && opt_.k >= 2 &&
-      batch.round() < phase_start_[static_cast<std::size_t>(opt_.k)]) {
-    bool all_done = true;
-    bool has_colored = false;
-    bool has_decline = false;
-    for (std::size_t p = begin; p < end; ++p) {
-      const NodeId u = adj[p];
-      if (!is_active(u) || level(u) >= lv) continue;
-      if (!batch.terminated_visible(u)) {
-        all_done = false;
-        break;
-      }
-      const Color cu = static_cast<Color>(batch.output(u).primary);
-      if (problems::is_two_color(cu) || cu == Color::kE) has_colored = true;
-      if (cu == Color::kD) has_decline = true;
-    }
-    if (all_done && has_colored && !has_decline) {
-      batch_term_nodes_.push_back(v);
-      batch_term_outputs_.push_back(
-          local::Output{static_cast<int>(Color::kE), -1});
-      return true;
-    }
-  }
-  return false;
-}
-
-void GenericHierProgram::wave_round_batch(local::BatchCtx& batch, NodeId v,
-                                          int phase) {
-  WaveState& w = wave_[static_cast<std::size_t>(v)];
-  const std::int64_t t =
-      batch.round() - phase_start_[static_cast<std::size_t>(phase)] + 1;
-  const bool last_phase = (phase == opt_.k);
-  const std::int64_t gamma =
-      last_phase ? 0 : opt_.gammas[static_cast<std::size_t>(phase - 1)];
-  const std::int32_t* off = batch.offsets();
-  const NodeId* adj = batch.adjacency();
-  const auto begin = static_cast<std::size_t>(off[v]);
-  const auto degree = static_cast<std::size_t>(off[v + 1]) - begin;
-
-  if (w.ports_alive < 0) {
-    w.ports_alive = 0;
-    for (std::size_t p = 0; p < degree; ++p) {
-      const NodeId u = adj[begin + p];
-      if (!is_active(u) || level(u) != level(v)) continue;
-      if (batch.terminated_visible(u)) continue;
-      if (w.ports_alive < 2) w.port[w.ports_alive] = static_cast<int>(p);
-      ++w.ports_alive;
-    }
-    if (w.ports_alive > 2) {
-      throw std::logic_error("generic: level path with degree > 2");
-    }
-    for (int s = 0; s < 2; ++s) {
-      if (w.port[s] < 0) {
-        w.src[s] = tree_.local_id(v);
-        w.dist[s] = 0;
-      }
-    }
-  }
-
-  // 1. Receive pending waves.
-  for (int s = 0; s < 2; ++s) {
-    if (w.port[s] < 0 || w.src[s] >= 0) continue;
-    const local::RegView reg =
-        batch.reg(adj[begin + static_cast<std::size_t>(w.port[s])]);
-    if (reg.size() != kWaveRegSize) continue;
-    for (int e = 0; e < 2; ++e) {
-      const std::size_t base = static_cast<std::size_t>(3 * e);
-      if (reg[base] == static_cast<std::int64_t>(v)) {
-        w.src[s] = reg[base + 1];
-        w.dist[s] = reg[base + 2] + 1;
-      }
-    }
-  }
-
-  // 2. Forward, staged as one row of the width-6 wave lane.
-  std::int64_t out[kWaveRegSize] = {kNoEntry, kNoEntry, kNoEntry,
-                                    kNoEntry, kNoEntry, kNoEntry};
-  bool publish = false;
-  for (int s = 0; s < 2; ++s) {
-    const int other = 1 - s;
-    if (w.port[s] < 0 || w.src[other] < 0) continue;
-    const std::size_t base = static_cast<std::size_t>(3 * s);
-    out[base] = adj[begin + static_cast<std::size_t>(w.port[s])];
-    out[base + 1] = w.src[other];
-    out[base + 2] = w.dist[other];
-    publish = true;
-  }
-  if (publish) {
-    wave_nodes_.push_back(v);
-    wave_words_.insert(wave_words_.end(), out, out + kWaveRegSize);
-  }
-
-  // 3. Decide.
-  if (w.src[0] >= 0 && w.src[1] >= 0) {
-    const std::int64_t len = w.dist[0] + w.dist[1] + 1;
-    batch_term_nodes_.push_back(v);
-    if (!last_phase && len >= gamma) {
-      batch_term_outputs_.push_back(
-          local::Output{static_cast<int>(Color::kD), -1});
-      return;
-    }
-    const int anchor = (w.src[0] <= w.src[1]) ? 0 : 1;
-    const bool even = (w.dist[anchor] % 2 == 0);
-    batch_term_outputs_.push_back(local::Output{
-        static_cast<int>(even ? Color::kW : Color::kB), -1});
-    return;
-  }
-  if (!last_phase && t >= gamma + 2) {
-    batch_term_nodes_.push_back(v);
-    batch_term_outputs_.push_back(
-        local::Output{static_cast<int>(Color::kD), -1});
-  }
-}
-
-void GenericHierProgram::cv_round_batch(local::BatchCtx& batch, NodeId v) {
-  WaveState& w = wave_[static_cast<std::size_t>(v)];
-  const std::int64_t t =
-      batch.round() - phase_start_[static_cast<std::size_t>(opt_.k)] + 1;
-  const std::int64_t sched = static_cast<std::int64_t>(cv_schedule_.size());
-  const std::int32_t* off = batch.offsets();
-  const NodeId* adj = batch.adjacency();
-  const auto begin = static_cast<std::size_t>(off[v]);
-  const auto degree = static_cast<std::size_t>(off[v + 1]) - begin;
-
-  const auto stage_color = [&] {
-    cv_nodes_.push_back(v);
-    cv_words_.push_back(color_[static_cast<std::size_t>(v)]);
-  };
-
-  if (t == 1) {
-    w.ports_alive = 0;
-    for (std::size_t p = 0; p < degree; ++p) {
-      const NodeId u = adj[begin + p];
-      if (!is_active(u) || level(u) != level(v)) continue;
-      if (batch.terminated_visible(u)) continue;
-      if (w.ports_alive < 2) w.port[w.ports_alive] = static_cast<int>(p);
-      ++w.ports_alive;
-    }
-    if (w.ports_alive > 2) {
-      throw std::logic_error("generic: level-k path with degree > 2");
-    }
-    color_[static_cast<std::size_t>(v)] = tree_.local_id(v);
-    stage_color();
-    return;
-  }
-
-  auto neighbor_color = [&](int s) -> std::int64_t {
-    if (w.port[s] < 0) return -1;
-    const local::RegView reg =
-        batch.reg(adj[begin + static_cast<std::size_t>(w.port[s])]);
-    return reg.empty() ? -1 : reg[0];
-  };
-
-  if (t >= 2 && t <= 1 + sched) {
-    const std::int64_t q = cv_schedule_[static_cast<std::size_t>(t - 2)];
-    color_[static_cast<std::size_t>(v)] =
-        cv_reduce(q, color_[static_cast<std::size_t>(v)], neighbor_color(0),
-                  neighbor_color(1));
-    stage_color();
-    return;
-  }
-
-  const std::int64_t elim_start = 1 + sched + cv_pad_ + 1;
-  if (t >= elim_start && t < elim_start + 22) {
-    const std::int64_t cls = 24 - (t - elim_start);
-    if (color_[static_cast<std::size_t>(v)] == cls) {
-      bool used[3] = {false, false, false};
-      for (int s = 0; s < 2; ++s) {
-        const std::int64_t c = neighbor_color(s);
-        if (c >= 0 && c < 3) used[static_cast<std::size_t>(c)] = true;
-      }
-      for (std::int64_t c = 0; c < 3; ++c) {
-        if (!used[static_cast<std::size_t>(c)]) {
-          color_[static_cast<std::size_t>(v)] = c;
-          break;
-        }
-      }
-      stage_color();
-    }
-    return;
-  }
-
-  if (batch.round() >= cv_end_round_) {
-    static constexpr Color kMap[3] = {Color::kR, Color::kG, Color::kY};
-    const std::int64_t c = color_[static_cast<std::size_t>(v)];
-    if (c < 0 || c > 2) {
-      throw std::logic_error("generic: CV did not reach 3 colors");
-    }
-    batch_term_nodes_.push_back(v);
-    batch_term_outputs_.push_back(local::Output{
-        static_cast<int>(kMap[static_cast<std::size_t>(c)]), -1});
-  }
-}
-
-void GenericHierProgram::on_round_batch(local::BatchCtx& batch,
-                                        local::NodeSpan nodes) {
-  // Pure in the round number, so one lookup serves the whole span.
-  const int phase = phase_of(batch.round());
-  wave_nodes_.clear();
-  wave_words_.clear();
-  cv_nodes_.clear();
-  cv_words_.clear();
-  batch_term_nodes_.clear();
-  batch_term_outputs_.clear();
-
-  for (const NodeId v : nodes) {
-    if (!is_active(v)) continue;
-    const int lv = level(v);
-    if (try_exempt_batch(batch, v)) continue;
-    if (phase == 0 || lv > opt_.k) continue;
-    if (lv < opt_.k) {
-      if (phase == lv) wave_round_batch(batch, v, phase);
-      continue;
-    }
-    if (phase != opt_.k) continue;
-    if (opt_.variant == Variant::kTwoHalf) {
-      wave_round_batch(batch, v, opt_.k);
-    } else {
-      cv_round_batch(batch, v);
-    }
-  }
-
-  // Flush in per-node order: publishes, then terminations.
-  if (!wave_nodes_.empty()) {
-    batch.publish_lane(wave_nodes_, wave_words_.data(), kWaveRegSize);
-  }
-  if (!cv_nodes_.empty()) {
-    batch.publish_lane(cv_nodes_, cv_words_.data(), 1);
-  }
-  if (!batch_term_nodes_.empty()) {
-    batch.terminate_lane(batch_term_nodes_, batch_term_outputs_.data());
   }
 }
 

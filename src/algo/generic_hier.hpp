@@ -20,6 +20,11 @@
 // own logic. Levels are precomputed on the active subgraph — a constant-
 // round LOCAL computation for constant k (see `LevelProgram` for the
 // distributed version and the test that they agree).
+//
+// Each step has one body, written against `NodeCtx`; the program
+// overrides no batch hook, so batch dispatch replays on_init/on_round
+// through the engine's default hooks (bit-identical, and measured no
+// slower than a span kernel: DESIGN.md, "Batched dispatch").
 #pragma once
 
 #include <cstdint>
@@ -62,10 +67,6 @@ class GenericHierProgram final : public local::Program {
 
   void on_init(local::NodeCtx& ctx) override;
   void on_round(local::NodeCtx& ctx) override;
-  void on_init_batch(local::BatchCtx& batch,
-                     local::NodeSpan nodes) override;
-  void on_round_batch(local::BatchCtx& batch,
-                      local::NodeSpan nodes) override;
 
   /// First round of phase i (1-based). Exposed for tests and for
   /// composite programs that schedule around the phases.
@@ -102,13 +103,6 @@ class GenericHierProgram final : public local::Program {
   void wave_round(local::NodeCtx& ctx, int phase);
   void cv_round(local::NodeCtx& ctx);
 
-  // Batch-kernel twins of try_exempt/wave_round/cv_round: identical
-  // reads through BatchCtx's committed-plane views, writes staged into
-  // the member lanes below and flushed once per round.
-  bool try_exempt_batch(local::BatchCtx& batch, NodeId v);
-  void wave_round_batch(local::BatchCtx& batch, NodeId v, int phase);
-  void cv_round_batch(local::BatchCtx& batch, NodeId v);
-
   const Tree& tree_;
   GenericOptions opt_;
   std::vector<int> levels_;
@@ -119,19 +113,6 @@ class GenericHierProgram final : public local::Program {
 
   std::vector<WaveState> wave_;
   std::vector<std::int64_t> color_;  ///< CV working color
-
-  // Batch-dispatch staging lanes, reused across rounds: wave publishes
-  // are width-6 rows of wave_words_, CV publishes width-1 rows of
-  // cv_words_, terminations pair batch_term_nodes_[i] with
-  // batch_term_outputs_[i]. Flushed at the end of each on_round_batch
-  // via publish_lane/terminate_lane — unobservable under the engine's
-  // staging semantics (reads see only round-start state).
-  std::vector<NodeId> wave_nodes_;
-  std::vector<std::int64_t> wave_words_;
-  std::vector<NodeId> cv_nodes_;
-  std::vector<std::int64_t> cv_words_;
-  std::vector<NodeId> batch_term_nodes_;
-  std::vector<local::Output> batch_term_outputs_;
 };
 
 /// Convenience: run the generic algorithm on `tree` and return the stats.

@@ -12,33 +12,9 @@ namespace {
 using graph::NodeId;
 using problems::WeightOut;
 
-std::vector<int> active_levels(const graph::Tree& tree, int k) {
-  std::vector<char> mask(static_cast<std::size_t>(tree.size()), 0);
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    mask[static_cast<std::size_t>(v)] =
-        tree.input(v) == static_cast<int>(graph::WeightInput::kActive) ? 1
-                                                                       : 0;
-  }
-  return problems::compute_levels_masked(tree, k, mask);
-}
-
 FastDecompPlan make_plan(const graph::Tree& tree, int d) {
-  const NodeId n = tree.size();
-  std::vector<char> participates(static_cast<std::size_t>(n), 0);
-  std::vector<char> is_a(static_cast<std::size_t>(n), 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (tree.input(v) == static_cast<int>(graph::WeightInput::kActive)) {
-      continue;
-    }
-    participates[static_cast<std::size_t>(v)] = 1;
-    for (NodeId u : tree.neighbors(v)) {
-      if (tree.input(u) ==
-          static_cast<int>(graph::WeightInput::kActive)) {
-        is_a[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-  }
-  return run_fast_decomposition(tree, participates, is_a, d);
+  const problems::WeightSubgraph w = problems::weight_subgraph(tree);
+  return run_fast_decomposition(tree, w.participates, w.is_a, d);
 }
 
 }  // namespace
@@ -50,7 +26,7 @@ Pi35Program::Pi35Program(const graph::Tree& tree, Pi35Options options)
                GenericOptions{problems::Variant::kThreeHalf, opt_.k,
                               opt_.gammas, opt_.id_space,
                               opt_.symmetry_pad},
-               active_levels(tree, opt_.k)),
+               problems::active_levels(tree, opt_.k)),
       plan_(make_plan(tree, opt_.d)) {
   const std::size_t n = static_cast<std::size_t>(tree.size());
   declined_.assign(n, 0);

@@ -18,16 +18,6 @@ using graph::NodeId;
 using problems::Color;
 using problems::EdgeDir;
 
-std::vector<int> active_levels(const graph::Tree& tree, int k) {
-  std::vector<char> mask(static_cast<std::size_t>(tree.size()), 0);
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    mask[static_cast<std::size_t>(v)] =
-        tree.input(v) == static_cast<int>(graph::WeightInput::kActive) ? 1
-                                                                       : 0;
-  }
-  return problems::compute_levels_masked(tree, k, mask);
-}
-
 GenericOptions make_generic_options(const graph::Tree& tree,
                                     const WeightAugOptions& opt) {
   std::int64_t gamma = opt.gamma;
@@ -52,7 +42,7 @@ WeightAugProgram::WeightAugProgram(const graph::Tree& tree,
     : tree_(tree),
       opt_(std::move(options)),
       generic_(tree, make_generic_options(tree, opt_),
-               active_levels(tree, opt_.k)) {
+               problems::active_levels(tree, opt_.k)) {
   const NodeId n = tree_.size();
   kind_.assign(static_cast<std::size_t>(n), WKind::kActiveNode);
   label_.assign(static_cast<std::size_t>(n), -1);

@@ -2,12 +2,18 @@
 
 #include <deque>
 
+#include "graph/builders.hpp"
+
 namespace lcl::problems {
 
 namespace {
 
 using graph::NodeId;
 using graph::Tree;
+
+bool is_active(const Tree& tree, NodeId v) {
+  return tree.input(v) == static_cast<int>(graph::WeightInput::kActive);
+}
 
 std::vector<int> peel(const Tree& tree, int k,
                       const std::vector<char>* mask) {
@@ -72,6 +78,27 @@ std::vector<int> compute_levels(const graph::Tree& tree, int k) {
 std::vector<int> compute_levels_masked(const graph::Tree& tree, int k,
                                        const std::vector<char>& in_subgraph) {
   return peel(tree, k, &in_subgraph);
+}
+
+std::vector<int> active_levels(const Tree& tree, int k) {
+  std::vector<char> mask(static_cast<std::size_t>(tree.size()), 0);
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    mask[static_cast<std::size_t>(v)] = is_active(tree, v) ? 1 : 0;
+  }
+  return compute_levels_masked(tree, k, mask);
+}
+
+WeightSubgraph weight_subgraph(const Tree& tree) {
+  const auto n = static_cast<std::size_t>(tree.size());
+  WeightSubgraph w{std::vector<char>(n, 0), std::vector<char>(n, 0)};
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    if (is_active(tree, v)) continue;
+    w.participates[static_cast<std::size_t>(v)] = 1;
+    for (NodeId u : tree.neighbors(v)) {
+      if (is_active(tree, u)) w.is_a[static_cast<std::size_t>(v)] = 1;
+    }
+  }
+  return w;
 }
 
 }  // namespace lcl::problems

@@ -25,4 +25,19 @@ namespace lcl::problems {
 [[nodiscard]] std::vector<int> compute_levels_masked(
     const graph::Tree& tree, int k, const std::vector<char>& in_subgraph);
 
+/// Levels within the subgraph induced by the Active nodes
+/// (graph::WeightInput::kActive) of a weighted instance; weight nodes get
+/// level 0. This is the level input of the generic algorithm embedded in
+/// the weighted solvers.
+[[nodiscard]] std::vector<int> active_levels(const graph::Tree& tree, int k);
+
+/// The weight part of a weighted instance, as node masks: every non-Active
+/// node participates, and a participant adjacent to an Active node is an
+/// input-A node.
+struct WeightSubgraph {
+  std::vector<char> participates;
+  std::vector<char> is_a;
+};
+[[nodiscard]] WeightSubgraph weight_subgraph(const graph::Tree& tree);
+
 }  // namespace lcl::problems

@@ -261,13 +261,13 @@ int Transport::run(const volatile std::sig_atomic_t* stop_flag) {
 void Transport::start() {
   if (started_) return;
   listen_now();
-  internal_stop_ = 0;
+  internal_stop_.store(false);
   started_ = true;
   loop_thread_ = std::thread([this] { loop(nullptr); });
 }
 
 void Transport::stop() {
-  internal_stop_ = 1;
+  internal_stop_.store(true);
   if (loop_thread_.joinable()) loop_thread_.join();
   started_ = false;
 }
@@ -297,7 +297,7 @@ void Transport::loop(const volatile std::sig_atomic_t* stop_flag) {
 
   for (;;) {
     const bool stop_now =
-        internal_stop_ != 0 || (stop_flag != nullptr && *stop_flag != 0);
+        internal_stop_.load() || (stop_flag != nullptr && *stop_flag != 0);
     if (stop_now && !draining) {
       // Graceful drain: stop accepting and reading, flush everything
       // framed or in flight, then leave. A connection with nothing

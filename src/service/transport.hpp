@@ -38,6 +38,7 @@
 // until its response has been flushed).
 #pragma once
 
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <memory>
@@ -151,7 +152,9 @@ class Transport {
   std::shared_ptr<Waker> waker_;
   std::vector<std::unique_ptr<Conn>> conns_;
   std::thread loop_thread_;
-  volatile std::sig_atomic_t internal_stop_ = 0;
+  /// Written by `stop()` on the caller's thread, read by the loop
+  /// thread, so it must be atomic (volatile does not synchronise).
+  std::atomic<bool> internal_stop_{false};
   bool started_ = false;
 
   mutable std::mutex stats_mu_;

@@ -218,16 +218,18 @@ TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
   }
 }
 
-// Dedicated heavy generic_hier case for its batch-kernel port: the
-// registry fuzz above only drives solvers at their default configs, so
-// the k-hierarchical program's interesting machinery — the Exempt rules
-// between phases, multi-gamma wave schedules, the level-k Cole-Vishkin
-// reduction with a virtual-log* pad — never fires there. Here both
-// variants run at k = 2 and k = 3 with explicit gamma profiles on
-// structured lower-bound instances and random trees; per-node and batch
-// dispatch must agree bit-identically, the coloring must pass the
-// paper's hierarchical checker, and the shared schedule must replay
-// bit-identically on the frozen legacy engine.
+// Dedicated heavy generic_hier case: the registry fuzz above only drives
+// solvers at their default configs, so the k-hierarchical program's
+// interesting machinery — the Exempt rules between phases, multi-gamma
+// wave schedules, the level-k Cole-Vishkin reduction with a virtual-log*
+// pad — never fires there. Here both variants run at k = 2 and k = 3
+// with explicit gamma profiles on structured lower-bound instances and
+// random trees. The program overrides no batch hook, so batch dispatch
+// replays its per-node body through the engine's default hooks; the two
+// dispatch modes must agree bit-identically, the per-node run must hit
+// the pinned totals (sum T_v, rounds, worst case), the coloring must
+// pass the paper's hierarchical checker, and the shared schedule must
+// replay bit-identically on the frozen legacy engine.
 TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
   struct HierCase {
     std::string label;
@@ -236,18 +238,22 @@ TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
     int k;
     std::vector<std::int64_t> gammas;
     std::int64_t pad;
+    std::int64_t sum_t;  ///< pinned sum_v T_v
+    std::int64_t rounds;
+    std::int64_t worst;
   };
   std::vector<HierCase> cases;
   cases.push_back({"lower_bound_25_k2",
                    graph::make_hierarchical_lower_bound({6, 40}).tree,
-                   problems::Variant::kTwoHalf, 2, {5}, 0});
+                   problems::Variant::kTwoHalf, 2, {5}, 0, 3000, 53, 53});
   cases.push_back({"lower_bound_35_k3",
                    graph::make_hierarchical_lower_bound({5, 6, 14}).tree,
-                   problems::Variant::kThreeHalf, 3, {4, 4}, 60});
+                   problems::Variant::kThreeHalf, 3, {4, 4}, 60, 5662, 89,
+                   89});
   cases.push_back({"random_25_k3", graph::make_random_tree(520, 4, 77),
-                   problems::Variant::kTwoHalf, 3, {4, 8}, 0});
+                   problems::Variant::kTwoHalf, 3, {4, 8}, 0, 988, 31, 31});
   cases.push_back({"random_35_k2", graph::make_random_tree(480, 4, 91),
-                   problems::Variant::kThreeHalf, 2, {6}, 40});
+                   problems::Variant::kThreeHalf, 2, {6}, 40, 875, 5, 5});
 
   std::uint64_t id_seed = 1337;
   for (HierCase& c : cases) {
@@ -271,6 +277,9 @@ TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
     const local::RunStats batch_stats = batch_engine.run(batch_program);
 
     ASSERT_FALSE(pernode_stats.truncated);
+    EXPECT_EQ(pernode_stats.total_rounds, c.sum_t);
+    EXPECT_EQ(pernode_stats.rounds, c.rounds);
+    EXPECT_EQ(pernode_stats.worst_case, c.worst);
     EXPECT_EQ(pernode_stats.rounds, batch_stats.rounds);
     EXPECT_EQ(pernode_stats.total_rounds, batch_stats.total_rounds);
     EXPECT_EQ(pernode_stats.node_averaged, batch_stats.node_averaged);

@@ -428,9 +428,15 @@ using service::Transport;
 using service::TransportOptions;
 using service::TransportStats;
 
-int tcp_connect(int port) {
+/// `rcvbuf_bytes > 0` shrinks the client's receive buffer before the
+/// handshake, so the advertised window stays small.
+int tcp_connect(int port, int rcvbuf_bytes = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  if (rcvbuf_bytes > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
+                 sizeof(rcvbuf_bytes));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -618,7 +624,11 @@ TEST(ServiceTransport, WriteBacklogStallsReadsAndResumes) {
   constexpr int kBurst = 64;
   std::string batch;
   for (int i = 0; i < kBurst; ++i) batch += request + "\n";
-  const int fd = tcp_connect(transport.port());
+  // The client's receive buffer is shrunk as well (clamped to the
+  // kernel minimum): otherwise the kernel can absorb the whole burst of
+  // responses, the backlog never builds and whether reads pause depends
+  // on scheduling.
+  const int fd = tcp_connect(transport.port(), 1);
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(send_all(fd, batch));
   // Wait for the supervisor to park the connection. Polling the stats

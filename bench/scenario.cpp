@@ -350,9 +350,19 @@ void print_algo_registry() {
 
 std::int64_t ScenarioContext::scaled(std::int64_t base,
                                      std::int64_t floor) const {
-  const double scaled = static_cast<double>(base) * opts_.n_scale;
-  return std::max<std::int64_t>(floor,
-                                static_cast<std::int64_t>(std::llround(scaled)));
+  const double scale = opts_.n_scale;
+  if (!(scale > 0.0)) {
+    throw std::invalid_argument("ScenarioContext: n_scale must be > 0, got " +
+                                std::to_string(scale));
+  }
+  // Clamp in double before converting: llround's result is unspecified
+  // beyond the int64 range (glibc returns INT64_MIN, which the floor then
+  // turned into a silent 2). 0x1p63 is the first double past INT64_MAX.
+  const double scaled = static_cast<double>(base) * scale;
+  if (scaled >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+  // Also catches 0 * inf, the one NaN a positive scale can produce.
+  if (!(scaled >= static_cast<double>(floor))) return floor;
+  return std::max<std::int64_t>(floor, std::llround(scaled));
 }
 
 std::vector<core::MeasuredRun> ScenarioContext::run_sweep(

@@ -83,7 +83,10 @@ class ScenarioContext {
   [[nodiscard]] const ScenarioOptions& opts() const { return opts_; }
   [[nodiscard]] core::BatchRunner& pool() { return pool_; }
 
-  /// Scales a base instance size by --n (never below `floor`).
+  /// Scales a base instance size by --n (never below `floor`, and
+  /// saturating at INT64_MAX). Throws std::invalid_argument when
+  /// `n_scale` is NaN or not positive — options built in code skip the
+  /// CLI's range check.
   [[nodiscard]] std::int64_t scaled(std::int64_t base,
                                     std::int64_t floor = 2) const;
 

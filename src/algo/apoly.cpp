@@ -113,12 +113,17 @@ void ApolyProgram::on_round(local::NodeCtx& ctx) {
     // non-waiting outputs are charged exactly that many rounds.
     if (r >= dfree_.view_radius) {
       ctx.terminate(out);
+    } else {
+      ctx.sleep_until(dfree_.view_radius);
     }
     return;
   }
 
   // Copy nodes: wait for the label, then flood it downward.
-  if (r < dfree_.view_radius) return;
+  if (r < dfree_.view_radius) {
+    ctx.sleep_until(dfree_.view_radius);
+    return;
+  }
   std::int64_t label = -1;
   if (dfree_.copy_depth[static_cast<std::size_t>(v)] == 0) {
     // Component root (input-A): adopt the output of the first active
@@ -140,6 +145,9 @@ void ApolyProgram::on_round(local::NodeCtx& ctx) {
     ctx.publish({label});
     ctx.terminate(static_cast<int>(WeightOut::kCopy),
                   static_cast<int>(label));
+  } else {
+    // Only the label's arrival from a neighbour can change anything.
+    ctx.sleep_until(local::NodeCtx::kNever);
   }
 }
 

@@ -210,7 +210,14 @@ void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
   }
   if (!last_phase && t >= gamma + 2) {
     ctx.terminate(static_cast<int>(Color::kD));
+    return;
   }
+  // Until a neighbour's wave arrives, only the Decline deadline (round
+  // t == gamma + 2) can change anything.
+  ctx.sleep_until(last_phase
+                      ? local::NodeCtx::kNever
+                      : phase_start_[static_cast<std::size_t>(phase)] +
+                            gamma + 1);
 }
 
 void GenericHierProgram::cv_round(local::NodeCtx& ctx) {
@@ -255,6 +262,12 @@ void GenericHierProgram::cv_round(local::NodeCtx& ctx) {
   }
 
   const std::int64_t elim_start = 1 + sched + cv_pad_ + 1;
+  if (t < elim_start) {
+    // The virtual-log* pad: idle until the elimination starts.
+    ctx.sleep_until(phase_start_[static_cast<std::size_t>(opt_.k)] +
+                    elim_start - 1);
+    return;
+  }
   if (t >= elim_start && t < elim_start + 22) {
     // One color class per round, from 24 down to 3.
     const std::int64_t cls = 24 - (t - elim_start);
@@ -296,12 +309,21 @@ void GenericHierProgram::on_round(local::NodeCtx& ctx) {
   if (phase == 0 || lv > opt_.k) return;
 
   if (lv < opt_.k) {
-    if (phase == lv) wave_round(ctx, phase);
+    if (phase == lv) {
+      wave_round(ctx, phase);
+    } else {
+      // Before its phase only a lower neighbour's Exempt-enabling
+      // termination can matter.
+      ctx.sleep_until(phase_start_[static_cast<std::size_t>(lv)]);
+    }
     return;
   }
 
   // Level-k nodes act only in phase k.
-  if (phase != opt_.k) return;
+  if (phase != opt_.k) {
+    ctx.sleep_until(phase_start_[static_cast<std::size_t>(opt_.k)]);
+    return;
+  }
   if (opt_.variant == Variant::kTwoHalf) {
     wave_round(ctx, opt_.k);
   } else {

@@ -93,8 +93,12 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
       const int out = role == FdaRole::kConnect
                           ? static_cast<int>(WeightOut::kConnect)
                           : static_cast<int>(WeightOut::kDecline);
-      if (r >= plan_.ready_round[static_cast<std::size_t>(v)]) {
+      const std::int64_t ready =
+          plan_.ready_round[static_cast<std::size_t>(v)];
+      if (r >= ready) {
         ctx.terminate(out);
+      } else {
+        ctx.sleep_until(ready);
       }
       return;
     }
@@ -102,7 +106,10 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
     case FdaRole::kCopyRoot: {
       const std::int64_t decide =
           plan_.ready_round[static_cast<std::size_t>(v)];
-      if (r < decide) return;
+      if (r < decide) {
+        ctx.sleep_until(decide);
+        return;
+      }
       const int comp = plan_.comp_of_root[static_cast<std::size_t>(v)];
       if (case_of_root_[static_cast<std::size_t>(comp)] == 0) {
         resolve_component(ctx, v);
@@ -120,6 +127,8 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
           return;
         }
       }
+      // Only an active neighbour's termination can start the flood.
+      ctx.sleep_until(local::NodeCtx::kNever);
       return;
     }
 
@@ -127,7 +136,11 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
       // Pruned members decline at their scheduled round.
       const std::int64_t pr = prune_round_[static_cast<std::size_t>(v)];
       if (pr >= 0) {
-        if (r >= pr) ctx.terminate(static_cast<int>(WeightOut::kDecline));
+        if (r >= pr) {
+          ctx.terminate(static_cast<int>(WeightOut::kDecline));
+        } else {
+          ctx.sleep_until(pr);
+        }
         return;
       }
       // Kept members listen for the flood from their parent.
@@ -138,7 +151,17 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
         ctx.terminate(static_cast<int>(WeightOut::kCopy),
                       static_cast<int>(reg[0]));
         ++copies_kept_;
+        return;
       }
+      // The root resolves at exactly its decision round, so a pruning
+      // Decline fires no earlier than comp_depth rounds later; after
+      // that only the parent's flood can arrive.
+      const std::int64_t earliest_prune =
+          plan_.ready_round[static_cast<std::size_t>(
+              plan_.comp_root[static_cast<std::size_t>(v)])] +
+          plan_.comp_depth[static_cast<std::size_t>(v)];
+      ctx.sleep_until(r < earliest_prune ? earliest_prune
+                                         : local::NodeCtx::kNever);
       return;
     }
   }

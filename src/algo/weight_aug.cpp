@@ -205,7 +205,10 @@ void WeightAugProgram::on_round(local::NodeCtx& ctx) {
   }
 
   const std::int64_t r = ctx.round();
-  if (r < label_round_[static_cast<std::size_t>(v)]) return;
+  if (r < label_round_[static_cast<std::size_t>(v)]) {
+    ctx.sleep_until(label_round_[static_cast<std::size_t>(v)]);
+    return;
+  }
   const int lab = label_[static_cast<std::size_t>(v)];
 
   switch (kind_[static_cast<std::size_t>(v)]) {
@@ -225,7 +228,10 @@ void WeightAugProgram::on_round(local::NodeCtx& ctx) {
 
     case WKind::kPointsActive: {
       const int pp = pointee_port_[static_cast<std::size_t>(v)];
-      if (!ctx.neighbor_terminated(pp)) return;
+      if (!ctx.neighbor_terminated(pp)) {
+        ctx.sleep_until(local::NodeCtx::kNever);  // until the pointee ends
+        return;
+      }
       const int sec = ctx.neighbor_output(pp).primary;
       ctx.publish({sec});
       ctx.terminate(lab, sec);
@@ -235,7 +241,10 @@ void WeightAugProgram::on_round(local::NodeCtx& ctx) {
     case WKind::kPointsWeight: {
       const int pp = pointee_port_[static_cast<std::size_t>(v)];
       const local::RegView reg = ctx.peek(pp);
-      if (reg.empty()) return;
+      if (reg.empty()) {
+        ctx.sleep_until(local::NodeCtx::kNever);  // until the pointee ends
+        return;
+      }
       const std::int64_t sec = reg[0];
       ctx.publish({sec});
       ctx.terminate(lab, static_cast<int>(sec));

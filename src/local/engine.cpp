@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 
 namespace lcl::local {
@@ -75,24 +76,13 @@ void BatchCtx::terminate_lane(NodeSpan nodes, const Output* outputs) {
 void BatchCtx::publish_lane(NodeSpan nodes, const std::int64_t* words,
                             std::size_t width) {
   Engine& e = engine_;
-  // One capacity check for the whole lane; the per-node body below is
-  // NodeCtx::publish with the grow branch hoisted out.
-  if (static_cast<std::int64_t>(width) > e.cap_) {
-    e.grow(static_cast<std::int64_t>(width));
-  }
+  // One capacity check for the whole lane; the per-node body is
+  // NodeCtx::publish's with the grow branch hoisted out.
+  const auto w = static_cast<std::int64_t>(width);
+  if (w > e.cap_) e.grow(w);
   const std::int64_t* src = words;
   for (const NodeId v : nodes) {
-    const auto i = static_cast<std::size_t>(v);
-    const int staging = e.cur_[i] ^ 1;
-    if (width != 0) {
-      std::memcpy(e.words_[staging] + i * static_cast<std::size_t>(e.cap_),
-                  src, width * sizeof(std::int64_t));
-    }
-    e.len_[staging][i] = static_cast<std::int32_t>(width);
-    if (e.pub_[i] == 0) {
-      e.pub_[i] = 1;
-      e.ws_->published.push_back(v);
-    }
+    e.stage(v, src, w);
     src += width;
   }
 }
@@ -119,6 +109,7 @@ void Engine::Workspace::prepare(std::int64_t n) {
   allocs += pub.assign(count, 0) ? 1 : 0;
   allocs += terminated.assign(count, 0) ? 1 : 0;
   allocs += term_round.assign(count, 0) ? 1 : 0;
+  allocs += sleep.assign(count, 0) ? 1 : 0;
   if (outputs.capacity() < count) ++allocs;
   outputs.assign(count, Output{});
   if (alive.capacity() < count) {
@@ -131,6 +122,18 @@ void Engine::Workspace::prepare(std::int64_t n) {
     published.reserve(count);
   }
   published.clear();
+  if (woken.capacity() < count) {
+    ++allocs;
+    woken.reserve(count);
+  }
+  woken.clear();
+  // One pending timer per sleeping node covers the programs here; a
+  // heap that outgrows it is counted when it grows (Engine::sleep).
+  if (timers.capacity() < count) {
+    ++allocs;
+    timers.reserve(count);
+  }
+  timers.clear();
   retired.clear();
   alloc_events_ += allocs;
 }
@@ -146,6 +149,7 @@ void Engine::bind(Workspace& ws) {
   pub_ = ws.pub.data();
   term_ = ws.terminated.data();
   term_round_ = ws.term_round.data();
+  sleep_ = ws.sleep.data();
   outputs_ = ws.outputs.data();
 }
 
@@ -179,25 +183,145 @@ void Engine::grow(std::int64_t width) {
 
 void Engine::commit_publishes() {
   // Toggle the owners' parity bits via the publisher list; silent and
-  // terminated nodes cost nothing.
+  // terminated nodes cost nothing. Under batch dispatch the list also
+  // holds the round's silent terminators (pub == 0, nothing to flip),
+  // and every entry wakes its sleeping neighbours for the next round.
   std::vector<NodeId>& published = ws_->published;
   for (const NodeId v : published) {
-    cur_[static_cast<std::size_t>(v)] ^= 1;
-    pub_[static_cast<std::size_t>(v)] = 0;
+    const auto i = static_cast<std::size_t>(v);
+    if (pub_[i] != 0) {
+      cur_[i] ^= 1;
+      pub_[i] = 0;
+    }
+    if (batch_) {
+      for (std::int32_t p = off_[i]; p < off_[i + 1]; ++p) {
+        wake(adj_[static_cast<std::size_t>(p)]);
+      }
+    }
   }
   published.clear();
   ws_->retired.clear();
 }
 
-void Engine::compact_alive() {
-  // Stable in-place removal of the terminated ids: survivors keep their
-  // relative order, so the alive list stays strictly increasing.
+std::int64_t Engine::compact_alive() {
+  // Stable in-place removal of the terminated ids (and the sleepers):
+  // survivors keep their relative order, so the alive list stays
+  // strictly increasing.
   std::vector<NodeId>& alive = ws_->alive;
   std::size_t w = 0;
+  std::int64_t ended = 0;
   for (const NodeId v : alive) {
-    if (term_[static_cast<std::size_t>(v)] == 0) alive[w++] = v;
+    const auto i = static_cast<std::size_t>(v);
+    if (term_[i] != 0) {
+      ++ended;
+      if (batch_) {
+        // A node may sleep and terminate in one callback: termination
+        // wins. A silent terminator joins the publisher list so the
+        // flip wakes its neighbours.
+        sleep_[i] = kAwake;
+        if (pub_[i] == 0) ws_->published.push_back(v);
+      }
+      continue;
+    }
+    if (sleep_[i] != kAsleep) alive[w++] = v;
   }
   alive.resize(w);
+  return ended;
+}
+
+namespace {
+
+// A timer packs (round, node) so the heap orders by round.
+std::uint64_t timer(std::int64_t round, NodeId v) {
+  return static_cast<std::uint64_t>(round) << 32 |
+         static_cast<std::uint32_t>(v);
+}
+std::int64_t timer_round(std::uint64_t t) {
+  return static_cast<std::int64_t>(t >> 32);
+}
+NodeId timer_node(std::uint64_t t) {
+  return static_cast<NodeId>(static_cast<std::uint32_t>(t));
+}
+
+}  // namespace
+
+void Engine::sleep(NodeId v, std::int64_t round) {
+  const auto i = static_cast<std::size_t>(v);
+  sleep_[i] = kAsleep;
+  if (round != NodeCtx::kNever) round = std::min(round, kMaxTimerRound);
+  // The deadline lives in the node's (still unused) term_round slot. An
+  // equal deadline there means its timer is still pending: reuse it.
+  if (term_round_[i] == round) return;
+  term_round_[i] = round;
+  if (round == NodeCtx::kNever) return;
+  std::vector<std::uint64_t>& timers = ws_->timers;
+  if (timers.size() == timers.capacity()) ++ws_->alloc_events_;
+  timers.push_back(timer(round, v));
+  std::push_heap(timers.begin(), timers.end(), std::greater<>());
+}
+
+void Engine::wake(NodeId u) {
+  const auto i = static_cast<std::size_t>(u);
+  if (sleep_[i] != kAsleep) return;
+  sleep_[i] = kWoken;
+  ws_->woken.push_back(u);
+}
+
+void Engine::wake_due() {
+  std::vector<std::uint64_t>& timers = ws_->timers;
+  while (!timers.empty() && timer_round(timers.front()) <= round_) {
+    const std::uint64_t t = timers.front();
+    std::pop_heap(timers.begin(), timers.end(), std::greater<>());
+    timers.pop_back();
+    const NodeId v = timer_node(t);
+    if (term_round_[static_cast<std::size_t>(v)] == timer_round(t)) wake(v);
+  }
+  std::vector<NodeId>& woken = ws_->woken;
+  if (woken.empty()) return;
+  std::sort(woken.begin(), woken.end());
+  for (const NodeId v : woken) sleep_[static_cast<std::size_t>(v)] = kAwake;
+  // Merge from the back: compaction already dropped every woken node
+  // from `alive` (they were asleep), so the two lists are disjoint, and
+  // the merged size is at most the reserved n.
+  std::vector<NodeId>& alive = ws_->alive;
+  std::size_t a = alive.size();
+  std::size_t b = woken.size();
+  alive.resize(a + b);
+  for (std::size_t out = a + b; b > 0;) {
+    if (a > 0 && alive[a - 1] > woken[b - 1]) {
+      alive[--out] = alive[--a];
+    } else {
+      alive[--out] = woken[--b];
+    }
+  }
+  woken.clear();
+}
+
+void Engine::skip_idle(std::int64_t max_rounds, std::int64_t live,
+                       RunProfile* profile) {
+  // Discard stale timers (their node woke or re-slept since), so the
+  // jump lands on a round that wakes somebody.
+  std::vector<std::uint64_t>& timers = ws_->timers;
+  std::int64_t next = NodeCtx::kNever;
+  while (!timers.empty()) {
+    const std::uint64_t t = timers.front();
+    const auto i = static_cast<std::size_t>(timer_node(t));
+    if (sleep_[i] == kAsleep && term_round_[i] == timer_round(t)) {
+      next = timer_round(t);
+      break;
+    }
+    std::pop_heap(timers.begin(), timers.end(), std::greater<>());
+    timers.pop_back();
+  }
+  const std::int64_t last_idle =
+      next == NodeCtx::kNever ? max_rounds : std::min(next - 1, max_rounds);
+  if (last_idle <= round_) return;
+  if (profile != nullptr) {
+    const auto skipped = static_cast<std::size_t>(last_idle - round_);
+    profile->alive_per_round.insert(profile->alive_per_round.end(), skipped,
+                                    live);
+  }
+  round_ = last_idle;
 }
 
 RunStats Engine::run(Program& program, std::int64_t max_rounds,
@@ -240,6 +364,7 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
   // Init phase (round 0): registers published here are visible in round 1.
   std::vector<NodeId>& alive = ws.alive;
   BatchCtx bctx(*this);
+  std::int64_t live = tree_.size();  // alive nodes, sleepers included
   if (batch_) {
     // One span-level call over every node, then a stable compaction of
     // the init-terminated ones — the same surviving order the per-node
@@ -250,13 +375,14 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
       alive[i] = static_cast<NodeId>(i);
     }
     program.on_init_batch(bctx, NodeSpan(alive.data(), alive.size()));
-    compact_alive();
+    live -= compact_alive();
   } else {
     for (NodeId v = 0; v < tree_.size(); ++v) {
       NodeCtx ctx(*this, v);
       program.on_init(ctx);
       if (term_[static_cast<std::size_t>(v)] == 0) alive.push_back(v);
     }
+    live = static_cast<std::int64_t>(alive.size());
   }
   commit_publishes();
   if (profile != nullptr) {
@@ -268,23 +394,28 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
   // previous run (run_into contract).
   stats.truncated = false;
   stats.unterminated = 0;
-  while (!alive.empty()) {
+  stats.visits = 0;
+  while (live > 0) {
+    // Only batch dispatch can have every live node asleep.
+    if (alive.empty() && ws.woken.empty()) {
+      skip_idle(max_rounds, live, profile);
+    }
     if (round_ >= max_rounds) {
       // Structured truncation: keep everything measured so far and censor
       // the survivors' T_v at the executed round count (a lower bound on
-      // their true termination time). Their outputs stay {-1, -1}.
+      // their true termination time). Their outputs stay {-1, -1}. The
+      // scan also covers sleepers, which are not in the alive list.
       stats.truncated = true;
-      stats.unterminated = static_cast<std::int64_t>(alive.size());
-      for (const NodeId v : alive) {
-        term_round_[static_cast<std::size_t>(v)] = round_;
+      stats.unterminated = live;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (term_[v] == 0) term_round_[v] = round_;
       }
       break;
     }
     ++round_;
-    if (profile != nullptr) {
-      profile->alive_per_round.push_back(
-          static_cast<std::int64_t>(alive.size()));
-    }
+    if (batch_) wake_due();
+    if (profile != nullptr) profile->alive_per_round.push_back(live);
+    stats.visits += static_cast<std::int64_t>(alive.size());
     if (batch_) {
       program.on_round_batch(bctx, NodeSpan(alive.data(), alive.size()));
     } else {
@@ -293,8 +424,10 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
         program.on_round(ctx);
       }
     }
+    // Compact before the flip: sleepers leave the alive list first, so
+    // the flip's wake-ups never re-add a node that is still in it.
+    live -= compact_alive();
     commit_publishes();
-    compact_alive();
   }
 
   stats.n = tree_.size();

@@ -21,18 +21,19 @@
 // reallocates). A per-node parity byte (`cur`) names the committed
 // plane; the other plane is the staging side. All per-node bookkeeping
 // is split into separate 64-byte-aligned lanes, each padded to a whole
-// number of 64-byte blocks: the `cur`/`pub`/`terminated` byte lanes, the
-// per-plane `len` lanes, and the `term_round` lane. The three bulk
-// passes — the end-of-round publish-flip, the alive-list compaction,
-// and the final T_v reduction — are plain loops over those lanes. Reads
-// (`peek`/`own`) return views of the committed plane; a `publish` writes
-// the staging side; the synchronous flip at the end of the round toggles
-// the parity of the publishers by a scatter over the publisher list, so
-// no register is ever copied. Adjacency is NOT snapshotted:
-// `graph::Tree` is CSR-native and frozen (see graph/tree.hpp and
-// DESIGN.md), so the engine borrows the tree's own offset/neighbor
-// arrays at the start of each run and a `peek` is two array indexations
-// into contiguous memory with zero per-run adjacency work.
+// number of 64-byte blocks: the `cur`/`pub`/`terminated`/`sleep` byte
+// lanes, the per-plane `len` lanes, and the `term_round` lane. The three
+// bulk passes — the end-of-round publish-flip, the alive-list
+// compaction, and the final T_v reduction — are plain loops over those
+// lanes. Reads (`peek`/`own`) return views of the committed plane; a
+// `publish` writes the staging side; the synchronous flip at the end of
+// the round toggles the parity of the publishers by a scatter over the
+// publisher list, so no register is ever copied. Adjacency is NOT
+// snapshotted: `graph::Tree` is CSR-native and frozen (see
+// graph/tree.hpp and DESIGN.md), so the engine borrows the tree's own
+// offset/neighbor arrays at the start of each run and a `peek` is two
+// array indexations into contiguous memory with zero per-run adjacency
+// work.
 //
 // Workspace. All of that per-run state lives in a reusable
 // `Engine::Workspace` (the ACL `decompression_context` idiom): the first
@@ -47,15 +48,32 @@
 // workspace serves one run at a time (enforced), and must not be
 // touched while a run on it is in flight.
 //
-// Cost model. The engine keeps a compacted list of alive nodes (compacted
+// Cost model. The engine keeps a compacted list of awake nodes (compacted
 // in place after each round, so terminated nodes cost nothing — not even a
 // branch) and a per-round list of publishers, so the flip is
-// O(#published). Per round the work is one program callback per alive
-// node plus one O(register width) write per publish. Total
-// simulation cost is therefore O(sum_v T_v) — proportional to exactly
-// the quantity the paper's theorems bound, which keeps fast instances
-// fast. A terminated node's committed words are simply never touched
-// again, so its final register stays readable for free.
+// O(#published). Per round the work is one program callback per awake
+// node plus one O(register width) write per publish. A terminated node's
+// committed words are simply never touched again, so its final register
+// stays readable for free.
+//
+// Sleep. A node with nothing to do until a later round says so with
+// `NodeCtx::sleep_until(r)`: "visit me again in round r, or in the round
+// after a neighbour's committed register or visible termination
+// changes". A sleeping node is alive — its T_v accrues, its register
+// stays readable, and it counts in `RunProfile::alive_per_round` — it is
+// only not called. Batch dispatch honours the hint: after each round the
+// walked list drops its sleepers, the flip wakes the sleeping neighbours
+// of every publisher and terminator for the next round, a min-heap of
+// `(round, node)` timers wakes deadlines, and when nobody is awake the
+// engine jumps straight to the next timer. A publish equal to the
+// committed register is dropped (no reader can tell), so re-sending a
+// register wakes nobody. Total simulation cost is therefore
+// O(visits + publishes * Delta), with visits <= sum_v T_v — the quantity
+// the paper's theorems bound, and usually far less. Per-node dispatch
+// ignores the hint and calls every alive node every round, which is why
+// the contract makes every visit during a sleep a no-op: the per-node
+// path stays the reference, and the dispatch differentials prove the
+// hint changes no result.
 //
 // Dispatch. The engine drives a program either through the classic
 // per-node virtual hooks (one `on_round` call per alive node) or
@@ -63,8 +81,9 @@
 // over the whole compacted alive list). The `DispatchMode` is chosen
 // once, where the engine is constructed. The default batch hooks loop
 // the per-node hooks in alive order, so the two modes are bit-identical
-// for every program; ported programs override them with lane-level
-// kernels over `BatchCtx`'s direct SoA views and bulk writers.
+// for every program that keeps the sleep contract; ported programs
+// override them with lane-level kernels over `BatchCtx`'s direct SoA
+// views and bulk writers.
 //
 // Algorithms implement `Program`. Independent runs (one engine per
 // instance) share nothing and can execute concurrently; see
@@ -215,6 +234,19 @@ class NodeCtx {
     terminate(Output{primary, secondary});
   }
 
+  /// `sleep_until` deadline meaning "only a neighbour change wakes me".
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();
+  /// Declares that this node has nothing to do before round `round`
+  /// unless a neighbour's committed register or visible termination
+  /// changes; batch dispatch then skips its callbacks until one of those
+  /// happens. The node stays alive (T_v accrues). Contract: any visit
+  /// during the sleep must be a no-op — no state change, no changed
+  /// publish, no termination — because per-node dispatch ignores the
+  /// hint and visits anyway. A deadline at or before the next round is
+  /// no sleep at all.
+  void sleep_until(std::int64_t round);
+
  private:
   /// Resolves a port to the neighbor's dense index via the tree's CSR.
   [[nodiscard]] NodeId neighbor(int port) const;
@@ -224,7 +256,8 @@ class NodeCtx {
 };
 
 /// The engine's per-round unit of batched dispatch: a contiguous,
-/// strictly increasing run of node ids (the compacted alive list).
+/// strictly increasing run of node ids (the compacted list of awake
+/// alive nodes).
 using NodeSpan = std::span<const NodeId>;
 
 /// Span-level view handed to the batch hooks: the whole-round
@@ -244,6 +277,9 @@ using NodeSpan = std::span<const NodeId>;
 ///     eagerly so double-termination is detectable). Kernels that need
 ///     synchronous semantics must mask it with `term_round_lane()[u] <
 ///     round()` — which is exactly what `terminated_visible` does.
+///     `term_round_lane()[u]` means nothing until u has terminated (a
+///     sleeper keeps its deadline there), so read it only under the
+///     flag.
 ///   * Writers (`publish*`, `terminate*`) only touch staging state
 ///     (staging plane, termination flags for *future* visibility), so
 ///     the order a kernel walks the span in cannot change what any
@@ -326,13 +362,14 @@ class Program {
   /// Called once per node before round 1 (round() == 0). May publish and
   /// may terminate (yielding T_v = 0, i.e., constant-time termination).
   virtual void on_init(NodeCtx& ctx) = 0;
-  /// Called once per round for each non-terminated node.
+  /// Called once per round for each non-terminated node (under batch
+  /// dispatch, for each one that is not asleep; see `sleep_until`).
   virtual void on_round(NodeCtx& ctx) = 0;
   /// Batched init: called once with every node (round() == 0). Default:
   /// loops `on_init` over the span.
   virtual void on_init_batch(BatchCtx& batch, NodeSpan nodes);
-  /// Batched round: called once per round with the compacted alive
-  /// list. Default: loops `on_round` over the span.
+  /// Batched round: called once per round with the awake alive nodes,
+  /// in increasing id order. Default: loops `on_round` over the span.
   virtual void on_round_batch(BatchCtx& batch, NodeSpan nodes);
 };
 
@@ -351,6 +388,10 @@ struct RunStats {
   double node_averaged = 0.0;
   std::int64_t worst_case = 0;
   std::int64_t total_rounds = 0;  ///< sum_v T_v
+  /// `on_round` callbacks made (span sizes, under batch dispatch).
+  /// Per-node dispatch visits every alive node every round, so there it
+  /// equals `total_rounds`; batch dispatch skips sleepers, so <=.
+  std::int64_t visits = 0;
   bool truncated = false;         ///< hit `max_rounds` with nodes alive
   std::int64_t unterminated = 0;  ///< nodes whose T_v is censored
   std::vector<std::int64_t> termination_round;  ///< T_v per node
@@ -376,8 +417,8 @@ struct RunStats {
 /// (rounds <= sum T_v once anything survives init) and the histogram is
 /// one counting pass over data the engine already owns.
 struct RunProfile {
-  /// `alive_per_round[r]` = nodes that executed round r+1 (so index 0
-  /// counts round 1). Length == `RunStats::rounds`.
+  /// `alive_per_round[r]` = nodes alive in round r+1, sleepers included
+  /// (so index 0 counts round 1). Length == `RunStats::rounds`.
   std::vector<std::int64_t> alive_per_round;
   /// `term_count[t]` = number of nodes with T_v == t, matching
   /// `RunStats::termination_round` exactly — for truncated runs this
@@ -425,10 +466,22 @@ class Engine {
     AlignedPlane<std::uint8_t> cur;       ///< committed-plane parity
     AlignedPlane<std::uint8_t> pub;       ///< published-this-round flag
     AlignedPlane<std::uint8_t> terminated;
+    /// T_v once terminated. While a node is alive and asleep its slot
+    /// holds its sleep deadline instead: every reader masks the lane
+    /// with `terminated`, so the slot is free until termination, and
+    /// reusing it keeps sleep from costing a lane of its own.
     AlignedPlane<std::int64_t> term_round;
+    AlignedPlane<std::uint8_t> sleep;  ///< kAwake / kAsleep / kWoken
     std::vector<Output> outputs;
     std::vector<NodeId> alive;      ///< compacted in place every round
-    std::vector<NodeId> published;  ///< publishers of the current round
+    /// Publishers of the current round; under batch dispatch the
+    /// end-of-round compaction appends the silent terminators too, so
+    /// the flip wakes the neighbours of both.
+    std::vector<NodeId> published;
+    std::vector<NodeId> woken;  ///< sleepers woken for the next round
+    /// Min-heap of sleep timers, `round << 32 | node` (see `timer`).
+    /// An entry is stale once its node woke or re-slept elsewhere.
+    std::vector<std::uint64_t> timers;
     /// Word planes replaced by a mid-round growth, retired until the
     /// flip so outstanding RegViews keep pointing at live (committed,
     /// immutable) data.
@@ -478,6 +531,10 @@ class Engine {
   friend class NodeCtx;
   friend class BatchCtx;
 
+  /// Stages v's next register (the one body of every publish; the
+  /// caller has made `width` fit). Drops a publish that equals the
+  /// committed register when nothing is staged yet.
+  void stage(NodeId v, const std::int64_t* words, std::int64_t width);
   /// Grows the word planes so a register of `width` words fits. The
   /// outgoing planes are retired (kept alive until the end of the
   /// round), so views handed out earlier this round stay valid.
@@ -485,10 +542,35 @@ class Engine {
   /// Commits this round's publishes (parity toggles) and releases any
   /// retired planes. Called at the end of init and of every round.
   void commit_publishes();
-  /// Drops the terminated ids from the alive list, in place and stable.
-  void compact_alive();
+  /// Drops the terminated (and, under batch dispatch, the sleeping) ids
+  /// from the alive list, in place and stable. Returns the number of
+  /// terminations it dropped.
+  std::int64_t compact_alive();
   /// Points the hot-path mirrors at `ws`'s (re)prepared lanes.
   void bind(Workspace& ws);
+
+  // Sleep (batch dispatch only). Per-node sleep states:
+  static constexpr std::uint8_t kAwake = 0;
+  static constexpr std::uint8_t kAsleep = 1;
+  static constexpr std::uint8_t kWoken = 2;  ///< woken for next round
+  /// Timer rounds are stored in 32 bits; a later deadline is clamped,
+  /// which only wakes the node early (a no-op visit by contract).
+  static constexpr std::int64_t kMaxTimerRound =
+      std::numeric_limits<std::int32_t>::max();
+
+  /// Puts v to sleep until `round` (> the next round) or kNever.
+  void sleep(NodeId v, std::int64_t round);
+  /// Marks u woken for the next round if it is asleep.
+  void wake(NodeId u);
+  /// Wakes the sleepers whose deadline is the current round, then
+  /// merges every woken node into the alive list (both sorted), so the
+  /// walked span stays strictly increasing.
+  void wake_due();
+  /// Nobody is awake: advances `round_` over the rounds before the next
+  /// live timer (or to `max_rounds`), counting `live` nodes alive in
+  /// each skipped round.
+  void skip_idle(std::int64_t max_rounds, std::int64_t live,
+                 RunProfile* profile);
 
   const Tree& tree_;
   DispatchMode dispatch_;
@@ -514,6 +596,7 @@ class Engine {
   std::uint8_t* pub_ = nullptr;
   std::uint8_t* term_ = nullptr;
   std::int64_t* term_round_ = nullptr;
+  std::uint8_t* sleep_ = nullptr;
   Output* outputs_ = nullptr;
 
   Workspace own_ws_;  ///< backs the workspace-less run() overload
@@ -575,18 +658,35 @@ inline void NodeCtx::publish(RegView reg) {
   Engine& e = engine_;
   const std::int64_t width = static_cast<std::int64_t>(reg.size());
   if (width > e.cap_) e.grow(width);
-  const auto v = static_cast<std::size_t>(v_);
-  const int staging = e.cur_[v] ^ 1;
+  e.stage(v_, reg.data(), width);
+}
+
+inline void NodeCtx::sleep_until(std::int64_t round) {
+  if (engine_.batch_ && round > engine_.round_ + 1) engine_.sleep(v_, round);
+}
+
+inline void Engine::stage(NodeId v, const std::int64_t* words,
+                          std::int64_t width) {
+  const auto i = static_cast<std::size_t>(v);
+  const std::size_t at = i * static_cast<std::size_t>(cap_);
+  if (pub_[i] == 0) {
+    // Nothing staged yet: a register equal to the committed one changes
+    // nothing any reader can see, so drop it — re-sending a register
+    // must not count as a change that wakes sleeping neighbours.
+    const int plane = cur_[i];
+    if (len_[plane][i] == width &&
+        std::equal(words, words + width, words_[plane] + at)) {
+      return;
+    }
+    pub_[i] = 1;
+    ws_->published.push_back(v);
+  }
+  const int staging = cur_[i] ^ 1;
   if (width != 0) {
-    std::memcpy(e.words_[staging] + v * static_cast<std::size_t>(e.cap_),
-                reg.data(),
+    std::memcpy(words_[staging] + at, words,
                 static_cast<std::size_t>(width) * sizeof(std::int64_t));
   }
-  e.len_[staging][v] = static_cast<std::int32_t>(width);
-  if (e.pub_[v] == 0) {
-    e.pub_[v] = 1;
-    e.ws_->published.push_back(v_);
-  }
+  len_[staging][i] = static_cast<std::int32_t>(width);
 }
 
 // BatchCtx accessors share the hot-path mirrors with NodeCtx; the

@@ -5,7 +5,10 @@
 // series).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -69,6 +72,29 @@ TEST(RunSweep, FullyTruncatedPointKeepsCensoredStats) {
   EXPECT_EQ(p.worst_case, 4);                       // censored bound
   EXPECT_DOUBLE_EQ(p.node_averaged, (1 + 5 * 4) / 6.0);
   EXPECT_EQ(p.term.total(), 6);                     // survivors included
+}
+
+// Options built in code skip the CLI's --n range check, so scaled()
+// must neither overflow llround (which used to come back as the floor 2
+// for huge scales) nor accept a scale that is NaN or not positive.
+TEST(ScenarioScaled, SaturatesAndRejectsBadScales) {
+  core::BatchRunner pool(core::BatchOptions{.threads = 1});
+  auto scaled_at = [&](double n_scale, std::int64_t base) {
+    bench::ScenarioOptions opts;
+    opts.n_scale = n_scale;
+    bench::ScenarioContext ctx(opts, pool);
+    return ctx.scaled(base);
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(scaled_at(0.5, 1000), 500);
+  EXPECT_EQ(scaled_at(1e-9, 1000), 2);  // the floor
+  EXPECT_EQ(scaled_at(1e300, 1000), kMax);
+  EXPECT_EQ(scaled_at(1e17, 1000), kMax);
+  EXPECT_EQ(scaled_at(std::numeric_limits<double>::infinity(), 1000), kMax);
+  EXPECT_EQ(scaled_at(std::numeric_limits<double>::infinity(), 0), 2);
+  EXPECT_THROW(scaled_at(std::nan(""), 1000), std::invalid_argument);
+  EXPECT_THROW(scaled_at(0.0, 1000), std::invalid_argument);
+  EXPECT_THROW(scaled_at(-1.0, 1000), std::invalid_argument);
 }
 
 TEST(Json, ParsesScalarsContainersAndEscapes) {

@@ -15,6 +15,8 @@
 
 #include "algo/generic_hier.hpp"
 #include "algo/registry.hpp"
+#include "core/experiment.hpp"
+#include "core/exponents.hpp"
 #include "graph/builders.hpp"
 #include "graph/families.hpp"
 #include "legacy_engine.hpp"
@@ -86,6 +88,17 @@ TEST_P(DifferentialSolvers, LegacyReplayMatchesBitIdentically) {
   ASSERT_FALSE(modern.truncated);
   const problems::CheckResult modern_verdict =
       spec.certify(tree, *program, modern, config);
+
+  // Visits: per-node dispatch calls every alive node every round, so it
+  // makes exactly sum_v T_v callbacks; the default (batch) dispatch
+  // skips sleepers and makes at most that many, for the same schedule.
+  const std::unique_ptr<local::Program> pernode_program =
+      spec.factory(tree, config);
+  local::Engine pernode_engine(tree, local::DispatchMode::kPerNode);
+  const local::RunStats pernode = pernode_engine.run(*pernode_program);
+  EXPECT_EQ(pernode.termination_round, modern.termination_round);
+  EXPECT_EQ(pernode.visits, pernode.total_rounds);
+  EXPECT_LE(modern.visits, modern.total_rounds);
 
   // Legacy replay of the identical schedule.
   ReplayProgram replay(modern.termination_round);
@@ -225,11 +238,12 @@ TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
 // pad — never fires there. Here both variants run at k = 2 and k = 3
 // with explicit gamma profiles on structured lower-bound instances and
 // random trees. The program overrides no batch hook, so batch dispatch
-// replays its per-node body through the engine's default hooks; the two
-// dispatch modes must agree bit-identically, the per-node run must hit
-// the pinned totals (sum T_v, rounds, worst case), the coloring must
-// pass the paper's hierarchical checker, and the shared schedule must
-// replay bit-identically on the frozen legacy engine.
+// replays its per-node body through the engine's default hooks, skipping
+// the nodes that sleep; the two dispatch modes must agree
+// bit-identically, the per-node run must hit the pinned totals (sum T_v,
+// rounds, worst case), the coloring must pass the paper's hierarchical
+// checker, and the shared schedule must replay bit-identically on the
+// frozen legacy engine.
 TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
   struct HierCase {
     std::string label;
@@ -278,6 +292,10 @@ TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
 
     ASSERT_FALSE(pernode_stats.truncated);
     EXPECT_EQ(pernode_stats.total_rounds, c.sum_t);
+    // Batch dispatch honours the program's sleeps: strictly fewer
+    // callbacks than the per-node sum_v T_v for the same schedule.
+    EXPECT_EQ(pernode_stats.visits, c.sum_t);
+    EXPECT_LT(batch_stats.visits, c.sum_t);
     EXPECT_EQ(pernode_stats.rounds, c.rounds);
     EXPECT_EQ(pernode_stats.worst_case, c.worst);
     EXPECT_EQ(pernode_stats.rounds, batch_stats.rounds);
@@ -304,6 +322,74 @@ TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
     EXPECT_EQ(legacy_stats.rounds, pernode_stats.rounds);
     EXPECT_EQ(legacy_stats.total_rounds, pernode_stats.total_rounds);
     EXPECT_EQ(replay.observed(), pernode_stats.termination_round);
+  }
+}
+
+// The three weighted wrappers sleep at their waits: weight nodes until
+// their planned round or their flood, active nodes through the generic
+// algorithm's phases. On small copies of the paper's own weighted
+// constructions (where those waits are most of sum_v T_v), per-node
+// dispatch — which ignores the hint — and batch dispatch must agree
+// bit-identically and certify, and batch must make far fewer calls.
+TEST(DifferentialFuzz, WeightedWrappersPerNodeBatchAgreeOnPaperInstances) {
+  struct WeightedCase {
+    std::string solver;
+    graph::WeightedInstance inst;
+    algo::SolverConfig config;
+  };
+  std::vector<WeightedCase> cases;
+  // Pi^{3.5} (Theorem 5) at k = 2 and k = 3, Lambda-padded.
+  for (const auto [k, lambda] : {std::pair{2, 192}, std::pair{3, 64}}) {
+    const auto ell = core::lower_bound_lengths(
+        core::alpha_profile_logstar(core::efficiency_x_prime(6, 3), k),
+        static_cast<double>(lambda), 3000);
+    WeightedCase c{"pi35", graph::make_weighted_construction(ell, 6), {}};
+    c.config.set("k", k);
+    c.config.set("d", 3);
+    c.config.set("gammas", core::decline_gammas(c.inst.skeleton_lengths, k));
+    c.config.set("symmetry_pad", lambda);
+    cases.push_back(std::move(c));
+  }
+  {  // Pi^{2.5} through A_poly (Theorem 2).
+    const auto ell = core::lower_bound_lengths(
+        core::alpha_profile_poly(core::efficiency_x(5, 2), 3), 3000.0, 3000);
+    WeightedCase c{"apoly", graph::make_weighted_construction(ell, 5), {}};
+    c.config.set("k", 3);
+    c.config.set("d", 2);
+    c.config.set("gammas", core::decline_gammas(c.inst.skeleton_lengths, 3));
+    cases.push_back(std::move(c));
+  }
+  {  // Weight-augmented 2.5-coloring (Lemma 69).
+    WeightedCase c{"weight_aug",
+                   graph::make_weighted_construction({30, 30}, 5), {}};
+    c.config.set("k", 2);
+    cases.push_back(std::move(c));
+  }
+
+  std::uint64_t id_seed = 4242;
+  for (WeightedCase& c : cases) {
+    SCOPED_TRACE(c.solver + " n=" + std::to_string(c.inst.tree.size()));
+    graph::assign_ids(c.inst.tree, graph::IdScheme::kShuffled, id_seed++);
+    const algo::SolverSpec& spec = algo::solver(c.solver);
+    c.config.validate(spec);
+
+    const auto pernode_program = spec.factory(c.inst.tree, c.config);
+    local::Engine pernode_engine(c.inst.tree, local::DispatchMode::kPerNode);
+    const local::RunStats pernode = pernode_engine.run(*pernode_program);
+    const auto batch_program = spec.factory(c.inst.tree, c.config);
+    local::Engine batch_engine(c.inst.tree, local::DispatchMode::kBatch);
+    const local::RunStats batch = batch_engine.run(*batch_program);
+
+    ASSERT_FALSE(pernode.truncated);
+    EXPECT_EQ(pernode.rounds, batch.rounds);
+    EXPECT_EQ(pernode.termination_round, batch.termination_round);
+    EXPECT_EQ(pernode.primaries(), batch.primaries());
+    EXPECT_EQ(pernode.secondaries(), batch.secondaries());
+    EXPECT_EQ(pernode.visits, pernode.total_rounds);
+    EXPECT_LT(2 * batch.visits, pernode.visits);
+    const problems::CheckResult verdict =
+        spec.certify(c.inst.tree, *batch_program, batch, c.config);
+    EXPECT_TRUE(verdict.ok) << verdict.reason;
   }
 }
 

@@ -4,7 +4,10 @@
 // workspace reuse and aligned-lane contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
@@ -393,6 +396,43 @@ void expect_identical(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.secondaries(), b.secondaries());
 }
 
+/// A flood with sleepers: every seventh node sleeps until its own
+/// start round, then publishes its id and terminates; every other node
+/// adopts the first non-empty neighbour register it sees, or declines at
+/// a per-node deadline, and sleeps in between. Every visit during a
+/// sleep is a no-op, so per-node and batch runs must agree exactly.
+class FloodNapProgram final : public Program {
+ public:
+  void on_init(NodeCtx&) override {}
+  void on_round(NodeCtx& ctx) override {
+    const NodeId v = ctx.node();
+    if (v % 7 == 0) {
+      const std::int64_t start = 3 + v % 5;
+      if (ctx.round() < start) {
+        ctx.sleep_until(start);
+        return;
+      }
+      ctx.publish({v});
+      ctx.terminate(0);
+      return;
+    }
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const local::RegView reg = ctx.peek(p);
+      if (!reg.empty()) {
+        ctx.publish({reg[0]});
+        ctx.terminate(1, static_cast<int>(reg[0]));
+        return;
+      }
+    }
+    const std::int64_t deadline = 40 + v % 11;
+    if (ctx.round() >= deadline) {
+      ctx.terminate(2);
+      return;
+    }
+    ctx.sleep_until(deadline);
+  }
+};
+
 TEST(EngineWorkspace, WarmRunsAreAllocationFreeAndIdentical) {
   Tree t = graph::make_random_tree(600, 4, 99);
   Engine engine(t);
@@ -483,6 +523,21 @@ TEST(EngineWorkspace, BatchDispatchWarmRunsAreAllocationFree) {
     expect_identical(first, warm);
   }
   EXPECT_EQ(ws.alloc_events(), after_first);
+
+  // Sleepers add the sleep lane, the woken list and the timer heap to
+  // the same workspace; once sized, warm runs stay allocation-free.
+  FloodNapProgram nap;
+  const RunStats nap_reference = pernode_engine.run(nap);
+  const RunStats nap_first = batch_engine.run(nap, ws);
+  expect_identical(nap_reference, nap_first);
+  EXPECT_LT(nap_first.visits, nap_reference.visits);
+  const std::int64_t after_nap = ws.alloc_events();
+  for (int rep = 0; rep < 5; ++rep) {
+    batch_engine.run_into(nap, ws, warm);
+    expect_identical(nap_first, warm);
+    EXPECT_EQ(warm.visits, nap_first.visits);
+  }
+  EXPECT_EQ(ws.alloc_events(), after_nap);
 }
 
 TEST(EngineWorkspace, NestedUseUnderBatchDispatchThrows) {
@@ -507,6 +562,234 @@ TEST(EngineWorkspace, TlsWorkspaceIsSticky) {
   ChurnProgram p;
   const RunStats direct = engine.run(p);
   expect_identical(direct, engine.run(p, ws));
+}
+
+// ---- Sleep contract ----------------------------------------------------
+// Each case runs one program under per-node dispatch (which ignores the
+// hint and visits every alive node every round) and batch dispatch
+// (which honours it), and demands identical stats and profiles.
+
+/// Node 0 drives: it publishes `publish_value` in `publish_round` (0 =
+/// never) and terminates in `end_round`, visiting every round. Every
+/// other node logs its visits and sleeps until `deadline`, terminating
+/// there or once it sees node 0 terminated.
+class SleepProbe final : public Program {
+ public:
+  struct Script {
+    std::int64_t publish_round = 0;
+    std::int64_t publish_value = 0;
+    std::int64_t end_round = 0;
+    std::int64_t deadline = NodeCtx::kNever;
+  };
+  explicit SleepProbe(Script script) : script_(script) {}
+
+  void on_init(NodeCtx&) override {}
+  void on_round(NodeCtx& ctx) override {
+    const std::int64_t r = ctx.round();
+    if (ctx.node() == 0) {
+      if (r == script_.publish_round) ctx.publish({script_.publish_value});
+      if (r == script_.end_round) ctx.terminate(0);
+      return;
+    }
+    visits_.push_back(r);
+    if (ctx.neighbor_terminated(0) || r >= script_.deadline) {
+      ctx.terminate(1);
+      return;
+    }
+    ctx.sleep_until(script_.deadline);
+  }
+
+  /// Rounds in which node 1 was called.
+  [[nodiscard]] const std::vector<std::int64_t>& visits() const {
+    return visits_;
+  }
+
+ private:
+  Script script_;
+  std::vector<std::int64_t> visits_;
+};
+
+/// Runs `make()`'s program on `t` under both dispatch modes and expects
+/// identical stats and profiles; returns the batch run's program.
+template <typename Make>
+auto run_both_modes(const Tree& t, Make make, std::int64_t max_rounds,
+                    RunStats* batch_stats = nullptr) {
+  auto pernode_program = make();
+  auto batch_program = make();
+  Engine pernode(t, local::DispatchMode::kPerNode);
+  Engine batch(t, local::DispatchMode::kBatch);
+  local::RunProfile pernode_profile;
+  local::RunProfile batch_profile;
+  const RunStats a = pernode.run(pernode_program, max_rounds,
+                                 &pernode_profile);
+  const RunStats b = batch.run(batch_program, max_rounds, &batch_profile);
+  expect_identical(a, b);
+  EXPECT_EQ(a.truncated, b.truncated);
+  EXPECT_EQ(a.unterminated, b.unterminated);
+  EXPECT_EQ(pernode_profile.alive_per_round, batch_profile.alive_per_round);
+  EXPECT_EQ(pernode_profile.term_count, batch_profile.term_count);
+  // Per-node visits every alive node every round; batch skips sleepers.
+  EXPECT_EQ(a.visits, a.total_rounds);
+  EXPECT_LE(b.visits, a.visits);
+  if (batch_stats != nullptr) *batch_stats = b;
+  return batch_program;
+}
+
+TEST(EngineSleep, NeighbourPublishWakesSleeperNextRound) {
+  Tree t = graph::make_path(2);
+  const SleepProbe p = run_both_modes(
+      t,
+      [] {
+        return SleepProbe({.publish_round = 3, .publish_value = 7,
+                           .end_round = 10});
+      },
+      100);
+  // Published in round 3, visible in round 4: woken then, not in 3.
+  const std::vector<std::int64_t> expected = {1, 4, 11};
+  EXPECT_EQ(p.visits(), expected);
+}
+
+TEST(EngineSleep, NeighbourTerminationWakesSleeperNextRound) {
+  Tree t = graph::make_path(2);
+  RunStats stats;
+  const SleepProbe p = run_both_modes(
+      t, [] { return SleepProbe({.end_round = 5}); }, 100, &stats);
+  const std::vector<std::int64_t> expected = {1, 6};
+  EXPECT_EQ(p.visits(), expected);
+  EXPECT_EQ(stats.termination_round[1], 6);
+  EXPECT_EQ(stats.visits, 5 + 2);
+}
+
+TEST(EngineSleep, DeadlineWakesSleeperInExactlyThatRound) {
+  Tree t = graph::make_path(3);  // nodes 1 and 2 both sleep
+  RunStats stats;
+  const SleepProbe p = run_both_modes(
+      t, [] { return SleepProbe({.end_round = 20, .deadline = 9}); }, 100,
+      &stats);
+  const std::vector<std::int64_t> expected = {1, 1, 9, 9};  // walk order
+  EXPECT_EQ(p.visits(), expected);
+  EXPECT_EQ(stats.termination_round[1], 9);
+  EXPECT_EQ(stats.termination_round[2], 9);
+}
+
+/// Node 0 republishes its committed register (dropped), and in another
+/// round stages a different value and then the committed one again
+/// (which must commit the committed value). Node 1 checks every read.
+class RepublishProbe final : public Program {
+ public:
+  void on_init(NodeCtx& ctx) override {
+    if (ctx.node() == 0) ctx.publish({5});
+  }
+  void on_round(NodeCtx& ctx) override {
+    const std::int64_t r = ctx.round();
+    if (ctx.node() == 0) {
+      if (r == 2) ctx.publish({5});  // identical: dropped
+      if (r == 4) {
+        ctx.publish({9});
+        ctx.publish({5});  // overwrites the staged 9
+      }
+      if (r == 6) ctx.terminate(0);
+      return;
+    }
+    visits_.push_back(r);
+    const local::RegView reg = ctx.peek(0);
+    EXPECT_EQ(std::vector<std::int64_t>(reg.begin(), reg.end()),
+              std::vector<std::int64_t>{5})
+        << "round " << r;
+    if (ctx.neighbor_terminated(0)) {
+      ctx.terminate(1);
+      return;
+    }
+    ctx.sleep_until(NodeCtx::kNever);
+  }
+  [[nodiscard]] const std::vector<std::int64_t>& visits() const {
+    return visits_;
+  }
+
+ private:
+  std::vector<std::int64_t> visits_;
+};
+
+TEST(EngineSleep, IdenticalPublishIsDroppedAndWakesNobody) {
+  Tree t = graph::make_path(2);
+  const RepublishProbe p =
+      run_both_modes(t, [] { return RepublishProbe(); }, 100);
+  // Round 2's identical publish changed nothing, so nobody woke in 3.
+  const std::vector<std::int64_t>& v = p.visits();
+  EXPECT_EQ(v.front(), 1);
+  EXPECT_EQ(v.back(), 7);
+  EXPECT_EQ(std::count(v.begin(), v.end(), 3), 0);
+}
+
+/// Every node sleeps forever from round 1 and never terminates.
+class SleepForever final : public Program {
+ public:
+  void on_init(NodeCtx&) override {}
+  void on_round(NodeCtx& ctx) override {
+    ctx.sleep_until(NodeCtx::kNever);
+  }
+};
+
+TEST(EngineSleep, EveryoneAsleepTruncatesAtMaxRounds) {
+  Tree t = graph::make_random_tree(40, 4, 5);
+  RunStats stats;
+  (void)run_both_modes(t, [] { return SleepForever(); }, 50, &stats);
+  EXPECT_TRUE(stats.truncated);
+  EXPECT_EQ(stats.rounds, 50);
+  EXPECT_EQ(stats.unterminated, 40);
+  EXPECT_EQ(stats.worst_case, 50);
+  for (const std::int64_t t_v : stats.termination_round) EXPECT_EQ(t_v, 50);
+  for (const auto& o : stats.output) EXPECT_EQ(o.primary, -1);
+  EXPECT_EQ(stats.visits, 40);  // round 1 only
+
+  Engine batch(t, local::DispatchMode::kBatch);
+  SleepForever p;
+  local::RunProfile profile;
+  (void)batch.run(p, 50, &profile);
+  EXPECT_EQ(profile.alive_per_round,
+            std::vector<std::int64_t>(50, 40));
+}
+
+/// Node v sleeps until round 10 * (v + 1) and terminates there: the
+/// engine skips the idle stretches between deadlines.
+class StaggeredNap final : public Program {
+ public:
+  void on_init(NodeCtx&) override {}
+  void on_round(NodeCtx& ctx) override {
+    const std::int64_t end = 10 * (ctx.node() + 1);
+    if (ctx.round() >= end) {
+      ctx.terminate(0);
+      return;
+    }
+    ctx.sleep_until(end);
+  }
+};
+
+TEST(EngineSleep, RoundSkippingKeepsTheAliveTrajectory) {
+  Tree t = graph::make_path(5);
+  RunStats stats;
+  (void)run_both_modes(t, [] { return StaggeredNap(); },
+                       std::numeric_limits<int>::max(), &stats);
+  EXPECT_EQ(stats.rounds, 50);
+  EXPECT_EQ(stats.total_rounds, 10 + 20 + 30 + 40 + 50);
+  // Round 1 and each deadline, plus one wake of node v + 1 by node v's
+  // termination (a no-op visit, as the contract requires).
+  EXPECT_EQ(stats.visits, 2 * 5 + 4);
+
+  // Truncating inside a skipped stretch censors like per-node does.
+  (void)run_both_modes(t, [] { return StaggeredNap(); }, 25);
+}
+
+TEST(EngineSleep, FloodWithSleepersMatchesPerNode) {
+  for (const std::uint64_t seed : {3u, 8u, 21u}) {
+    SCOPED_TRACE(seed);
+    Tree t = graph::make_random_tree(700, 4, seed);
+    RunStats stats;
+    (void)run_both_modes(t, [] { return FloodNapProgram(); },
+                         std::numeric_limits<int>::max(), &stats);
+    EXPECT_FALSE(stats.truncated);
+    EXPECT_LT(stats.visits, stats.total_rounds);
+  }
 }
 
 TEST(AlignedPlaneContract, PaddingAlignmentAndAllocAccounting) {

@@ -1,19 +1,13 @@
 // Substrate micro-benchmarks: engine round throughput on four synthetic
-// workloads, the batch vs per-node dispatch series, the warm-workspace
-// (allocation-free) steady state, plus the batched multi-thread sweep
-// speedup. These guard the "simulation cost = O(sum of termination
-// rounds)" property the experiment scenarios rely on, and keep the
-// engine's perf trajectory visible in BENCH_*.json.
+// workloads, the warm-workspace (allocation-free) steady state, plus the
+// batched multi-thread sweep speedup. These guard the "simulation cost =
+// O(sum of termination rounds)" property the experiment scenarios rely
+// on, and keep the engine's perf trajectory visible in BENCH_*.json.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 
-#include "algo/decomp_program.hpp"
-#include "algo/level_program.hpp"
-#include "algo/randomized.hpp"
 #include "core/batch.hpp"
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
@@ -189,82 +183,6 @@ void run_engine_micro(ScenarioContext& ctx) {
   ctx.metric("warm_flash_node_rounds_per_s", warm_flash);
   ctx.metric("warm_over_cold_flash", warm_flash / arena_flash);
   ctx.metric("warm_allocs_per_run", warm_allocs_per_run);
-
-  // --- Dispatch A/B: batch step kernels vs per-node virtual hooks ------
-  // The registry solvers ported to span-level batch kernels, whole runs
-  // at full scale. Both sides execute the same program source — only the
-  // Program↔Engine contract differs (DispatchMode::kBatch walks the
-  // alive span through on_round_batch; kPerNode makes one virtual call
-  // per alive node per round) — and results are bit-identical (pinned by
-  // the three-way differential in tests/test_differential.cpp), so the
-  // ratio isolates dispatch overhead: virtual-call fan-out, port
-  // resolution through NodeCtx, and per-node recomputation the batch
-  // kernels hoist. The >=1.5x whole-run geomean target gates on this
-  // series.
-  {
-    std::printf("\n  %-28s %14s %14s %8s\n", "dispatch a/b", "batch Mnr/s",
-                "pernode Mnr/s", "speedup");
-    double geomean = 1.0;
-    int ab_count = 0;
-    const auto dispatch_ab = [&](const char* key, auto make_program,
-                                 const graph::Tree& tree) {
-      const double batch_rate = throughput([&] {
-        auto p = make_program();
-        local::Engine e(tree, local::DispatchMode::kBatch);
-        return e.run(*p).total_rounds;
-      });
-      const double pernode_rate = throughput([&] {
-        auto p = make_program();
-        local::Engine e(tree, local::DispatchMode::kPerNode);
-        return e.run(*p).total_rounds;
-      });
-      const double speedup = batch_rate / pernode_rate;
-      std::printf("  %-28s %14.2f %14.2f %7.2fx\n", key, batch_rate / 1e6,
-                  pernode_rate / 1e6, speedup);
-      ctx.metric(std::string("dispatch_") + key + "_batch_per_s",
-                 batch_rate);
-      ctx.metric(std::string("dispatch_") + key + "_pernode_per_s",
-                 pernode_rate);
-      ctx.metric(std::string("dispatch_") + key + "_speedup", speedup);
-      geomean *= speedup;
-      ++ab_count;
-    };
-
-    const auto level_n = static_cast<graph::NodeId>(ctx.scaled(1 << 16));
-    const graph::Tree level_tree = graph::make_random_tree(level_n, 4, 7);
-    dispatch_ab(
-        "level_peeling",
-        [&] { return std::make_unique<algo::LevelProgram>(level_tree, 24); },
-        level_tree);
-
-    const auto color_n = static_cast<graph::NodeId>(ctx.scaled(1 << 16));
-    const graph::Tree color_tree = graph::make_random_tree(color_n, 4, 11);
-    const int colors = color_tree.max_degree() + 1;
-    dispatch_ab(
-        "random_coloring",
-        [&] {
-          return std::make_unique<algo::RandomColoringProgram>(color_tree,
-                                                               colors, 3);
-        },
-        color_tree);
-
-    const auto decomp_n = static_cast<graph::NodeId>(ctx.scaled(1 << 14));
-    const graph::Tree decomp_tree =
-        graph::make_random_tree(decomp_n, 4, 13);
-    dispatch_ab(
-        "rake_compress",
-        [&] {
-          return std::make_unique<algo::DecompositionProgram>(decomp_tree,
-                                                              2, 8);
-        },
-        decomp_tree);
-
-    const double dispatch_geomean =
-        std::pow(geomean, 1.0 / static_cast<double>(ab_count));
-    std::printf("  %-28s %14s %14s %7.2fx\n", "dispatch geomean", "", "",
-                dispatch_geomean);
-    ctx.metric("dispatch_geomean_speedup", dispatch_geomean);
-  }
 
   // Instance-construction throughput through the per-thread TreeBuilder
   // arena (CSR emission + validation; no vector-of-vectors adjacency).

@@ -1,7 +1,6 @@
 #include "algo/decomp_program.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace lcl::algo {
@@ -10,8 +9,9 @@ namespace {
 
 using graph::NodeId;
 
-// Register layout: [alive, snapshot_degree, tgt0, d0, tgt1, d1].
-constexpr std::size_t kRegSize = 6;
+// Register layout: [snapshot_degree, tgt0, d0, tgt1, d1]. Whether a
+// neighbour is still alive is whether it has visibly terminated.
+constexpr std::size_t kRegSize = 5;
 constexpr std::int64_t kNone = -1;
 
 }  // namespace
@@ -37,32 +37,25 @@ DecompositionProgram::DecompositionProgram(const graph::Tree& tree,
     throw std::invalid_argument("decomp program: gamma >= 1, ell >= 2");
   }
   state_.assign(static_cast<std::size_t>(tree.size()), State{});
-  scratch_.reserve(static_cast<std::size_t>(tree.size()) * kRegSize);
-  alive_.assign(static_cast<std::size_t>(tree.size()), 1);
-  alive_prev_.assign(static_cast<std::size_t>(tree.size()), 1);
-  snap_deg_.assign(static_cast<std::size_t>(tree.size()), -1);
 }
 
 void DecompositionProgram::on_init(local::NodeCtx& ctx) {
-  ctx.publish({1, ctx.degree(), kNone, kNone, kNone, kNone});
+  ctx.publish({ctx.degree(), kNone, kNone, kNone, kNone});
 }
 
 void DecompositionProgram::on_round(local::NodeCtx& ctx) {
   const NodeId v = ctx.node();
   State& st = state_[static_cast<std::size_t>(v)];
   const std::int64_t r = ctx.round();
-  const std::int64_t iter = (r - 1) / window();
-  const std::int64_t offset = (r - 1) % window();
+  if (phase_.round != r) {
+    phase_ = {r, (r - 1) / window(), (r - 1) % window()};
+  }
+  const std::int64_t iter = phase_.iter;
+  const std::int64_t offset = phase_.offset;
   const int layer = static_cast<int>(iter) + 1;
 
-  auto neighbor_alive = [&](int p) {
-    const local::RegView reg = ctx.peek(p);
-    return !reg.empty() && reg[0] == 1;
-  };
-  auto neighbor_snapshot_degree = [&](int p) {
-    const local::RegView reg = ctx.peek(p);
-    return reg.size() >= 2 ? reg[1] : kNone;
-  };
+  auto neighbor_alive = [&](int p) { return !ctx.neighbor_terminated(p); };
+  auto neighbor_snapshot_degree = [&](int p) { return ctx.peek(p)[0]; };
 
   // ---- Rake sub-steps ------------------------------------------------
   if (offset < 2 * gamma_) {
@@ -72,7 +65,7 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
       int deg = 0;
       for (int p = 0; p < ctx.degree(); ++p) deg += neighbor_alive(p);
       st.snapshot_degree = deg;
-      ctx.publish({1, deg, kNone, kNone, kNone, kNone});
+      ctx.publish({deg, kNone, kNone, kNone, kNone});
       return;
     }
     // Decision round.
@@ -88,24 +81,30 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
       }
     }
     if (deferred) return;
-    ctx.publish({0, kNone, kNone, kNone, kNone, kNone});
-    st.alive = false;
     ctx.terminate(encode_layer(
         {decomp::LayerKind::kRake, layer, substep}));
     return;
   }
 
   // ---- Compress step --------------------------------------------------
+  // A node that is not a chain node this window has nothing to do until
+  // the next window's first snapshot; a chain neighbour's wave publish
+  // wakes it early, and that visit only re-sleeps.
   const std::int64_t c = offset - 2 * gamma_;
+  const std::int64_t next_window = (iter + 1) * window() + 1;
   if (c == 0) {
     // Snapshot for the compress phase.
     int deg = 0;
     for (int p = 0; p < ctx.degree(); ++p) deg += neighbor_alive(p);
     st.snapshot_degree = deg;
-    ctx.publish({1, deg, kNone, kNone, kNone, kNone});
+    ctx.publish({deg, kNone, kNone, kNone, kNone});
+    if (deg != 2) ctx.sleep_until(next_window);
     return;
   }
-  if (st.snapshot_degree != 2) return;  // not a chain node this window
+  if (st.snapshot_degree != 2) {
+    ctx.sleep_until(next_window);
+    return;
+  }
 
   if (c == 1) {
     // Identify chain ports (alive neighbors with snapshot degree 2) and
@@ -137,9 +136,8 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
       const int p = st.chain_ports[s];
       if (p < 0 || side_dist(s) >= 0) continue;
       const local::RegView reg = ctx.peek(p);
-      if (reg.size() != kRegSize) continue;
       for (int e = 0; e < 2; ++e) {
-        const std::size_t base = 2 + 2 * static_cast<std::size_t>(e);
+        const std::size_t base = 1 + 2 * static_cast<std::size_t>(e);
         if (reg[base] == static_cast<std::int64_t>(v)) {
           set_side_dist(s, std::min<int>(
                                ell_, static_cast<int>(reg[base + 1]) + 1));
@@ -149,19 +147,19 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
   }
   if (c >= 1 && c <= 1 + ell_) {
     // Publish toward each chain port the distance on the *other* side.
-    local::Register out = {1, st.snapshot_degree, kNone, kNone, kNone,
-                           kNone};
+    std::int64_t out[kRegSize] = {st.snapshot_degree, kNone, kNone, kNone,
+                                  kNone};
     bool any = false;
     for (int s = 0; s < 2; ++s) {
       const int p = st.chain_ports[s];
       const int other = side_dist(1 - s);
       if (p < 0 || other < 0) continue;
-      const std::size_t base = 2 + 2 * static_cast<std::size_t>(s);
+      const std::size_t base = 1 + 2 * static_cast<std::size_t>(s);
       out[base] = tree_.neighbors(v)[static_cast<std::size_t>(p)];
       out[base + 1] = other;
       any = true;
     }
-    if (any) ctx.publish(out);
+    if (any) ctx.publish(local::RegView(out, kRegSize));
     return;
   }
 
@@ -170,192 +168,9 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
     const int dl = st.dist_left >= 0 ? st.dist_left : ell_;
     const int dr = st.dist_right >= 0 ? st.dist_right : ell_;
     if (dl + dr >= ell_ - 1) {
-      ctx.publish({0, kNone, kNone, kNone, kNone, kNone});
-      st.alive = false;
-      ctx.terminate(encode_layer(
-          {decomp::LayerKind::kCompress, layer, 0}));
+      ctx.terminate(encode_layer({decomp::LayerKind::kCompress, layer, 0}));
     }
     return;
-  }
-}
-
-void DecompositionProgram::on_init_batch(local::BatchCtx& batch,
-                                         local::NodeSpan nodes) {
-  const std::int32_t* off = batch.offsets();
-  scratch_.resize(nodes.size() * kRegSize);
-  std::int64_t* out = scratch_.data();
-  for (const NodeId v : nodes) {
-    const auto vi = static_cast<std::size_t>(v);
-    out[0] = 1;
-    out[1] = off[vi + 1] - off[vi];
-    out[2] = out[3] = out[4] = out[5] = kNone;
-    out += kRegSize;
-  }
-  batch.publish_lane(nodes, scratch_.data(), kRegSize);
-}
-
-// Batch kernel: the per-node path recomputes the protocol phase
-// (iteration / window offset / layer — two integer divisions) for every
-// alive node every round and resolves every neighbor observation
-// through the register planes; here the phase is hoisted to one
-// computation per round and neighbor reads are flat lane loads.
-// `alive_` / `snap_deg_` mirror exactly the committed register's first
-// two words: a lane is written in one phase and read in others, and the
-// one phase that reads the lane it also writes (rake decisions write
-// `alive_`) reads the round-start copy `alive_prev_` — the lane
-// analogue of the engine's staging/committed split, so walk order
-// cannot leak same-round writes. Snapshot rounds stage all registers in
-// one contiguous lane and publish with a single bulk write; the wave
-// rounds build registers in a stack array instead of the per-node
-// heap-backed `local::Register`. Reads and state updates are
-// element-for-element those of `on_round`, so the schedule is
-// bit-identical.
-void DecompositionProgram::on_round_batch(local::BatchCtx& batch,
-                                          local::NodeSpan nodes) {
-  const std::int64_t r = batch.round();
-  const std::int64_t offset = (r - 1) % window();
-  const int layer = static_cast<int>((r - 1) / window()) + 1;
-  const std::int32_t* off = batch.offsets();
-  const NodeId* adj = batch.adjacency();
-  const graph::LocalId* ids = tree_.local_ids().data();
-  const std::uint8_t* alive = alive_.data();
-  const std::int32_t* snap_deg = snap_deg_.data();
-
-  const bool rake_phase = offset < 2 * gamma_;
-  const std::int64_t c = offset - 2 * gamma_;
-
-  // ---- Snapshot rounds (every even rake sub-step, and c == 0) --------
-  // Nothing writes `alive_` in a snapshot round, so the direct read is
-  // the committed value.
-  if ((rake_phase && offset % 2 == 0) || c == 0) {
-    scratch_.resize(nodes.size() * kRegSize);
-    std::int64_t* out = scratch_.data();
-    for (const NodeId v : nodes) {
-      const auto vi = static_cast<std::size_t>(v);
-      int deg = 0;
-      for (std::int32_t p = off[vi]; p < off[vi + 1]; ++p) {
-        deg += alive[static_cast<std::size_t>(adj[p])];
-      }
-      state_[vi].snapshot_degree = deg;
-      snap_deg_[vi] = deg;
-      out[0] = 1;
-      out[1] = deg;
-      out[2] = out[3] = out[4] = out[5] = kNone;
-      out += kRegSize;
-    }
-    batch.publish_lane(nodes, scratch_.data(), kRegSize);
-    return;
-  }
-
-  // ---- Rake decision rounds ------------------------------------------
-  // Raking writes `alive_` mid-walk, so the defer check reads the
-  // round-start copy (= what the committed registers say).
-  if (rake_phase) {
-    const int substep = static_cast<int>(offset / 2) + 1;
-    std::memcpy(alive_prev_.data(), alive_.data(), alive_.size());
-    const std::uint8_t* alive_prev = alive_prev_.data();
-    for (const NodeId v : nodes) {
-      const auto vi = static_cast<std::size_t>(v);
-      State& st = state_[vi];
-      if (st.snapshot_degree > 1) continue;
-      bool deferred = false;
-      for (std::int32_t p = off[vi]; p < off[vi + 1]; ++p) {
-        const auto u = static_cast<std::size_t>(adj[p]);
-        if (alive_prev[u] == 0) continue;
-        // An alive neighbor always published in the snapshot round just
-        // before this one, so its lane entry is its committed reg[1].
-        if (snap_deg[u] <= 1 && ids[u] < ids[vi]) {
-          deferred = true;
-          break;
-        }
-      }
-      if (deferred) continue;
-      batch.publish(v, {0, kNone, kNone, kNone, kNone, kNone});
-      st.alive = false;
-      alive_[vi] = 0;
-      batch.terminate(
-          v, encode_layer({decomp::LayerKind::kRake, layer, substep}));
-    }
-    return;
-  }
-
-  // ---- Compress rounds (c >= 1) --------------------------------------
-  for (const NodeId v : nodes) {
-    const auto vi = static_cast<std::size_t>(v);
-    State& st = state_[vi];
-    if (st.snapshot_degree != 2) continue;  // not a chain node this window
-    const auto base_off = static_cast<std::size_t>(off[vi]);
-
-    if (c == 1) {
-      // Nothing writes `alive_` at c == 1, so direct lane reads are the
-      // committed values here too.
-      st.chain_ports[0] = st.chain_ports[1] = -1;
-      st.dist_left = st.dist_right = -1;
-      const int degree = off[vi + 1] - off[vi];
-      int found = 0;
-      for (int p = 0; p < degree && found < 2; ++p) {
-        const auto u = static_cast<std::size_t>(
-            adj[base_off + static_cast<std::size_t>(p)]);
-        if (alive[u] != 0 && snap_deg[u] == 2) {
-          st.chain_ports[found++] = p;
-        }
-      }
-      if (st.chain_ports[0] < 0) st.dist_left = 0;
-      if (st.chain_ports[1] < 0) st.dist_right = 0;
-    }
-
-    auto side_dist = [&](int s) {
-      return s == 0 ? st.dist_left : st.dist_right;
-    };
-    auto set_side_dist = [&](int s, int d) {
-      (s == 0 ? st.dist_left : st.dist_right) = d;
-    };
-
-    if (c >= 2 && c <= 1 + ell_) {
-      for (int s = 0; s < 2; ++s) {
-        const int p = st.chain_ports[s];
-        if (p < 0 || side_dist(s) >= 0) continue;
-        const local::RegView reg =
-            batch.reg(adj[base_off + static_cast<std::size_t>(p)]);
-        if (reg.size() != kRegSize) continue;
-        for (int e = 0; e < 2; ++e) {
-          const std::size_t base = 2 + 2 * static_cast<std::size_t>(e);
-          if (reg[base] == static_cast<std::int64_t>(v)) {
-            set_side_dist(s, std::min<int>(
-                                 ell_, static_cast<int>(reg[base + 1]) + 1));
-          }
-        }
-      }
-    }
-    if (c >= 1 && c <= 1 + ell_) {
-      std::int64_t out[kRegSize] = {1,     st.snapshot_degree, kNone,
-                                    kNone, kNone,              kNone};
-      bool any = false;
-      for (int s = 0; s < 2; ++s) {
-        const int p = st.chain_ports[s];
-        const int other = side_dist(1 - s);
-        if (p < 0 || other < 0) continue;
-        const std::size_t base = 2 + 2 * static_cast<std::size_t>(s);
-        out[base] = adj[base_off + static_cast<std::size_t>(p)];
-        out[base + 1] = other;
-        any = true;
-      }
-      if (any) batch.publish(v, local::RegView(out, kRegSize));
-      continue;
-    }
-
-    if (c == 2 + ell_) {
-      const int dl = st.dist_left >= 0 ? st.dist_left : ell_;
-      const int dr = st.dist_right >= 0 ? st.dist_right : ell_;
-      if (dl + dr >= ell_ - 1) {
-        batch.publish(v, {0, kNone, kNone, kNone, kNone, kNone});
-        st.alive = false;
-        alive_[vi] = 0;
-        batch.terminate(
-            v, encode_layer({decomp::LayerKind::kCompress, layer, 0}));
-      }
-      continue;
-    }
   }
 }
 

@@ -39,14 +39,9 @@ class DecompositionProgram final : public local::Program {
 
   void on_init(local::NodeCtx& ctx) override;
   void on_round(local::NodeCtx& ctx) override;
-  void on_init_batch(local::BatchCtx& batch,
-                     local::NodeSpan nodes) override;
-  void on_round_batch(local::BatchCtx& batch,
-                      local::NodeSpan nodes) override;
 
  private:
   struct State {
-    bool alive = true;
     int snapshot_degree = -1;
     int dist_left = -1;   ///< saturated distance to a chain end
     int dist_right = -1;
@@ -59,18 +54,14 @@ class DecompositionProgram final : public local::Program {
   int gamma_;
   int ell_;
   std::vector<State> state_;
-  /// Batch-kernel staging for bulk snapshot publishes (one contiguous
-  /// register lane per round; reserved once in the constructor).
-  std::vector<std::int64_t> scratch_;
-  /// Batch-kernel flat mirrors of the committed register's first two
-  /// words. `alive_[u]` tracks reg[0] (written only in decision rounds);
-  /// `snap_deg_[u]` tracks reg[1] for alive nodes (written only in
-  /// snapshot rounds). Rounds that *read* a lane other rounds *write*
-  /// read `alive_prev_`, a round-start copy, so batch walk order cannot
-  /// leak same-round writes — see on_round_batch.
-  std::vector<std::uint8_t> alive_;
-  std::vector<std::uint8_t> alive_prev_;
-  std::vector<std::int32_t> snap_deg_;
+  /// Window position of `round`; every visit of a round shares it, so
+  /// it is computed once per round instead of per visit.
+  struct Phase {
+    std::int64_t round = -1;
+    std::int64_t iter = 0;
+    std::int64_t offset = 0;
+  };
+  Phase phase_;
 };
 
 /// Runs the program and returns (decomposition view, run stats).

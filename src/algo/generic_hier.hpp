@@ -21,13 +21,10 @@
 // round LOCAL computation for constant k (see `LevelProgram` for the
 // distributed version and the test that they agree).
 //
-// Each step has one body, written against `NodeCtx`; the program
-// overrides no batch hook, so batch dispatch replays on_init/on_round
-// through the engine's default hooks (bit-identical, and measured no
-// slower than a span kernel: DESIGN.md, "Batched dispatch"). Where a
-// node only waits — for its phase, a wave or its Decline deadline, or
-// through the Cole-Vishkin pad — it calls `sleep_until`, so batch
-// dispatch skips it until then (DESIGN.md, "Sleep").
+// Each step has one body, written against `NodeCtx`. Where a node only
+// waits — for its phase, a wave or its Decline deadline, or through the
+// Cole-Vishkin pad — it calls `sleep_until`, so the default dispatch
+// skips it until then (DESIGN.md, "Sleep").
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,7 @@
 // genuinely distributed execution (see tests/test_levels.cpp).
 #pragma once
 
-#include <vector>
+#include <cstdint>
 
 #include "graph/tree.hpp"
 #include "local/engine.hpp"
@@ -19,18 +19,12 @@ namespace lcl::algo {
 /// <= k+1 with its level as the primary output.
 class LevelProgram final : public local::Program {
  public:
-  LevelProgram(const graph::Tree& tree, int k) : tree_(tree), k_(k) {
-    peeled_.assign(static_cast<std::size_t>(tree.size()), 0);
-    newly_peeled_.reserve(static_cast<std::size_t>(tree.size()));
-  }
+  LevelProgram(const graph::Tree&, int k) : k_(k) {}
 
-  void on_init(local::NodeCtx& ctx) override {
-    // Register slot 0: 1 once peeled (level fixed), else 0.
-    (void)ctx;
-  }
+  // Register slot 0: 1 once peeled (level fixed), else empty.
+  void on_init(local::NodeCtx&) override {}
 
   void on_round(local::NodeCtx& ctx) override {
-    const graph::NodeId v = ctx.node();
     const std::int64_t round = ctx.round();
     if (round > k_) {
       ctx.terminate(k_ + 1);
@@ -47,52 +41,13 @@ class LevelProgram final : public local::Program {
       ctx.terminate(static_cast<int>(round));
       return;
     }
-    (void)v;
-  }
-
-  /// Batch kernel: neighbor peeled-state lives in a program-side byte
-  /// lane instead of being re-read through register views — `peeled_`
-  /// mirrors exactly what the committed registers say (a node's peel is
-  /// folded in at the *start* of the next round, the program-side
-  /// counterpart of the engine's end-of-round flip), so the count loop
-  /// is a flat byte gather over the CSR.
-  void on_round_batch(local::BatchCtx& batch,
-                      local::NodeSpan nodes) override {
-    const std::int64_t round = batch.round();
-    if (round > k_) {
-      batch.terminate_lane(nodes, local::Output{k_ + 1, -1});
-      return;
-    }
-    for (const graph::NodeId v : newly_peeled_) {
-      peeled_[static_cast<std::size_t>(v)] = 1;
-    }
-    newly_peeled_.clear();
-    const std::int32_t* off = batch.offsets();
-    const graph::NodeId* adj = batch.adjacency();
-    static constexpr std::int64_t kPeeledReg[1] = {1};
-    for (const graph::NodeId v : nodes) {
-      const auto begin = static_cast<std::size_t>(
-          off[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          off[static_cast<std::size_t>(v) + 1]);
-      int unpeeled_neighbors = 0;
-      for (std::size_t p = begin; p < end; ++p) {
-        unpeeled_neighbors +=
-            peeled_[static_cast<std::size_t>(adj[p])] == 0;
-      }
-      if (unpeeled_neighbors <= 2) {
-        batch.publish(v, local::RegView(kPeeledReg, 1));
-        batch.terminate(v, static_cast<int>(round));
-        newly_peeled_.push_back(v);
-      }
-    }
+    // The count only changes when a neighbour peels, and that publish
+    // wakes this node; otherwise the next thing to do is round k + 1.
+    ctx.sleep_until(k_ + 1);
   }
 
  private:
-  const graph::Tree& tree_;
   int k_;
-  std::vector<char> peeled_;
-  std::vector<graph::NodeId> newly_peeled_;
 };
 
 }  // namespace lcl::algo

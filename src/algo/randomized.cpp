@@ -1,6 +1,5 @@
 #include "algo/randomized.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace lcl::algo {
@@ -28,7 +27,6 @@ RandomColoringProgram::RandomColoringProgram(const graph::Tree& tree,
   }
   state_.assign(static_cast<std::size_t>(tree.size()), 0);
   proposal_.assign(static_cast<std::size_t>(tree.size()), -1);
-  committed_.assign(static_cast<std::size_t>(tree.size()), -1);
   for (graph::NodeId v = 0; v < tree.size(); ++v) {
     state_[static_cast<std::size_t>(v)] =
         seed_ * 0x2545f4914f6cdd1dULL +
@@ -80,67 +78,6 @@ void RandomColoringProgram::on_round(local::NodeCtx& ctx) {
   }
   proposal_[static_cast<std::size_t>(v)] = draw(v);
   ctx.publish({proposal_[static_cast<std::size_t>(v)]});
-}
-
-void RandomColoringProgram::on_init_batch(local::BatchCtx& batch,
-                                          local::NodeSpan nodes) {
-  (void)batch;
-  for (const graph::NodeId v : nodes) {
-    const int proposal = draw(v);
-    proposal_[static_cast<std::size_t>(v)] = proposal;
-    const std::int64_t word = proposal;
-    batch.publish(v, local::RegView(&word, 1));
-  }
-}
-
-// Batch kernel: the same per-node rule over flat lanes. `committed_`
-// (copied from `proposal_` before any redraw this round) equals the
-// committed register word for every node that has published — the last
-// draw *is* the last publish — and equals the fixed output color for a
-// terminated node (`proposal_` freezes at the color it terminated
-// with), so both neighbor classes read one int instead of resolving a
-// register plane. Terminations are masked by term_round < round exactly
-// like NodeCtx::neighbor_terminated. Reads see only round-start state
-// and each node's PRNG stream is independent, so the schedule is
-// bit-identical to the per-node path.
-void RandomColoringProgram::on_round_batch(local::BatchCtx& batch,
-                                           local::NodeSpan nodes) {
-  const std::int64_t round = batch.round();
-  const std::int32_t* off = batch.offsets();
-  const graph::NodeId* adj = batch.adjacency();
-  const std::uint8_t* term = batch.terminated_lane().data();
-  const std::int64_t* term_round = batch.term_round_lane().data();
-  const graph::LocalId* ids = tree_.local_ids().data();
-  std::memcpy(committed_.data(), proposal_.data(),
-              proposal_.size() * sizeof(int));
-  const int* committed = committed_.data();
-  for (const graph::NodeId v : nodes) {
-    const auto vi = static_cast<std::size_t>(v);
-    const int mine = committed[vi];
-    const auto begin = static_cast<std::size_t>(off[vi]);
-    const auto end = static_cast<std::size_t>(off[vi + 1]);
-    bool safe = true;
-    for (std::size_t p = begin; p < end; ++p) {
-      const auto u = static_cast<std::size_t>(adj[p]);
-      if (committed[u] != mine) continue;
-      if (term[u] != 0 && term_round[u] < round) {
-        safe = false;  // conflicts with a fixed neighbor
-        break;
-      }
-      if (ids[u] > ids[vi]) {
-        safe = false;  // loses the tie against an undecided neighbor
-        break;
-      }
-    }
-    if (safe) {
-      batch.terminate(v, mine);
-      continue;
-    }
-    const int proposal = draw(v);
-    proposal_[vi] = proposal;
-    const std::int64_t word = proposal;
-    batch.publish(v, local::RegView(&word, 1));
-  }
 }
 
 local::RunStats run_random_coloring(const graph::Tree& tree, int colors,

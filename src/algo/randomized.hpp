@@ -28,10 +28,6 @@ class RandomColoringProgram final : public local::Program {
 
   void on_init(local::NodeCtx& ctx) override;
   void on_round(local::NodeCtx& ctx) override;
-  void on_init_batch(local::BatchCtx& batch,
-                     local::NodeSpan nodes) override;
-  void on_round_batch(local::BatchCtx& batch,
-                      local::NodeSpan nodes) override;
 
  private:
   [[nodiscard]] int draw(graph::NodeId v);
@@ -41,12 +37,6 @@ class RandomColoringProgram final : public local::Program {
   std::uint64_t seed_;
   std::vector<std::uint64_t> state_;  ///< per-node PRNG state
   std::vector<int> proposal_;         ///< previous round's proposal
-  /// Batch-kernel mirror of the *committed* proposals: refreshed from
-  /// `proposal_` at the top of every batch round, before any redraw
-  /// mutates it, so neighbor reads are flat int loads that cannot
-  /// observe same-round writes (the lane analogue of the engine's
-  /// staging/committed register split).
-  std::vector<int> committed_;
 };
 
 /// Convenience: run and return stats (outputs are color indices).

@@ -124,20 +124,15 @@ class DFreeAProgram final : public local::Program {
     charge_ = std::max<std::int64_t>(1, result_.view_radius);
   }
 
-  void on_init(local::NodeCtx&) override {}
+  // Every node only waits for the charge round; an earlier visit (per-node
+  // dispatch makes one every round) re-sleeps.
+  void on_init(local::NodeCtx& ctx) override { ctx.sleep_until(charge_); }
   void on_round(local::NodeCtx& ctx) override {
-    if (ctx.round() >= charge_) {
-      ctx.terminate(result_.output[static_cast<std::size_t>(ctx.node())]);
+    if (ctx.round() < charge_) {
+      ctx.sleep_until(charge_);
+      return;
     }
-  }
-  /// Batch kernel: rounds before the charge are a single compare; at the
-  /// charge round every alive node fixes its precomputed output.
-  void on_round_batch(local::BatchCtx& batch,
-                      local::NodeSpan nodes) override {
-    if (batch.round() < charge_) return;
-    for (const NodeId v : nodes) {
-      batch.terminate(v, result_.output[static_cast<std::size_t>(v)]);
-    }
+    ctx.terminate(result_.output[static_cast<std::size_t>(ctx.node())]);
   }
 
  private:
@@ -153,24 +148,19 @@ class HierLabelingProgram final : public local::Program {
   HierLabelingProgram(const Tree& tree, int k)
       : solution_(solve_hierarchical_labeling(tree, k)) {}
 
-  void on_init(local::NodeCtx&) override {}
+  // Each node only waits for its peel step; a neighbour that terminates
+  // earlier wakes it, and that visit re-sleeps.
+  void on_init(local::NodeCtx& ctx) override {
+    ctx.sleep_until(
+        solution_.assign_round[static_cast<std::size_t>(ctx.node())]);
+  }
   void on_round(local::NodeCtx& ctx) override {
     const auto v = static_cast<std::size_t>(ctx.node());
-    if (ctx.round() >= solution_.assign_round[v]) {
-      ctx.terminate(solution_.labels[v]);
+    if (ctx.round() < solution_.assign_round[v]) {
+      ctx.sleep_until(solution_.assign_round[v]);
+      return;
     }
-  }
-  /// Batch kernel: one flat compare per alive node against the
-  /// precomputed peel schedule — no per-node virtual hop.
-  void on_round_batch(local::BatchCtx& batch,
-                      local::NodeSpan nodes) override {
-    const std::int64_t r = batch.round();
-    for (const NodeId v : nodes) {
-      const auto i = static_cast<std::size_t>(v);
-      if (r >= solution_.assign_round[i]) {
-        batch.terminate(v, solution_.labels[i]);
-      }
-    }
+    ctx.terminate(solution_.labels[v]);
   }
 
   [[nodiscard]] const HierLabeling& solution() const { return solution_; }

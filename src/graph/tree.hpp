@@ -97,12 +97,6 @@ class Tree {
     return ids_[static_cast<std::size_t>(v)];
   }
 
-  /// The flat LOCAL-id lane (indexed by NodeId) — what batch kernels
-  /// read instead of n bounds-checked `local_id` calls.
-  [[nodiscard]] std::span<const LocalId> local_ids() const {
-    return ids_;
-  }
-
   /// Overrides the LOCAL identifier of `v` (IDs must stay distinct;
   /// enforced by `validate_ids`).
   void set_local_id(NodeId v, LocalId id) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <string>
 
 namespace lcl::local {
@@ -16,75 +17,12 @@ Output NodeCtx::neighbor_output(int port) const {
 
 void NodeCtx::terminate(Output out) {
   const auto v = static_cast<std::size_t>(v_);
-  if (engine_.term_[v] != 0) {
+  if (engine_.term_[v] != Engine::kLive) {
     throw std::logic_error("NodeCtx: double termination");
   }
-  engine_.term_[v] = 1;
+  engine_.term_[v] = Engine::kEnding;
   engine_.outputs_[v] = out;
   engine_.term_round_[v] = engine_.round_;
-}
-
-// Default batch hooks: replay the per-node schedule over the span, so a
-// program that never heard of batching behaves bit-identically under
-// either dispatch mode.
-
-void Program::on_init_batch(BatchCtx& batch, NodeSpan nodes) {
-  for (const NodeId v : nodes) {
-    NodeCtx ctx = batch.node_ctx(v);
-    on_init(ctx);
-  }
-}
-
-void Program::on_round_batch(BatchCtx& batch, NodeSpan nodes) {
-  for (const NodeId v : nodes) {
-    NodeCtx ctx = batch.node_ctx(v);
-    on_round(ctx);
-  }
-}
-
-void BatchCtx::terminate(NodeId v, Output out) {
-  NodeCtx ctx(engine_, v);
-  ctx.terminate(out);
-}
-
-void BatchCtx::terminate_lane(NodeSpan nodes, Output out) {
-  Engine& e = engine_;
-  for (const NodeId v : nodes) {
-    const auto i = static_cast<std::size_t>(v);
-    if (e.term_[i] != 0) {
-      throw std::logic_error("BatchCtx: double termination");
-    }
-    e.term_[i] = 1;
-    e.outputs_[i] = out;
-    e.term_round_[i] = e.round_;
-  }
-}
-
-void BatchCtx::terminate_lane(NodeSpan nodes, const Output* outputs) {
-  Engine& e = engine_;
-  for (std::size_t j = 0; j < nodes.size(); ++j) {
-    const auto i = static_cast<std::size_t>(nodes[j]);
-    if (e.term_[i] != 0) {
-      throw std::logic_error("BatchCtx: double termination");
-    }
-    e.term_[i] = 1;
-    e.outputs_[i] = outputs[j];
-    e.term_round_[i] = e.round_;
-  }
-}
-
-void BatchCtx::publish_lane(NodeSpan nodes, const std::int64_t* words,
-                            std::size_t width) {
-  Engine& e = engine_;
-  // One capacity check for the whole lane; the per-node body is
-  // NodeCtx::publish's with the grow branch hoisted out.
-  const auto w = static_cast<std::int64_t>(width);
-  if (w > e.cap_) e.grow(w);
-  const std::int64_t* src = words;
-  for (const NodeId v : nodes) {
-    e.stage(v, src, w);
-    src += width;
-  }
 }
 
 Engine::Workspace& tls_workspace() {
@@ -183,7 +121,7 @@ void Engine::grow(std::int64_t width) {
 
 void Engine::commit_publishes() {
   // Toggle the owners' parity bits via the publisher list; silent and
-  // terminated nodes cost nothing. Under batch dispatch the list also
+  // terminated nodes cost nothing. When sleep is honoured the list also
   // holds the round's silent terminators (pub == 0, nothing to flip),
   // and every entry wakes its sleeping neighbours for the next round.
   std::vector<NodeId>& published = ws_->published;
@@ -193,7 +131,7 @@ void Engine::commit_publishes() {
       cur_[i] ^= 1;
       pub_[i] = 0;
     }
-    if (batch_) {
+    if (honour_sleep_) {
       for (std::int32_t p = off_[i]; p < off_[i + 1]; ++p) {
         wake(adj_[static_cast<std::size_t>(p)]);
       }
@@ -212,9 +150,11 @@ std::int64_t Engine::compact_alive() {
   std::int64_t ended = 0;
   for (const NodeId v : alive) {
     const auto i = static_cast<std::size_t>(v);
-    if (term_[i] != 0) {
+    if (term_[i] != kLive) {
+      // The round is over: the termination becomes visible.
+      term_[i] = kEnded;
       ++ended;
-      if (batch_) {
+      if (honour_sleep_) {
         // A node may sleep and terminate in one callback: termination
         // wins. A silent terminator joins the publisher list so the
         // flip wakes its neighbours.
@@ -269,7 +209,27 @@ void Engine::wake(NodeId u) {
 
 void Engine::wake_due() {
   std::vector<std::uint64_t>& timers = ws_->timers;
+  // Pop due timers one at a time while they are few. Past a sixteenth
+  // of the heap the round is a mass deadline (many nodes slept to one
+  // round), so the rest are taken in one linear partition and the heap
+  // is rebuilt: O(heap) instead of O(due * log heap).
+  const std::size_t bulk = timers.size() / kBulkShare;
+  std::size_t popped = 0;
   while (!timers.empty() && timer_round(timers.front()) <= round_) {
+    if (++popped > bulk) {
+      const auto due = std::partition(
+          timers.begin(), timers.end(),
+          [this](std::uint64_t t) { return timer_round(t) > round_; });
+      for (auto it = due; it != timers.end(); ++it) {
+        const NodeId v = timer_node(*it);
+        if (term_round_[static_cast<std::size_t>(v)] == timer_round(*it)) {
+          wake(v);
+        }
+      }
+      timers.erase(due, timers.end());
+      std::make_heap(timers.begin(), timers.end(), std::greater<>());
+      break;
+    }
     const std::uint64_t t = timers.front();
     std::pop_heap(timers.begin(), timers.end(), std::greater<>());
     timers.pop_back();
@@ -278,12 +238,25 @@ void Engine::wake_due() {
   }
   std::vector<NodeId>& woken = ws_->woken;
   if (woken.empty()) return;
-  std::sort(woken.begin(), woken.end());
   for (const NodeId v : woken) sleep_[static_cast<std::size_t>(v)] = kAwake;
+  std::vector<NodeId>& alive = ws_->alive;
+  const auto n = static_cast<std::size_t>(tree_.size());
+  if (woken.size() * kDenseWake > n) {
+    // Most of the graph woke: rebuilding the list from the lanes (awake
+    // and not terminated, in id order) beats sorting the woken ids.
+    alive.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (term_[i] == kLive && sleep_[i] == kAwake) {
+        alive.push_back(static_cast<NodeId>(i));
+      }
+    }
+    woken.clear();
+    return;
+  }
+  std::sort(woken.begin(), woken.end());
   // Merge from the back: compaction already dropped every woken node
   // from `alive` (they were asleep), so the two lists are disjoint, and
   // the merged size is at most the reserved n.
-  std::vector<NodeId>& alive = ws_->alive;
   std::size_t a = alive.size();
   std::size_t b = woken.size();
   alive.resize(a + b);
@@ -351,7 +324,7 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
 
   const auto n = static_cast<std::size_t>(tree_.size());
   round_ = 0;
-  batch_ = dispatch_ != DispatchMode::kPerNode;
+  honour_sleep_ = dispatch_ != DispatchMode::kPerNode;
 
   // The only adjacency "setup": borrow the Tree's native CSR pointers.
   // Nothing is copied or rebuilt per run.
@@ -362,28 +335,18 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
   bind(ws);
 
   // Init phase (round 0): registers published here are visible in round 1.
+  // Every node is called in id order, then a stable compaction drops the
+  // init-terminated ones. `alive` was reserved for n by prepare(), so
+  // the resize never allocates on a warm run.
   std::vector<NodeId>& alive = ws.alive;
-  BatchCtx bctx(*this);
-  std::int64_t live = tree_.size();  // alive nodes, sleepers included
-  if (batch_) {
-    // One span-level call over every node, then a stable compaction of
-    // the init-terminated ones — the same surviving order the per-node
-    // push_back filter produces. `alive` was reserved for n by
-    // prepare(), so the resize never allocates on a warm run.
-    alive.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      alive[i] = static_cast<NodeId>(i);
-    }
-    program.on_init_batch(bctx, NodeSpan(alive.data(), alive.size()));
-    live -= compact_alive();
-  } else {
-    for (NodeId v = 0; v < tree_.size(); ++v) {
-      NodeCtx ctx(*this, v);
-      program.on_init(ctx);
-      if (term_[static_cast<std::size_t>(v)] == 0) alive.push_back(v);
-    }
-    live = static_cast<std::int64_t>(alive.size());
+  alive.resize(n);
+  std::iota(alive.begin(), alive.end(), NodeId{0});
+  for (const NodeId v : alive) {
+    NodeCtx ctx(*this, v);
+    program.on_init(ctx);
   }
+  // Alive nodes, sleepers included.
+  std::int64_t live = tree_.size() - compact_alive();
   commit_publishes();
   if (profile != nullptr) {
     profile->alive_per_round.clear();
@@ -396,7 +359,7 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
   stats.unterminated = 0;
   stats.visits = 0;
   while (live > 0) {
-    // Only batch dispatch can have every live node asleep.
+    // Only an engine that honours sleep can have every live node asleep.
     if (alive.empty() && ws.woken.empty()) {
       skip_idle(max_rounds, live, profile);
     }
@@ -408,21 +371,17 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
       stats.truncated = true;
       stats.unterminated = live;
       for (std::size_t v = 0; v < n; ++v) {
-        if (term_[v] == 0) term_round_[v] = round_;
+        if (term_[v] == kLive) term_round_[v] = round_;
       }
       break;
     }
     ++round_;
-    if (batch_) wake_due();
+    if (honour_sleep_) wake_due();
     if (profile != nullptr) profile->alive_per_round.push_back(live);
     stats.visits += static_cast<std::int64_t>(alive.size());
-    if (batch_) {
-      program.on_round_batch(bctx, NodeSpan(alive.data(), alive.size()));
-    } else {
-      for (const NodeId v : alive) {
-        NodeCtx ctx(*this, v);
-        program.on_round(ctx);
-      }
+    for (const NodeId v : alive) {
+      NodeCtx ctx(*this, v);
+      program.on_round(ctx);
     }
     // Compact before the flip: sleepers leave the alive list first, so
     // the flip's wake-ups never re-add a node that is still in it.

@@ -61,11 +61,11 @@
 // after a neighbour's committed register or visible termination
 // changes". A sleeping node is alive — its T_v accrues, its register
 // stays readable, and it counts in `RunProfile::alive_per_round` — it is
-// only not called. Batch dispatch honours the hint: after each round the
-// walked list drops its sleepers, the flip wakes the sleeping neighbours
-// of every publisher and terminator for the next round, a min-heap of
-// `(round, node)` timers wakes deadlines, and when nobody is awake the
-// engine jumps straight to the next timer. A publish equal to the
+// only not called. The default dispatch honours the hint: after each
+// round the walked list drops its sleepers, the flip wakes the sleeping
+// neighbours of every publisher and terminator for the next round, a
+// min-heap of `(round, node)` timers wakes deadlines, and when nobody is
+// awake the engine jumps straight to the next timer. A publish equal to the
 // committed register is dropped (no reader can tell), so re-sending a
 // register wakes nobody. Total simulation cost is therefore
 // O(visits + publishes * Delta), with visits <= sum_v T_v — the quantity
@@ -75,15 +75,12 @@
 // path stays the reference, and the dispatch differentials prove the
 // hint changes no result.
 //
-// Dispatch. The engine drives a program either through the classic
-// per-node virtual hooks (one `on_round` call per alive node) or
-// through span-level batch hooks (one `on_round_batch` call per round
-// over the whole compacted alive list). The `DispatchMode` is chosen
-// once, where the engine is constructed. The default batch hooks loop
-// the per-node hooks in alive order, so the two modes are bit-identical
-// for every program that keeps the sleep contract; ported programs
-// override them with lane-level kernels over `BatchCtx`'s direct SoA
-// views and bulk writers.
+// Dispatch. Every program is one pair of per-node hooks, `on_init` and
+// `on_round`, called in increasing id order. The `DispatchMode`, chosen
+// once where the engine is constructed, only decides whether
+// `sleep_until` is honoured: the default skips sleepers, `kPerNode`
+// calls every alive node every round and is the reference the
+// differential suites compare the default against.
 //
 // Algorithms implement `Program`. Independent runs (one engine per
 // instance) share nothing and can execute concurrently; see
@@ -125,12 +122,12 @@ struct Output {
   int secondary = -1;
 };
 
-/// How an engine run drives the program.
-///   kPerNode — the per-node hooks (the reference path).
-///   kBatch   — the span-level hooks (ported programs run their batch
-///              kernels; the default hooks replay the per-node
-///              schedule, so the two modes are bit-identical).
-///   kAuto    — kBatch: with the default hooks batch never loses.
+/// Whether an engine run honours `NodeCtx::sleep_until`.
+///   kPerNode — no: every alive node is called every round (the
+///              reference path).
+///   kBatch   — yes: sleepers are skipped until a deadline or a
+///              neighbour change wakes them.
+///   kAuto    — kBatch (the default).
 enum class DispatchMode { kPerNode = 0, kBatch = 1, kAuto = 2 };
 
 /// Accepted by one `Engine` constructor and ignored: the engine has one
@@ -239,8 +236,8 @@ class NodeCtx {
       std::numeric_limits<std::int64_t>::max();
   /// Declares that this node has nothing to do before round `round`
   /// unless a neighbour's committed register or visible termination
-  /// changes; batch dispatch then skips its callbacks until one of those
-  /// happens. The node stays alive (T_v accrues). Contract: any visit
+  /// changes; the default dispatch then skips its callbacks until one
+  /// of those happens. The node stays alive (T_v accrues). Contract: any visit
   /// during the sleep must be a no-op — no state change, no changed
   /// publish, no termination — because per-node dispatch ignores the
   /// hint and visits anyway. A deadline at or before the next round is
@@ -255,122 +252,25 @@ class NodeCtx {
   NodeId v_;
 };
 
-/// The engine's per-round unit of batched dispatch: a contiguous,
-/// strictly increasing run of node ids (the compacted list of awake
-/// alive nodes).
-using NodeSpan = std::span<const NodeId>;
-
-/// Span-level view handed to the batch hooks: the whole-round
-/// counterpart of `NodeCtx`, exposing the engine's SoA lanes directly
-/// so a ported program can run one flat kernel over the alive span
-/// instead of n virtual calls.
-///
-/// Aliasing rules (what keeps batch runs bit-identical to per-node
-/// runs, in any processing order):
-///   * Reads see the end of the *previous* round. `reg(u)` returns u's
-///     committed register — a publish this round writes the staging
-///     plane and only flips at the end of the round, so reads are
-///     unaffected by same-round writes. `terminated_visible(u)` applies
-///     the same one-round delay to terminations.
-///   * The raw `terminated_lane()` view is the live flag lane: it
-///     includes *same-round* terminations (the engine sets the flag
-///     eagerly so double-termination is detectable). Kernels that need
-///     synchronous semantics must mask it with `term_round_lane()[u] <
-///     round()` — which is exactly what `terminated_visible` does.
-///     `term_round_lane()[u]` means nothing until u has terminated (a
-///     sleeper keeps its deadline there), so read it only under the
-///     flag.
-///   * Writers (`publish*`, `terminate*`) only touch staging state
-///     (staging plane, termination flags for *future* visibility), so
-///     the order a kernel walks the span in cannot change what any
-///     node observes this round.
-/// Register views obtained through a `BatchCtx` stay valid for the
-/// duration of the current hook call, exactly like `NodeCtx` views.
-class BatchCtx {
- public:
-  /// Number of nodes in the graph.
-  [[nodiscard]] std::int64_t n() const;
-  /// Current round number (1-based; 0 during on_init_batch).
-  [[nodiscard]] std::int64_t round() const;
-  [[nodiscard]] const Tree& tree() const;
-
-  /// The tree's native CSR: neighbors of v are
-  /// `adjacency()[offsets()[v] + port]`.
-  [[nodiscard]] const std::int32_t* offsets() const;
-  [[nodiscard]] const NodeId* adjacency() const;
-
-  /// Node u's committed register (as of the end of the previous round).
-  [[nodiscard]] RegView reg(NodeId u) const;
-  /// Length-bounded views of the termination lanes (length n; see the
-  /// aliasing rules above for the raw-flag caveat).
-  [[nodiscard]] std::span<const std::uint8_t> terminated_lane() const;
-  [[nodiscard]] std::span<const std::int64_t> term_round_lane() const;
-  /// Whether u's termination is visible this round (synchronous
-  /// semantics: a node terminating in round r is observed from r+1).
-  [[nodiscard]] bool terminated_visible(NodeId u) const;
-  /// u's fixed output; only meaningful if `terminated_visible(u)`.
-  [[nodiscard]] Output output(NodeId u) const;
-
-  /// Overwrites v's register (visible to neighbors next round).
-  void publish(NodeId v, RegView reg);
-  void publish(NodeId v, std::initializer_list<std::int64_t> words) {
-    publish(v, RegView(words.begin(), words.size()));
-  }
-  /// Bulk publish: node `nodes[i]` publishes the `width` words at
-  /// `words + i * width`. One capacity check for the whole lane.
-  void publish_lane(NodeSpan nodes, const std::int64_t* words,
-                    std::size_t width);
-
-  /// Terminates v with the given output; `T_v` = current round.
-  void terminate(NodeId v, Output out);
-  void terminate(NodeId v, int primary, int secondary = -1) {
-    terminate(v, Output{primary, secondary});
-  }
-  /// Bulk terminate: every node in `nodes` fixes the same output.
-  void terminate_lane(NodeSpan nodes, Output out);
-  /// Bulk terminate with per-node outputs: `nodes[i]` fixes
-  /// `outputs[i]`.
-  void terminate_lane(NodeSpan nodes, const Output* outputs);
-
-  /// Per-node view for one node of the span — the escape hatch the
-  /// default batch hooks use to replay the per-node schedule.
-  [[nodiscard]] NodeCtx node_ctx(NodeId v);
-
- private:
-  friend class Engine;
-  explicit BatchCtx(Engine& engine) : engine_(engine) {}
-
-  Engine& engine_;
-};
-
 /// A distributed algorithm. One `Program` instance serves the whole run;
 /// per-node state must live in engine registers or in program-owned
 /// per-node arrays (indexed by NodeId) that the program only accesses for
 /// the node passed to the callback.
 ///
-/// The per-node hooks are the reference semantics. The batch hooks are
-/// the span-level fast path: their default implementations loop the
-/// per-node hooks over the span in order, so overriding them is purely
-/// an optimization — a correct override produces bit-identical
-/// `RunStats` under `DispatchMode::kBatch` as the per-node hooks do
-/// under `DispatchMode::kPerNode` (pinned by the dispatch differential
-/// suites). Programs that override a batch hook should keep the
-/// per-node twin intact as the pinned reference.
+/// A program that waits calls `NodeCtx::sleep_until` at the wait, so the
+/// default dispatch skips its idle rounds; it must keep every visit
+/// during a sleep a no-op, so both dispatch modes give bit-identical
+/// `RunStats` apart from `visits`.
 class Program {
  public:
   virtual ~Program() = default;
   /// Called once per node before round 1 (round() == 0). May publish and
   /// may terminate (yielding T_v = 0, i.e., constant-time termination).
   virtual void on_init(NodeCtx& ctx) = 0;
-  /// Called once per round for each non-terminated node (under batch
-  /// dispatch, for each one that is not asleep; see `sleep_until`).
+  /// Called once per round for each non-terminated node that is not
+  /// asleep, in increasing id order (`DispatchMode::kPerNode` calls the
+  /// sleepers too; see `sleep_until`).
   virtual void on_round(NodeCtx& ctx) = 0;
-  /// Batched init: called once with every node (round() == 0). Default:
-  /// loops `on_init` over the span.
-  virtual void on_init_batch(BatchCtx& batch, NodeSpan nodes);
-  /// Batched round: called once per round with the awake alive nodes,
-  /// in increasing id order. Default: loops `on_round` over the span.
-  virtual void on_round_batch(BatchCtx& batch, NodeSpan nodes);
 };
 
 /// Result of a run.
@@ -388,9 +288,9 @@ struct RunStats {
   double node_averaged = 0.0;
   std::int64_t worst_case = 0;
   std::int64_t total_rounds = 0;  ///< sum_v T_v
-  /// `on_round` callbacks made (span sizes, under batch dispatch).
-  /// Per-node dispatch visits every alive node every round, so there it
-  /// equals `total_rounds`; batch dispatch skips sleepers, so <=.
+  /// `on_round` callbacks made. Per-node dispatch visits every alive
+  /// node every round, so there it equals `total_rounds`; the default
+  /// dispatch skips sleepers, so <=.
   std::int64_t visits = 0;
   bool truncated = false;         ///< hit `max_rounds` with nodes alive
   std::int64_t unterminated = 0;  ///< nodes whose T_v is censored
@@ -454,7 +354,6 @@ class Engine {
    private:
     friend class Engine;
     friend class NodeCtx;
-    friend class BatchCtx;
 
     /// Sizes every lane for an n-node run and resets run state. Word
     /// planes are NOT cleared: register reads are length-bounded and
@@ -465,7 +364,7 @@ class Engine {
     AlignedPlane<std::int32_t> len[2];    ///< per-plane register widths
     AlignedPlane<std::uint8_t> cur;       ///< committed-plane parity
     AlignedPlane<std::uint8_t> pub;       ///< published-this-round flag
-    AlignedPlane<std::uint8_t> terminated;
+    AlignedPlane<std::uint8_t> terminated;  ///< kLive / kEnding / kEnded
     /// T_v once terminated. While a node is alive and asleep its slot
     /// holds its sleep deadline instead: every reader masks the lane
     /// with `terminated`, so the slot is free until termination, and
@@ -474,7 +373,7 @@ class Engine {
     AlignedPlane<std::uint8_t> sleep;  ///< kAwake / kAsleep / kWoken
     std::vector<Output> outputs;
     std::vector<NodeId> alive;      ///< compacted in place every round
-    /// Publishers of the current round; under batch dispatch the
+    /// Publishers of the current round; when sleep is honoured the
     /// end-of-round compaction appends the silent terminators too, so
     /// the flip wakes the neighbours of both.
     std::vector<NodeId> published;
@@ -524,12 +423,9 @@ class Engine {
                 RunProfile* profile = nullptr);
 
   [[nodiscard]] const Tree& tree() const { return tree_; }
-  /// The dispatch this engine was constructed with (possibly kAuto).
-  [[nodiscard]] DispatchMode dispatch() const { return dispatch_; }
 
  private:
   friend class NodeCtx;
-  friend class BatchCtx;
 
   /// Stages v's next register (the one body of every publish; the
   /// caller has made `width` fit). Drops a publish that equals the
@@ -542,14 +438,21 @@ class Engine {
   /// Commits this round's publishes (parity toggles) and releases any
   /// retired planes. Called at the end of init and of every round.
   void commit_publishes();
-  /// Drops the terminated (and, under batch dispatch, the sleeping) ids
+  /// Drops the terminated (and, when sleep is honoured, the sleeping) ids
   /// from the alive list, in place and stable. Returns the number of
   /// terminations it dropped.
   std::int64_t compact_alive();
   /// Points the hot-path mirrors at `ws`'s (re)prepared lanes.
   void bind(Workspace& ws);
 
-  // Sleep (batch dispatch only). Per-node sleep states:
+  // Termination states of the `terminated` lane. A termination is
+  // `kEnding` for the rest of its round and `kEnded` (visible) from the
+  // end-of-round compaction on.
+  static constexpr std::uint8_t kLive = 0;
+  static constexpr std::uint8_t kEnded = 1;
+  static constexpr std::uint8_t kEnding = 2;
+
+  // Sleep (only when honoured). Per-node sleep states:
   static constexpr std::uint8_t kAwake = 0;
   static constexpr std::uint8_t kAsleep = 1;
   static constexpr std::uint8_t kWoken = 2;  ///< woken for next round
@@ -562,9 +465,15 @@ class Engine {
   void sleep(NodeId v, std::int64_t round);
   /// Marks u woken for the next round if it is asleep.
   void wake(NodeId u);
+  /// `wake_due` pops up to heap size / kBulkShare due timers one at a
+  /// time, then extracts the rest in one linear pass.
+  static constexpr std::size_t kBulkShare = 16;
+  /// Woken lists longer than n / kDenseWake rebuild the alive list by a
+  /// lane scan instead of sort + merge.
+  static constexpr std::size_t kDenseWake = 8;
   /// Wakes the sleepers whose deadline is the current round, then
   /// merges every woken node into the alive list (both sorted), so the
-  /// walked span stays strictly increasing.
+  /// walk stays in increasing id order.
   void wake_due();
   /// Nobody is awake: advances `round_` over the rounds before the next
   /// live timer (or to `max_rounds`), counting `live` nodes alive in
@@ -574,7 +483,7 @@ class Engine {
 
   const Tree& tree_;
   DispatchMode dispatch_;
-  bool batch_ = false;  ///< resolved dispatch choice for the current run
+  bool honour_sleep_ = false;  ///< resolved from `dispatch_` per run
   std::int64_t round_ = 0;
 
   // Borrowed views of the tree's native CSR, captured at the top of each
@@ -643,8 +552,9 @@ inline RegView NodeCtx::peek(int port) const {
 inline bool NodeCtx::neighbor_terminated(int port) const {
   const auto u = static_cast<std::size_t>(neighbor(port));
   // Terminations become visible one round after they happen (synchronous
-  // semantics): a node terminating in round r is observed from round r+1.
-  return engine_.term_[u] != 0 && engine_.term_round_[u] < engine_.round_;
+  // semantics): a node terminating in round r is observed from round r+1,
+  // once the end-of-round compaction has marked it kEnded.
+  return engine_.term_[u] == Engine::kEnded;
 }
 
 inline RegView NodeCtx::own() const {
@@ -662,7 +572,9 @@ inline void NodeCtx::publish(RegView reg) {
 }
 
 inline void NodeCtx::sleep_until(std::int64_t round) {
-  if (engine_.batch_ && round > engine_.round_ + 1) engine_.sleep(v_, round);
+  if (engine_.honour_sleep_ && round > engine_.round_ + 1) {
+    engine_.sleep(v_, round);
+  }
 }
 
 inline void Engine::stage(NodeId v, const std::int64_t* words,
@@ -687,57 +599,6 @@ inline void Engine::stage(NodeId v, const std::int64_t* words,
                 static_cast<std::size_t>(width) * sizeof(std::int64_t));
   }
   len_[staging][i] = static_cast<std::int32_t>(width);
-}
-
-// BatchCtx accessors share the hot-path mirrors with NodeCtx; the
-// single-node writers are exactly the NodeCtx ones with the id made
-// explicit, so both dispatch modes go through one definition of the
-// publish/terminate bookkeeping.
-
-inline std::int64_t BatchCtx::n() const { return engine_.tree_.size(); }
-
-inline std::int64_t BatchCtx::round() const { return engine_.round_; }
-
-inline const Tree& BatchCtx::tree() const { return engine_.tree_; }
-
-inline const std::int32_t* BatchCtx::offsets() const {
-  return engine_.off_;
-}
-
-inline const NodeId* BatchCtx::adjacency() const { return engine_.adj_; }
-
-inline RegView BatchCtx::reg(NodeId u) const {
-  const auto i = static_cast<std::size_t>(u);
-  const int plane = engine_.cur_[i];
-  return {engine_.words_[plane] + i * static_cast<std::size_t>(engine_.cap_),
-          static_cast<std::size_t>(engine_.len_[plane][i])};
-}
-
-inline std::span<const std::uint8_t> BatchCtx::terminated_lane() const {
-  return {engine_.term_, static_cast<std::size_t>(engine_.tree_.size())};
-}
-
-inline std::span<const std::int64_t> BatchCtx::term_round_lane() const {
-  return {engine_.term_round_,
-          static_cast<std::size_t>(engine_.tree_.size())};
-}
-
-inline bool BatchCtx::terminated_visible(NodeId u) const {
-  const auto i = static_cast<std::size_t>(u);
-  return engine_.term_[i] != 0 && engine_.term_round_[i] < engine_.round_;
-}
-
-inline Output BatchCtx::output(NodeId u) const {
-  return engine_.outputs_[static_cast<std::size_t>(u)];
-}
-
-inline void BatchCtx::publish(NodeId v, RegView reg) {
-  NodeCtx ctx(engine_, v);
-  ctx.publish(reg);
-}
-
-inline NodeCtx BatchCtx::node_ctx(NodeId v) {
-  return NodeCtx(engine_, v);
 }
 
 }  // namespace lcl::local

@@ -152,14 +152,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Seeded three-way dispatch fuzz: every registered solver on freshly
-// sampled random families, run under BOTH Program↔Engine contracts.
-// The per-node virtual-hook path and the span-level batch-kernel path
-// must agree *bit-identically* (rounds, termination schedule, outputs,
-// node-average down to the ulp) and certify identically through the
-// solver's own checker, and the shared schedule must replay
-// bit-identically on the frozen legacy engine. This is the contract
-// that lets DispatchMode::kAuto resolve to batch: a batch kernel that
-// drifts from its pinned per-node reference twin fails here on the
+// sampled random families, run under BOTH dispatch modes. Per-node
+// dispatch, which visits every alive node every round, and the
+// sleep-honouring dispatch must agree *bit-identically* (rounds,
+// termination schedule, outputs, node-average down to the ulp) and
+// certify identically through the solver's own checker, and the shared
+// schedule must replay bit-identically on the frozen legacy engine.
+// This is the contract that lets DispatchMode::kAuto honour sleep: a
+// program whose visit during a sleep is not a no-op fails here on the
 // exact (solver, family, seed) triple.
 TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
   const std::vector<std::string> families = {"prufer", "galton_watson",
@@ -183,7 +183,7 @@ TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
       config.seed = seed;
       config.validate(spec);
 
-      // One frozen instance, two dispatch contracts. Each contract gets
+      // One frozen instance, two dispatch modes. Each mode gets
       // its own program instance so seeded per-node state is regenerated
       // identically rather than shared.
       const std::unique_ptr<local::Program> pernode_program =
@@ -237,8 +237,7 @@ TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
 // wave schedules, the level-k Cole-Vishkin reduction with a virtual-log*
 // pad — never fires there. Here both variants run at k = 2 and k = 3
 // with explicit gamma profiles on structured lower-bound instances and
-// random trees. The program overrides no batch hook, so batch dispatch
-// replays its per-node body through the engine's default hooks, skipping
+// random trees. Batch dispatch runs the same per-node body, skipping
 // the nodes that sleep; the two dispatch modes must agree
 // bit-identically, the per-node run must hit the pinned totals (sum T_v,
 // rounds, worst case), the coloring must pass the paper's hierarchical
@@ -389,6 +388,45 @@ TEST(DifferentialFuzz, WeightedWrappersPerNodeBatchAgreeOnPaperInstances) {
     EXPECT_LT(2 * batch.visits, pernode.visits);
     const problems::CheckResult verdict =
         spec.certify(c.inst.tree, *batch_program, batch, c.config);
+    EXPECT_TRUE(verdict.ok) << verdict.reason;
+  }
+}
+
+// The standalone wrappers and distributed programs that sleep at their
+// waits: d-free Algorithm A and the hierarchical labeling until their
+// charge round, level peeling until round k + 1, and the decomposition's
+// non-chain nodes through each compress step. On fixed instances the
+// default dispatch must make strictly fewer callbacks than sum_v T_v
+// while reproducing the per-node run's schedule and outputs.
+TEST(DifferentialFuzz, SleepingProgramsVisitLessThanSumT) {
+  for (const std::string solver_name :
+       {"dfree_a", "hier_labeling", "level_peeling", "rake_compress"}) {
+    SCOPED_TRACE("solver=" + solver_name);
+    const algo::SolverSpec& spec = algo::solver(solver_name);
+    graph::Tree tree =
+        graph::make_family_instance("prufer", 400, 29, /*delta=*/3);
+    algo::prepare_instance(tree, spec.needs, 29);
+    algo::SolverConfig config;
+    config.seed = 29;
+    config.validate(spec);
+
+    const auto pernode_program = spec.factory(tree, config);
+    local::Engine pernode_engine(tree, local::DispatchMode::kPerNode);
+    const local::RunStats pernode = pernode_engine.run(*pernode_program);
+    const auto default_program = spec.factory(tree, config);
+    local::Engine default_engine(tree);
+    const local::RunStats by_default = default_engine.run(*default_program);
+
+    ASSERT_FALSE(pernode.truncated);
+    EXPECT_EQ(pernode.total_rounds, by_default.total_rounds);
+    EXPECT_EQ(pernode.rounds, by_default.rounds);
+    EXPECT_EQ(pernode.termination_round, by_default.termination_round);
+    EXPECT_EQ(pernode.primaries(), by_default.primaries());
+    EXPECT_EQ(pernode.secondaries(), by_default.secondaries());
+    EXPECT_EQ(pernode.visits, pernode.total_rounds);
+    EXPECT_LT(by_default.visits, by_default.total_rounds);
+    const problems::CheckResult verdict =
+        spec.certify(tree, *default_program, by_default, config);
     EXPECT_TRUE(verdict.ok) << verdict.reason;
   }
 }

@@ -501,10 +501,10 @@ TEST(EngineWorkspace, NestedUseOfOneWorkspaceThrows) {
 }
 
 TEST(EngineWorkspace, BatchDispatchWarmRunsAreAllocationFree) {
-  // The batched init path fills the reserved alive list in place
-  // (iota + stable compaction) instead of filtering through push_back;
-  // warm reps must stay allocation-free exactly like per-node dispatch,
-  // and produce bit-identical results.
+  // Init fills the reserved alive list in place (iota + stable
+  // compaction); warm reps under the sleep-honouring dispatch must stay
+  // allocation-free exactly like per-node dispatch, and produce
+  // bit-identical results.
   Tree t = graph::make_random_tree(600, 4, 99);
   Engine pernode_engine(t, local::DispatchMode::kPerNode);
   Engine batch_engine(t, local::DispatchMode::kBatch);
@@ -541,9 +541,9 @@ TEST(EngineWorkspace, BatchDispatchWarmRunsAreAllocationFree) {
 }
 
 TEST(EngineWorkspace, NestedUseUnderBatchDispatchThrows) {
-  // The in_use guard must fire on the batched round loop too: the
-  // nested run here is attempted from inside on_round_batch (the
-  // default hook drives on_round), against the same workspace.
+  // The in_use guard must fire under the sleep-honouring dispatch too:
+  // the nested run here is attempted from inside on_round, against the
+  // same workspace.
   Tree t = graph::make_path(4);
   Engine engine(t, local::DispatchMode::kBatch);
   Engine::Workspace ws;
@@ -562,6 +562,103 @@ TEST(EngineWorkspace, TlsWorkspaceIsSticky) {
   ChurnProgram p;
   const RunStats direct = engine.run(p);
   expect_identical(direct, engine.run(p, ws));
+}
+
+// ---- Dispatch ----------------------------------------------------------
+// Every program is driven through its per-node hooks; the DispatchMode
+// only decides whether `sleep_until` is honoured.
+
+/// Sleeps every node until round 3, then terminates it.
+class NapUntilThree final : public Program {
+ public:
+  void on_init(NodeCtx& ctx) override { ctx.sleep_until(3); }
+  void on_round(NodeCtx& ctx) override {
+    if (ctx.round() < 3) {
+      ctx.sleep_until(3);
+      return;
+    }
+    ctx.terminate(0);
+  }
+};
+
+TEST(EngineDispatch, DefaultConstructedEngineHonoursSleep) {
+  // The default constructor and kAuto resolve to the sleep-honouring
+  // kBatch: 16 nodes are visited once, in round 3. kPerNode visits all
+  // three rounds. The schedule is the same either way.
+  Tree t = graph::make_path(16);
+  const auto visits = [&t](Engine engine) {
+    NapUntilThree p;
+    const RunStats stats = engine.run(p);
+    EXPECT_EQ(stats.total_rounds, 3 * 16);
+    EXPECT_EQ(stats.rounds, 3);
+    return stats.visits;
+  };
+  EXPECT_EQ(visits(Engine(t)), 16);
+  EXPECT_EQ(visits(Engine(t, local::DispatchMode::kAuto)), 16);
+  EXPECT_EQ(visits(Engine(t, local::DispatchMode::kBatch)), 16);
+  EXPECT_EQ(visits(Engine(t, local::DispatchMode::kPerNode)), 3 * 16);
+}
+
+/// A program that never sleeps, exercising every NodeCtx facility:
+/// register churn with growing widths, neighbor reads, staggered
+/// termination.
+class NeverSleeps final : public Program {
+ public:
+  void on_init(NodeCtx& ctx) override { ctx.publish({ctx.node()}); }
+  void on_round(NodeCtx& ctx) override {
+    std::int64_t sum = 0;
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const local::RegView reg = ctx.peek(p);
+      if (!reg.empty()) sum += reg[0];
+      if (ctx.neighbor_terminated(p)) ++sum;
+    }
+    Register r(ctx.own().begin(), ctx.own().end());
+    r.push_back(sum);
+    ctx.publish(r);
+    if (ctx.round() == (ctx.node() % 7) + 1) {
+      ctx.terminate(static_cast<int>(sum % 1024), ctx.node() % 3);
+    }
+  }
+};
+
+TEST(EngineDispatch, NeverSleepingProgramIsBitIdenticalUnderBothModes) {
+  Tree t = graph::make_random_tree(500, 4, 31);
+  NeverSleeps a;
+  const RunStats pernode = Engine(t, local::DispatchMode::kPerNode).run(a);
+  NeverSleeps b;
+  const RunStats by_default = Engine(t).run(b);
+  expect_identical(pernode, by_default);
+  EXPECT_EQ(pernode.visits, pernode.total_rounds);
+  EXPECT_EQ(by_default.visits, pernode.visits);
+}
+
+/// Terminates every third node in init and logs round 1's visits.
+class InitTerminates final : public Program {
+ public:
+  void on_init(NodeCtx& ctx) override {
+    if (ctx.node() % 3 == 0) ctx.terminate(0);
+  }
+  void on_round(NodeCtx& ctx) override {
+    if (ctx.round() == 1) first_round_.push_back(ctx.node());
+    ctx.terminate(1);
+  }
+
+  std::vector<NodeId> first_round_;
+};
+
+TEST(EngineDispatch, InitTerminationsAreAbsentFromTheFirstRound) {
+  // Nodes that terminate in init are never visited; the rest are
+  // visited in id order, under either dispatch mode.
+  Tree t = graph::make_path(10);
+  const std::vector<NodeId> expected = {1, 2, 4, 5, 7, 8};
+  InitTerminates default_p;
+  const RunStats by_default = Engine(t).run(default_p);
+  EXPECT_EQ(default_p.first_round_, expected);
+  InitTerminates pernode_p;
+  const RunStats pernode =
+      Engine(t, local::DispatchMode::kPerNode).run(pernode_p);
+  EXPECT_EQ(pernode_p.first_round_, expected);
+  expect_identical(pernode, by_default);
 }
 
 // ---- Sleep contract ----------------------------------------------------
@@ -790,6 +887,39 @@ TEST(EngineSleep, FloodWithSleepersMatchesPerNode) {
     EXPECT_FALSE(stats.truncated);
     EXPECT_LT(stats.visits, stats.total_rounds);
   }
+}
+
+/// Two mass deadlines and a few staggered ones: even nodes end in round
+/// 5, odd ones in round 12, every tenth node in round 9..15. Each node
+/// sleeps straight to its end, so rounds 5 and 12 wake most of the
+/// graph at once while other timers stay pending.
+class MassDeadlines final : public Program {
+ public:
+  static std::int64_t end(NodeId v) {
+    if (v % 10 == 0) return 9 + v % 7;
+    return v % 2 == 0 ? 5 : 12;
+  }
+  void on_init(NodeCtx& ctx) override { ctx.sleep_until(end(ctx.node())); }
+  void on_round(NodeCtx& ctx) override {
+    if (ctx.round() >= end(ctx.node())) {
+      ctx.terminate(0);
+      return;
+    }
+    ctx.sleep_until(end(ctx.node()));
+  }
+};
+
+TEST(EngineSleep, MassDeadlinesWakeExactlyTheDueSleepers) {
+  Tree t = graph::make_random_tree(400, 4, 5);
+  RunStats stats;
+  (void)run_both_modes(t, [] { return MassDeadlines(); },
+                       std::numeric_limits<int>::max(), &stats);
+  for (NodeId v = 0; v < t.size(); ++v) {
+    EXPECT_EQ(stats.termination_round[static_cast<std::size_t>(v)],
+              MassDeadlines::end(v))
+        << "node " << v;
+  }
+  EXPECT_LT(stats.visits, stats.total_rounds / 2);
 }
 
 TEST(AlignedPlaneContract, PaddingAlignmentAndAllocAccounting) {

@@ -581,22 +581,34 @@ class NapUntilThree final : public Program {
   }
 };
 
-TEST(EngineDispatch, DefaultConstructedEngineHonoursSleep) {
-  // The default constructor and kAuto resolve to the sleep-honouring
-  // kBatch: 16 nodes are visited once, in round 3. kPerNode visits all
-  // three rounds. The schedule is the same either way.
+/// Runs NapUntilThree on `engine` and returns its visit count; the
+/// schedule is the same under every mode.
+std::int64_t nap_until_three_visits(Engine engine) {
+  NapUntilThree p;
+  const RunStats stats = engine.run(p);
+  EXPECT_EQ(stats.total_rounds, 3 * 16);
+  EXPECT_EQ(stats.rounds, 3);
+  return stats.visits;
+}
+
+TEST(DispatchMode, ResolveCollapsesAutoThroughTheDefault) {
+  // kAuto resolves to the sleep-honouring kBatch: 16 nodes are visited
+  // once, in round 3. kPerNode visits every node in all three rounds.
   Tree t = graph::make_path(16);
-  const auto visits = [&t](Engine engine) {
-    NapUntilThree p;
-    const RunStats stats = engine.run(p);
-    EXPECT_EQ(stats.total_rounds, 3 * 16);
-    EXPECT_EQ(stats.rounds, 3);
-    return stats.visits;
-  };
-  EXPECT_EQ(visits(Engine(t)), 16);
-  EXPECT_EQ(visits(Engine(t, local::DispatchMode::kAuto)), 16);
-  EXPECT_EQ(visits(Engine(t, local::DispatchMode::kBatch)), 16);
-  EXPECT_EQ(visits(Engine(t, local::DispatchMode::kPerNode)), 3 * 16);
+  EXPECT_EQ(nap_until_three_visits(Engine(t, local::DispatchMode::kAuto)), 16);
+  EXPECT_EQ(nap_until_three_visits(Engine(t, local::DispatchMode::kBatch)),
+            16);
+  EXPECT_EQ(nap_until_three_visits(Engine(t, local::DispatchMode::kPerNode)),
+            3 * 16);
+}
+
+TEST(DispatchMode, DefaultConstructedEngineCallsTheBatchHooks) {
+  // The default constructor drives the kBatch dispatch: the same visits
+  // as an engine that names kBatch.
+  Tree t = graph::make_path(16);
+  EXPECT_EQ(nap_until_three_visits(Engine(t)),
+            nap_until_three_visits(Engine(t, local::DispatchMode::kBatch)));
+  EXPECT_EQ(nap_until_three_visits(Engine(t)), 16);
 }
 
 /// A program that never sleeps, exercising every NodeCtx facility:

@@ -1,8 +1,9 @@
 #include "algo/fast_decomp.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "algo/connect_paths.hpp"
 #include "algo/heavy_decline.hpp"
@@ -24,7 +25,18 @@ struct Planner {
   std::vector<char> alive;
   std::vector<char> assigned;
   std::vector<std::int64_t> layer_key;  // 2i rake / 2i+1 compress
-  std::vector<std::vector<NodeId>> kids;  // oriented u -> kids[u]
+  // Oriented edges u -> w as ordered sibling lists in one edge pool: u's
+  // kids run from edge first_kid[u] along `next`, in adoption order. The
+  // lists thread through edges, not nodes, because the middle node of an
+  // odd compress chain (length 3, 5 or 7) is oriented inward from both
+  // ends and so sits in two lists.
+  struct KidEdge {
+    NodeId kid;
+    std::int32_t next;  // next edge of the same parent, or -1
+  };
+  std::vector<KidEdge> kid_edges;
+  std::vector<std::int32_t> first_kid;  // per node: edge index, or -1
+  std::vector<std::int32_t> last_kid;
   // Deferred orientation: when `pending_parent[c]` is assigned, the edge
   // pending_parent[c] -> c materializes (compress-endpoint boundary).
   std::vector<NodeId> pending_child;  // per node: child to adopt on assign
@@ -34,6 +46,8 @@ struct Planner {
   // granted to its raked children (at most d-2, the Lemma-52 budget).
   std::vector<char> has_a_below;
   std::vector<int> early_declines;
+  // FIFO of every Decline propagation: (node, its Decline round).
+  std::vector<std::pair<NodeId, std::int64_t>> fifo;
 
   FastDecompPlan plan;
 
@@ -44,7 +58,10 @@ struct Planner {
     alive.assign(n, 0);
     assigned.assign(n, 0);
     layer_key.assign(n, -1);
-    kids.resize(n);
+    // Room for one oriented edge per tree edge.
+    kid_edges.reserve(n);
+    first_kid.assign(n, -1);
+    last_kid.assign(n, -1);
     pending_child.assign(n, graph::kInvalidNode);
     has_a_below.assign(n, 0);
     early_declines.assign(n, 0);
@@ -63,30 +80,52 @@ struct Planner {
     return r != FdaRole::kInactive || !in(v);
   }
 
-  /// Decline propagation: BFS over `kids` starting below each seed,
+  /// Orients `parent` -> `child`, appending `child` to parent's kids.
+  void adopt(NodeId parent, NodeId child) {
+    const auto e = static_cast<std::int32_t>(kid_edges.size());
+    kid_edges.push_back({child, -1});
+    const auto p = static_cast<std::size_t>(parent);
+    if (last_kid[p] < 0) {
+      first_kid[p] = e;
+    } else {
+      kid_edges[static_cast<std::size_t>(last_kid[p])].next = e;
+    }
+    last_kid[p] = e;
+  }
+
+  /// Calls `f(w)` for each kid w of u, in adoption order.
+  template <typename F>
+  void for_each_kid(NodeId u, F&& f) const {
+    for (std::int32_t e = first_kid[static_cast<std::size_t>(u)]; e >= 0;
+         e = kid_edges[static_cast<std::size_t>(e)].next) {
+      f(kid_edges[static_cast<std::size_t>(e)].kid);
+    }
+  }
+
+  /// Decline propagation: BFS over the kids starting below each seed,
   /// skipping nodes that already carry an output (which also blocks the
   /// subtree behind them — an existing Copy component is sealed).
-  void propagate_decline(const std::vector<NodeId>& seeds,
+  void propagate_decline(std::span<const NodeId> seeds,
                          std::int64_t base_round) {
-    std::deque<std::pair<NodeId, std::int64_t>> q;
+    fifo.clear();
     for (NodeId s : seeds) {
       if (!has_output(s)) {
         plan.role[static_cast<std::size_t>(s)] = FdaRole::kDecline;
         plan.ready_round[static_cast<std::size_t>(s)] = base_round;
       }
       if (plan.role[static_cast<std::size_t>(s)] == FdaRole::kDecline) {
-        q.emplace_back(s, base_round);
+        fifo.emplace_back(s, base_round);
       }
     }
-    while (!q.empty()) {
-      auto [u, r] = q.front();
-      q.pop_front();
-      for (NodeId w : kids[static_cast<std::size_t>(u)]) {
-        if (has_output(w)) continue;
+    for (std::size_t head = 0; head < fifo.size(); ++head) {
+      const NodeId u = fifo[head].first;
+      const std::int64_t r = fifo[head].second;
+      for_each_kid(u, [&](NodeId w) {
+        if (has_output(w)) return;
         plan.role[static_cast<std::size_t>(w)] = FdaRole::kDecline;
         plan.ready_round[static_cast<std::size_t>(w)] = r + 1;
-        q.emplace_back(w, r + 1);
-      }
+        fifo.emplace_back(w, r + 1);
+      });
     }
   }
 
@@ -98,13 +137,12 @@ struct Planner {
     plan.role[static_cast<std::size_t>(root)] = FdaRole::kCopyRoot;
     plan.comp_root[static_cast<std::size_t>(root)] = root;
     plan.comp_depth[static_cast<std::size_t>(root)] = 0;
+    // The member list, in BFS order, is its own BFS queue.
     std::vector<NodeId> members{root};
-    std::deque<NodeId> q{root};
-    while (!q.empty()) {
-      const NodeId u = q.front();
-      q.pop_front();
-      for (NodeId w : kids[static_cast<std::size_t>(u)]) {
-        if (has_output(w)) continue;
+    for (std::size_t head = 0; head < members.size(); ++head) {
+      const NodeId u = members[head];
+      for_each_kid(u, [&](NodeId w) {
+        if (has_output(w)) return;
         plan.role[static_cast<std::size_t>(w)] = FdaRole::kCopyMember;
         plan.comp_root[static_cast<std::size_t>(w)] = root;
         plan.comp_depth[static_cast<std::size_t>(w)] =
@@ -117,8 +155,7 @@ struct Planner {
           }
         }
         members.push_back(w);
-        q.push_back(w);
-      }
+      });
     }
     // BFS order: the last member is the deepest.
     const int max_depth =
@@ -150,21 +187,20 @@ struct Planner {
   void adopt_and_flag(NodeId v) {
     if (pending_child[static_cast<std::size_t>(v)] !=
         graph::kInvalidNode) {
-      kids[static_cast<std::size_t>(v)].push_back(
-          pending_child[static_cast<std::size_t>(v)]);
+      adopt(v, pending_child[static_cast<std::size_t>(v)]);
       pending_child[static_cast<std::size_t>(v)] = graph::kInvalidNode;
     }
     char flag = is_a[static_cast<std::size_t>(v)] ? 1 : 0;
-    for (NodeId w : kids[static_cast<std::size_t>(v)]) {
+    for_each_kid(v, [&](NodeId w) {
       if (has_a_below[static_cast<std::size_t>(w)]) flag = 1;
-    }
+    });
     has_a_below[static_cast<std::size_t>(v)] = flag;
   }
 
   /// Rule 2: bordered nodes propagate their Decline once assigned.
   void on_assigned(NodeId v, std::int64_t round) {
     if (plan.role[static_cast<std::size_t>(v)] == FdaRole::kDecline) {
-      propagate_decline({v}, round);
+      propagate_decline(std::span(&v, 1), round);
     }
   }
 
@@ -185,7 +221,7 @@ struct Planner {
     }
     if (early_declines[static_cast<std::size_t>(parent)] >= d - 2) return;
     ++early_declines[static_cast<std::size_t>(parent)];
-    propagate_decline({v}, round);
+    propagate_decline(std::span(&v, 1), round);
   }
 };
 
@@ -207,15 +243,28 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     pl.plan.ready_round[static_cast<std::size_t>(v)] = kBound + 1;
   });
 
-  // Alive = participants that did not output Connect.
-  std::int64_t alive_count = 0;
+  // Alive = participants that did not output Connect. Two worklists in
+  // increasing id order replace whole-graph scans, so every pass below
+  // visits nodes in the same order a scan of 0..n-1 would: `alive_list`
+  // holds the alive nodes and `open` the participants still without an
+  // output (a superset of the alive ones). Both are compacted in place.
+  std::vector<NodeId> alive_list;
   for (NodeId v = 0; v < n; ++v) {
     if (pl.in(v) &&
         pl.plan.role[static_cast<std::size_t>(v)] != FdaRole::kConnect) {
       pl.alive[static_cast<std::size_t>(v)] = 1;
-      ++alive_count;
+      alive_list.push_back(v);
     }
   }
+  std::vector<NodeId> open = alive_list;
+  auto drop_dead = [&] {
+    std::erase_if(alive_list, [&](NodeId v) {
+      return !pl.alive[static_cast<std::size_t>(v)];
+    });
+  };
+  auto drop_decided = [&] {
+    std::erase_if(open, [&](NodeId v) { return pl.has_output(v); });
+  };
   auto alive_degree = [&](NodeId v) {
     int deg = 0;
     for (NodeId u : tree.neighbors(v)) {
@@ -224,16 +273,24 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     return deg;
   };
 
+  // Per-iteration scratch, sized once: the marks are cleared through the
+  // lists that set them.
+  std::vector<NodeId> rake_set;
+  std::vector<char> in_rake(static_cast<std::size_t>(n), 0);
+  std::vector<NodeId> chain_nodes;  // alive degree-2 nodes this iteration
+  std::vector<char> is_chain(static_cast<std::size_t>(n), 0);
+  std::vector<char> visited(static_cast<std::size_t>(n), 0);
+  std::vector<NodeId> chain;
+  std::vector<NodeId> maxima;
   int iter = 0;
-  while (alive_count > 0) {
+  while (!alive_list.empty()) {
     ++iter;
     const std::int64_t round = kRoundsPerIter * iter;
 
     // ---- Rake step.
-    std::vector<NodeId> rake_set;
-    std::vector<char> in_rake(static_cast<std::size_t>(n), 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (pl.alive[static_cast<std::size_t>(v)] && alive_degree(v) <= 1) {
+    rake_set.clear();
+    for (const NodeId v : alive_list) {
+      if (alive_degree(v) <= 1) {
         rake_set.push_back(v);
         in_rake[static_cast<std::size_t>(v)] = 1;
       }
@@ -253,9 +310,7 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       }
       pl.assigned[static_cast<std::size_t>(v)] = 1;
       pl.layer_key[static_cast<std::size_t>(v)] = 2 * iter;
-      if (parent != graph::kInvalidNode) {
-        pl.kids[static_cast<std::size_t>(parent)].push_back(v);
-      }
+      if (parent != graph::kInvalidNode) pl.adopt(parent, v);
       pl.adopt_and_flag(v);
       // Adapted rule 1, rake case.
       if (is_a[static_cast<std::size_t>(v)] && !pl.has_output(v)) {
@@ -271,22 +326,20 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     }
     for (NodeId v : rake_set) {
       pl.alive[static_cast<std::size_t>(v)] = 0;
+      in_rake[static_cast<std::size_t>(v)] = 0;
     }
-    alive_count -= static_cast<std::int64_t>(rake_set.size());
+    drop_dead();
 
     // ---- Relaxed compress step (ell = 3).
-    std::vector<char> is_chain(static_cast<std::size_t>(n), 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (pl.alive[static_cast<std::size_t>(v)] && alive_degree(v) == 2) {
+    chain_nodes.clear();
+    for (const NodeId v : alive_list) {
+      if (alive_degree(v) == 2) {
         is_chain[static_cast<std::size_t>(v)] = 1;
+        chain_nodes.push_back(v);
       }
     }
-    std::vector<char> visited(static_cast<std::size_t>(n), 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (!is_chain[static_cast<std::size_t>(v)] ||
-          visited[static_cast<std::size_t>(v)]) {
-        continue;
-      }
+    for (const NodeId v : chain_nodes) {
+      if (visited[static_cast<std::size_t>(v)]) continue;
       int chain_neighbors = 0;
       for (NodeId u : tree.neighbors(v)) {
         if (pl.alive[static_cast<std::size_t>(u)] &&
@@ -296,7 +349,7 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       }
       if (chain_neighbors == 2) continue;  // interior; find an end first
       // Walk the maximal chain from this end.
-      std::vector<NodeId> chain;
+      chain.clear();
       NodeId prev = graph::kInvalidNode;
       NodeId cur = v;
       while (cur != graph::kInvalidNode) {
@@ -326,11 +379,10 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       const std::int64_t inward =
           std::min<std::int64_t>(kEll, (len - 1) / 2);
       for (std::int64_t e = 0; e < inward; ++e) {
-        pl.kids[static_cast<std::size_t>(chain[static_cast<std::size_t>(e)])]
-            .push_back(chain[static_cast<std::size_t>(e + 1)]);
-        pl.kids[static_cast<std::size_t>(
-                    chain[static_cast<std::size_t>(len - 1 - e)])]
-            .push_back(chain[static_cast<std::size_t>(len - 2 - e)]);
+        pl.adopt(chain[static_cast<std::size_t>(e)],
+                 chain[static_cast<std::size_t>(e + 1)]);
+        pl.adopt(chain[static_cast<std::size_t>(len - 1 - e)],
+                 chain[static_cast<std::size_t>(len - 2 - e)]);
       }
       // Adopt deferred children and settle A-containment flags; the
       // inward chain-kid relation has depth <= ell, so ell+1 passes
@@ -367,23 +419,24 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
         pl.propagate_copy(c, round);
       }
       // Rule 4: nodes at distance >= ell from both chain ends decline.
-      std::vector<NodeId> mid;
-      for (std::int64_t i = kEll; i < len - kEll; ++i) {
-        mid.push_back(chain[static_cast<std::size_t>(i)]);
-      }
-      pl.propagate_decline(mid, round);
+      const std::size_t inner =
+          len > 2 * kEll ? static_cast<std::size_t>(len - 2 * kEll) : 0;
+      pl.propagate_decline(std::span(chain).subspan(kEll, inner), round);
       // Rule 2 for freshly assigned bordered chain nodes.
       for (NodeId c : chain) pl.on_assigned(c, round);
 
       for (NodeId c : chain) pl.alive[static_cast<std::size_t>(c)] = 0;
-      alive_count -= len;
     }
+    for (NodeId v : chain_nodes) {
+      is_chain[static_cast<std::size_t>(v)] = 0;
+      visited[static_cast<std::size_t>(v)] = 0;
+    }
+    drop_dead();
 
     // ---- Rule 3: local maxima among assigned, output-free nodes.
-    std::vector<NodeId> maxima;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!pl.in(v) || !pl.assigned[static_cast<std::size_t>(v)] ||
-          pl.has_output(v)) {
+    maxima.clear();
+    for (const NodeId v : open) {
+      if (!pl.assigned[static_cast<std::size_t>(v)] || pl.has_output(v)) {
         continue;
       }
       bool is_max = true;
@@ -406,11 +459,9 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     if (iter > 4 * n + 8) {
       throw std::logic_error("fda: failed to converge");
     }
-    std::int64_t unfinished = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (pl.in(v) && !pl.has_output(v)) ++unfinished;
-    }
-    pl.plan.unfinished_after_iteration.push_back(unfinished);
+    drop_decided();
+    pl.plan.unfinished_after_iteration.push_back(
+        static_cast<std::int64_t>(open.size()));
   }
 
   // ---- Cleanup: everything is assigned; resolve leftovers by repeated
@@ -418,9 +469,9 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
   // any oriented path, e.g. short-chain middles).
   const std::int64_t final_round = kRoundsPerIter * (iter + 1);
   for (;;) {
-    std::vector<NodeId> maxima;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!pl.in(v) || pl.has_output(v)) continue;
+    maxima.clear();
+    drop_decided();
+    for (const NodeId v : open) {
       bool is_max = true;
       for (NodeId u : tree.neighbors(v)) {
         if (!pl.in(u)) continue;
@@ -438,11 +489,10 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     if (maxima.empty()) break;
     pl.propagate_decline(maxima, final_round);
   }
-  for (NodeId v = 0; v < n; ++v) {
-    if (pl.in(v) && !pl.has_output(v)) {
-      pl.plan.role[static_cast<std::size_t>(v)] = FdaRole::kDecline;
-      pl.plan.ready_round[static_cast<std::size_t>(v)] = final_round + 1;
-    }
+  drop_decided();
+  for (const NodeId v : open) {
+    pl.plan.role[static_cast<std::size_t>(v)] = FdaRole::kDecline;
+    pl.plan.ready_round[static_cast<std::size_t>(v)] = final_round + 1;
   }
 
   pl.plan.iterations = iter;

@@ -1,8 +1,8 @@
 #include "local/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <functional>
 #include <numeric>
 #include <string>
 
@@ -22,6 +22,9 @@ void NodeCtx::terminate(Output out) {
   }
   engine_.term_[v] = Engine::kEnding;
   engine_.outputs_[v] = out;
+  // A pending deadline shares the term_round slot: termination wins, so
+  // the node leaves the timer queue before T_v overwrites the slot.
+  engine_.dequeue(v);
   engine_.term_round_[v] = engine_.round_;
 }
 
@@ -65,13 +68,17 @@ void Engine::Workspace::prepare(std::int64_t n) {
     woken.reserve(count);
   }
   woken.clear();
-  // One pending timer per sleeping node covers the programs here; a
-  // heap that outgrows it is counted when it grows (Engine::sleep).
-  if (timers.capacity() < count) {
-    ++allocs;
-    timers.reserve(count);
+  // The timer queue's links: one slot per node, then one sentinel per
+  // bucket, each an empty circular list. `timer_prev` is only read for
+  // queued nodes and sentinels, so it needs no fill.
+  const std::size_t links = count + kTimerBuckets;
+  allocs += timer_next.assign(links, kUnqueued) ? 1 : 0;
+  allocs += timer_prev.ensure(links) ? 1 : 0;
+  for (std::size_t head = count; head < links; ++head) {
+    timer_next.data()[head] = static_cast<std::int32_t>(head);
+    timer_prev.data()[head] = static_cast<std::int32_t>(head);
   }
-  timers.clear();
+  timer_base = 0;
   retired.clear();
   alloc_events_ += allocs;
 }
@@ -88,6 +95,9 @@ void Engine::bind(Workspace& ws) {
   term_ = ws.terminated.data();
   term_round_ = ws.term_round.data();
   sleep_ = ws.sleep.data();
+  timer_next_ = ws.timer_next.data();
+  timer_prev_ = ws.timer_prev.data();
+  timer_heads_ = static_cast<std::size_t>(tree_.size());
   outputs_ = ws.outputs.data();
 }
 
@@ -171,33 +181,50 @@ std::int64_t Engine::compact_alive() {
 
 namespace {
 
-// A timer packs (round, node) so the heap orders by round.
-std::uint64_t timer(std::int64_t round, NodeId v) {
-  return static_cast<std::uint64_t>(round) << 32 |
-         static_cast<std::uint32_t>(v);
-}
-std::int64_t timer_round(std::uint64_t t) {
-  return static_cast<std::int64_t>(t >> 32);
-}
-NodeId timer_node(std::uint64_t t) {
-  return static_cast<NodeId>(static_cast<std::uint32_t>(t));
+/// The bucket of a deadline above the queue's base: the highest bit in
+/// which the two differ.
+int timer_bucket(std::int64_t round, std::int64_t base) {
+  return std::bit_width(static_cast<std::uint64_t>(round ^ base)) - 1;
 }
 
 }  // namespace
 
+void Engine::enqueue(std::size_t v, std::int64_t round) {
+  Workspace& ws = *ws_;
+  const int b = timer_bucket(round, ws.timer_base);
+  const std::size_t head = timer_heads_ + static_cast<std::size_t>(b);
+  const std::int32_t first = timer_next_[head];
+  std::int64_t& low = ws.timer_floor[static_cast<std::size_t>(b)];
+  low = static_cast<std::size_t>(first) == head ? round : std::min(low, round);
+  timer_next_[v] = first;
+  timer_prev_[v] = static_cast<std::int32_t>(head);
+  timer_prev_[static_cast<std::size_t>(first)] = static_cast<std::int32_t>(v);
+  timer_next_[head] = static_cast<std::int32_t>(v);
+}
+
+void Engine::dequeue(std::size_t v) {
+  const std::int32_t next = timer_next_[v];
+  if (next == kUnqueued) return;
+  const std::int32_t prev = timer_prev_[v];
+  timer_next_[static_cast<std::size_t>(prev)] = next;
+  timer_prev_[static_cast<std::size_t>(next)] = prev;
+  timer_next_[v] = kUnqueued;
+}
+
 void Engine::sleep(NodeId v, std::int64_t round) {
+  if (round != NodeCtx::kNever) {
+    // A clamped deadline that is no longer in the future is no sleep.
+    round = std::min(round, kMaxTimerRound);
+    if (round <= round_ + 1) return;
+  }
   const auto i = static_cast<std::size_t>(v);
   sleep_[i] = kAsleep;
-  if (round != NodeCtx::kNever) round = std::min(round, kMaxTimerRound);
   // The deadline lives in the node's (still unused) term_round slot. An
-  // equal deadline there means its timer is still pending: reuse it.
+  // equal deadline there means the node is still queued under it.
   if (term_round_[i] == round) return;
+  dequeue(i);
   term_round_[i] = round;
-  if (round == NodeCtx::kNever) return;
-  std::vector<std::uint64_t>& timers = ws_->timers;
-  if (timers.size() == timers.capacity()) ++ws_->alloc_events_;
-  timers.push_back(timer(round, v));
-  std::push_heap(timers.begin(), timers.end(), std::greater<>());
+  if (round != NodeCtx::kNever) enqueue(i, round);
 }
 
 void Engine::wake(NodeId u) {
@@ -207,39 +234,51 @@ void Engine::wake(NodeId u) {
   ws_->woken.push_back(u);
 }
 
-void Engine::wake_due() {
-  std::vector<std::uint64_t>& timers = ws_->timers;
-  // Pop due timers one at a time while they are few. Past a sixteenth
-  // of the heap the round is a mass deadline (many nodes slept to one
-  // round), so the rest are taken in one linear partition and the heap
-  // is rebuilt: O(heap) instead of O(due * log heap).
-  const std::size_t bulk = timers.size() / kBulkShare;
-  std::size_t popped = 0;
-  while (!timers.empty() && timer_round(timers.front()) <= round_) {
-    if (++popped > bulk) {
-      const auto due = std::partition(
-          timers.begin(), timers.end(),
-          [this](std::uint64_t t) { return timer_round(t) > round_; });
-      for (auto it = due; it != timers.end(); ++it) {
-        const NodeId v = timer_node(*it);
-        if (term_round_[static_cast<std::size_t>(v)] == timer_round(*it)) {
-          wake(v);
-        }
-      }
-      timers.erase(due, timers.end());
-      std::make_heap(timers.begin(), timers.end(), std::greater<>());
-      break;
-    }
-    const std::uint64_t t = timers.front();
-    std::pop_heap(timers.begin(), timers.end(), std::greater<>());
-    timers.pop_back();
-    const NodeId v = timer_node(t);
-    if (term_round_[static_cast<std::size_t>(v)] == timer_round(t)) wake(v);
+std::size_t Engine::lowest_timer_bucket() const {
+  std::size_t b = 0;
+  while (b < kTimerBuckets &&
+         static_cast<std::size_t>(timer_next_[timer_heads_ + b]) ==
+             timer_heads_ + b) {
+    ++b;
   }
-  std::vector<NodeId>& woken = ws_->woken;
+  return b;
+}
+
+void Engine::wake_due() {
+  // Every queued deadline is >= round_, so the due ones all equal round_
+  // and sit in the lowest non-empty bucket. Its floor rules them out in
+  // O(buckets); otherwise the queue is rebased on round_ (which lies
+  // between the old base and that bucket's keys, so no other bucket
+  // changes) and the bucket is emptied: its due nodes leave the queue
+  // and wake, the others are re-filed under the new base, into this
+  // bucket or a lower one, with exact floors.
+  Workspace& ws = *ws_;
+  const std::size_t low = lowest_timer_bucket();
+  if (low < kTimerBuckets && ws.timer_floor[low] <= round_) {
+    const std::size_t head = timer_heads_ + low;
+    std::int32_t v = timer_next_[head];
+    timer_next_[head] = static_cast<std::int32_t>(head);
+    timer_prev_[head] = static_cast<std::int32_t>(head);
+    ws.timer_base = round_;
+    while (static_cast<std::size_t>(v) != head) {
+      const auto i = static_cast<std::size_t>(v);
+      v = timer_next_[i];
+      const std::int64_t due = term_round_[i];
+      if (due > round_) {
+        enqueue(i, due);
+        continue;
+      }
+      if (due < round_) {
+        throw std::logic_error("local::Engine: a queued deadline passed");
+      }
+      timer_next_[i] = kUnqueued;
+      wake(static_cast<NodeId>(i));
+    }
+  }
+  std::vector<NodeId>& woken = ws.woken;
   if (woken.empty()) return;
   for (const NodeId v : woken) sleep_[static_cast<std::size_t>(v)] = kAwake;
-  std::vector<NodeId>& alive = ws_->alive;
+  std::vector<NodeId>& alive = ws.alive;
   const auto n = static_cast<std::size_t>(tree_.size());
   if (woken.size() * kDenseWake > n) {
     // Most of the graph woke: rebuilding the list from the lanes (awake
@@ -272,20 +311,14 @@ void Engine::wake_due() {
 
 void Engine::skip_idle(std::int64_t max_rounds, std::int64_t live,
                        RunProfile* profile) {
-  // Discard stale timers (their node woke or re-slept since), so the
-  // jump lands on a round that wakes somebody.
-  std::vector<std::uint64_t>& timers = ws_->timers;
-  std::int64_t next = NodeCtx::kNever;
-  while (!timers.empty()) {
-    const std::uint64_t t = timers.front();
-    const auto i = static_cast<std::size_t>(timer_node(t));
-    if (sleep_[i] == kAsleep && term_round_[i] == timer_round(t)) {
-      next = timer_round(t);
-      break;
-    }
-    std::pop_heap(timers.begin(), timers.end(), std::greater<>());
-    timers.pop_back();
-  }
+  // Nobody is awake, so only live sleepers are queued, and the lowest
+  // bucket's floor is at most the earliest deadline: jump to the round
+  // before it. If that deadline has left the queue since, the floor is
+  // lower; the round reached then wakes nobody and rebases the bucket,
+  // and the next jump is exact.
+  const std::size_t b = lowest_timer_bucket();
+  const std::int64_t next =
+      b < kTimerBuckets ? ws_->timer_floor[b] : NodeCtx::kNever;
   const std::int64_t last_idle =
       next == NodeCtx::kNever ? max_rounds : std::min(next - 1, max_rounds);
   if (last_idle <= round_) return;

@@ -22,10 +22,10 @@
 // plane; the other plane is the staging side. All per-node bookkeeping
 // is split into separate 64-byte-aligned lanes, each padded to a whole
 // number of 64-byte blocks: the `cur`/`pub`/`terminated`/`sleep` byte
-// lanes, the per-plane `len` lanes, and the `term_round` lane. The three
-// bulk passes — the end-of-round publish-flip, the alive-list
-// compaction, and the final T_v reduction — are plain loops over those
-// lanes. Reads (`peek`/`own`) return views of the committed plane; a
+// lanes, the per-plane `len` lanes, the `term_round` lane, and the two
+// timer-queue link lanes (see Sleep). The three bulk passes — the
+// end-of-round publish-flip, the alive-list compaction, and the final
+// T_v reduction — are plain loops over those lanes. Reads (`peek`/`own`) return views of the committed plane; a
 // `publish` writes the staging side; the synchronous flip at the end of
 // the round toggles the parity of the publishers by a scatter over the
 // publisher list, so no register is ever copied. Adjacency is NOT
@@ -64,10 +64,12 @@
 // only not called. The default dispatch honours the hint: after each
 // round the walked list drops its sleepers, the flip wakes the sleeping
 // neighbours of every publisher and terminator for the next round, a
-// min-heap of `(round, node)` timers wakes deadlines, and when nobody is
-// awake the engine jumps straight to the next timer. A publish equal to the
-// committed register is dropped (no reader can tell), so re-sending a
-// register wakes nobody. Total simulation cost is therefore
+// radix queue of deadlines (intrusive bucket lists keyed by the highest
+// bit in which a deadline differs from the queue's base round) wakes the
+// due sleepers, and when nobody is awake the engine jumps over the idle
+// rounds to the next deadline. A publish equal to the committed register is
+// dropped (no reader can tell), so re-sending a register wakes nobody.
+// Total simulation cost is therefore
 // O(visits + publishes * Delta), with visits <= sum_v T_v — the quantity
 // the paper's theorems bound, and usually far less. Per-node dispatch
 // ignores the hint and calls every alive node every round, which is why
@@ -371,6 +373,23 @@ class Engine {
     /// reusing it keeps sleep from costing a lane of its own.
     AlignedPlane<std::int64_t> term_round;
     AlignedPlane<std::uint8_t> sleep;  ///< kAwake / kAsleep / kWoken
+    /// The sleep-timer queue, a radix queue keyed by deadline round.
+    /// Bucket b holds the sleepers whose deadline first differs from
+    /// `timer_base` at bit b (deadlines are 32-bit, and only ever above
+    /// the base, so 32 buckets cover them). Buckets are circular doubly
+    /// linked lists threaded through these two lanes: slot v links node
+    /// v, slot n + b is bucket b's sentinel, and `timer_next[v] ==
+    /// kUnqueued` for a node in no bucket. A node's key is the deadline
+    /// in its `term_round` slot, so a node is queued at most once and a
+    /// re-sleep moves it in O(1).
+    static constexpr std::size_t kTimerBuckets = 32;
+    AlignedPlane<std::int32_t> timer_next;
+    AlignedPlane<std::int32_t> timer_prev;
+    /// At most the current round, so every later deadline is above it.
+    std::int64_t timer_base = 0;
+    /// A lower bound on each non-empty bucket's deadlines (exact right
+    /// after a rebase refills the bucket).
+    std::int64_t timer_floor[kTimerBuckets] = {};
     std::vector<Output> outputs;
     std::vector<NodeId> alive;      ///< compacted in place every round
     /// Publishers of the current round; when sleep is honoured the
@@ -378,9 +397,6 @@ class Engine {
     /// the flip wakes the neighbours of both.
     std::vector<NodeId> published;
     std::vector<NodeId> woken;  ///< sleepers woken for the next round
-    /// Min-heap of sleep timers, `round << 32 | node` (see `timer`).
-    /// An entry is stale once its node woke or re-slept elsewhere.
-    std::vector<std::uint64_t> timers;
     /// Word planes replaced by a mid-round growth, retired until the
     /// flip so outstanding RegViews keep pointing at live (committed,
     /// immutable) data.
@@ -460,24 +476,34 @@ class Engine {
   /// which only wakes the node early (a no-op visit by contract).
   static constexpr std::int64_t kMaxTimerRound =
       std::numeric_limits<std::int32_t>::max();
+  static constexpr std::size_t kTimerBuckets = Workspace::kTimerBuckets;
+  /// `timer_next` of a node in no timer bucket.
+  static constexpr std::int32_t kUnqueued = -1;
 
-  /// Puts v to sleep until `round` (> the next round) or kNever.
+  /// Puts v to sleep until `round` (> the next round) or kNever. A
+  /// deadline that clamping brings to the next round or before is no
+  /// sleep.
   void sleep(NodeId v, std::int64_t round);
   /// Marks u woken for the next round if it is asleep.
   void wake(NodeId u);
-  /// `wake_due` pops up to heap size / kBulkShare due timers one at a
-  /// time, then extracts the rest in one linear pass.
-  static constexpr std::size_t kBulkShare = 16;
+  /// Links v into the timer bucket of `round` (> the queue's base).
+  void enqueue(std::size_t v, std::int64_t round);
+  /// Unlinks v from its timer bucket, if it is in one.
+  void dequeue(std::size_t v);
+  /// The lowest non-empty timer bucket, or kTimerBuckets if none.
+  [[nodiscard]] std::size_t lowest_timer_bucket() const;
   /// Woken lists longer than n / kDenseWake rebuild the alive list by a
   /// lane scan instead of sort + merge.
   static constexpr std::size_t kDenseWake = 8;
-  /// Wakes the sleepers whose deadline is the current round, then
-  /// merges every woken node into the alive list (both sorted), so the
-  /// walk stays in increasing id order.
+  /// Wakes the sleepers whose deadline is the current round — found in
+  /// the lowest non-empty timer bucket, which is rebased on the round
+  /// only if its floor says it may hold one — then merges every woken
+  /// node into the alive list (both sorted), so the walk stays in
+  /// increasing id order.
   void wake_due();
-  /// Nobody is awake: advances `round_` over the rounds before the next
-  /// live timer (or to `max_rounds`), counting `live` nodes alive in
-  /// each skipped round.
+  /// Nobody is awake: advances `round_` over the rounds before the
+  /// lowest timer bucket's floor (or to `max_rounds`), counting `live`
+  /// nodes alive in each skipped round.
   void skip_idle(std::int64_t max_rounds, std::int64_t live,
                  RunProfile* profile);
 
@@ -506,6 +532,9 @@ class Engine {
   std::uint8_t* term_ = nullptr;
   std::int64_t* term_round_ = nullptr;
   std::uint8_t* sleep_ = nullptr;
+  std::int32_t* timer_next_ = nullptr;
+  std::int32_t* timer_prev_ = nullptr;
+  std::size_t timer_heads_ = 0;  ///< slot of bucket 0's sentinel (n)
   Output* outputs_ = nullptr;
 
   Workspace own_ws_;  ///< backs the workspace-less run() overload

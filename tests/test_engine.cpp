@@ -524,8 +524,9 @@ TEST(EngineWorkspace, BatchDispatchWarmRunsAreAllocationFree) {
   }
   EXPECT_EQ(ws.alloc_events(), after_first);
 
-  // Sleepers add the sleep lane, the woken list and the timer heap to
-  // the same workspace; once sized, warm runs stay allocation-free.
+  // Sleepers use the sleep lane, the woken list and the timer queue's
+  // two link lanes of the same workspace, all sized by prepare(), so
+  // warm runs stay allocation-free.
   FloodNapProgram nap;
   const RunStats nap_reference = pernode_engine.run(nap);
   const RunStats nap_first = batch_engine.run(nap, ws);
@@ -932,6 +933,457 @@ TEST(EngineSleep, MassDeadlinesWakeExactlyTheDueSleepers) {
         << "node " << v;
   }
   EXPECT_LT(stats.visits, stats.total_rounds / 2);
+}
+
+// ---- Timer queue ---------------------------------------------------------
+// Deadlines live in a radix queue keyed by round. These cases move a
+// sleeper between deadlines, straddle the bucket boundaries, clamp, and
+// terminate with a deadline pending; each demands exact visit rounds.
+
+/// Node 0 publishes in round 5 and terminates in `end0`. Node 1 sleeps
+/// to `first` from init, so node 0's publish wakes it early in round 6;
+/// it stays awake for `awake` rounds, then sleeps to `second`, and
+/// terminates once that deadline has come.
+class ResleepProbe final : public Program {
+ public:
+  struct Script {
+    std::int64_t first = 0;
+    std::int64_t second = 0;
+    std::int64_t awake = 0;
+    std::int64_t end0 = 0;
+  };
+  explicit ResleepProbe(Script script) : script_(script) {}
+
+  void on_init(NodeCtx& ctx) override {
+    if (ctx.node() == 1) ctx.sleep_until(script_.first);
+  }
+  void on_round(NodeCtx& ctx) override {
+    const std::int64_t r = ctx.round();
+    if (ctx.node() == 0) {
+      if (r == 5) ctx.publish({1});
+      if (r == script_.end0) ctx.terminate(0);
+      return;
+    }
+    visits_.push_back(r);
+    if (seen_ == 0 && !ctx.peek(0).empty()) seen_ = r;
+    const std::int64_t target = seen_ == 0 ? script_.first : script_.second;
+    if (r >= target) {
+      ctx.terminate(1);
+      return;
+    }
+    if (seen_ == 0 || r >= seen_ + script_.awake) ctx.sleep_until(target);
+  }
+  [[nodiscard]] const std::vector<std::int64_t>& visits() const {
+    return visits_;
+  }
+
+ private:
+  Script script_;
+  std::int64_t seen_ = 0;  ///< round node 1 first saw the publish
+  std::vector<std::int64_t> visits_;
+};
+
+TEST(EngineTimers, EarlyWakeThenAnEarlierDeadline) {
+  Tree t = graph::make_path(2);
+  RunStats stats;
+  const ResleepProbe p = run_both_modes(
+      t,
+      [] {
+        return ResleepProbe(
+            {.first = 100, .second = 50, .awake = 0, .end0 = 80});
+      },
+      1000, &stats);
+  // The pending round-100 deadline is replaced, not kept alongside.
+  EXPECT_EQ(p.visits(), (std::vector<std::int64_t>{6, 50}));
+  EXPECT_EQ(stats.termination_round[1], 50);
+  EXPECT_EQ(stats.visits, 80 + 2);
+}
+
+TEST(EngineTimers, EarlyWakeThenALaterDeadline) {
+  Tree t = graph::make_path(2);
+  RunStats stats;
+  const ResleepProbe p = run_both_modes(
+      t,
+      [] {
+        return ResleepProbe(
+            {.first = 50, .second = 100, .awake = 0, .end0 = 150});
+      },
+      1000, &stats);
+  // No visit in round 50: the old deadline left the queue.
+  EXPECT_EQ(p.visits(), (std::vector<std::int64_t>{6, 100}));
+  EXPECT_EQ(stats.termination_round[1], 100);
+}
+
+TEST(EngineTimers, ResleepingToTheSameDeadline) {
+  Tree t = graph::make_path(2);
+  // Straight back to sleep in the wake round, and after three awake
+  // rounds: either way the pending deadline still fires.
+  for (const std::int64_t awake : {0, 3}) {
+    SCOPED_TRACE(awake);
+    RunStats stats;
+    const ResleepProbe p = run_both_modes(
+        t,
+        [awake] {
+          return ResleepProbe(
+              {.first = 100, .second = 100, .awake = awake, .end0 = 150});
+        },
+        1000, &stats);
+    std::vector<std::int64_t> expected;
+    for (std::int64_t r = 6; r <= 6 + awake; ++r) expected.push_back(r);
+    expected.push_back(100);
+    EXPECT_EQ(p.visits(), expected);
+    EXPECT_EQ(stats.termination_round[1], 100);
+  }
+}
+
+/// A star whose leaves sleep through fixed deadline schedules: leaf i is
+/// visited exactly at `schedule[i - 1]` and terminates at its last entry.
+/// The centre sleeps until every leaf has terminated, so nothing but the
+/// deadlines wakes a leaf.
+class ScheduledLeaves final : public Program {
+ public:
+  explicit ScheduledLeaves(std::vector<std::vector<std::int64_t>> schedule)
+      : schedule_(std::move(schedule)), visits_(schedule_.size()) {}
+
+  void on_init(NodeCtx& ctx) override {
+    if (ctx.node() == 0) {
+      ctx.sleep_until(NodeCtx::kNever);
+    } else {
+      ctx.sleep_until(leaf(ctx).front());
+    }
+  }
+  void on_round(NodeCtx& ctx) override {
+    const std::int64_t r = ctx.round();
+    if (ctx.node() == 0) {
+      for (int p = 0; p < ctx.degree(); ++p) {
+        if (!ctx.neighbor_terminated(p)) {
+          ctx.sleep_until(NodeCtx::kNever);
+          return;
+        }
+      }
+      ctx.terminate(0);
+      return;
+    }
+    visits_[static_cast<std::size_t>(ctx.node() - 1)].push_back(r);
+    const std::vector<std::int64_t>& s = leaf(ctx);
+    const auto next = std::upper_bound(s.begin(), s.end(), r);
+    if (next == s.end()) {
+      ctx.terminate(1);
+      return;
+    }
+    ctx.sleep_until(*next);
+  }
+  [[nodiscard]] const std::vector<std::vector<std::int64_t>>& visits()
+      const {
+    return visits_;
+  }
+
+ private:
+  const std::vector<std::int64_t>& leaf(const NodeCtx& ctx) const {
+    return schedule_[static_cast<std::size_t>(ctx.node() - 1)];
+  }
+
+  std::vector<std::vector<std::int64_t>> schedule_;
+  std::vector<std::vector<std::int64_t>> visits_;
+};
+
+TEST(EngineTimers, DeadlinesStraddlingPowersOfTwo) {
+  const std::vector<std::vector<std::int64_t>> schedule = {
+      {63},
+      {64},
+      {65},
+      {1023},
+      {1024},
+      {1025},
+      {62, 64},
+      {63, 65},
+      {61, 63, 65, 1023, 1025},
+      {64, 1024},
+      {65, 1023},
+      {127, 129, 255, 257, 511, 513, 1023, 1025},
+      {128, 256, 512, 1024},
+      {126, 128, 130},
+      {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024},
+      {3, 7, 15, 31, 63, 127, 255, 511, 1023},
+  };
+  Tree t = graph::make_star(static_cast<NodeId>(schedule.size()));
+  RunStats stats;
+  const ScheduledLeaves p = run_both_modes(
+      t, [&] { return ScheduledLeaves(schedule); }, 5000, &stats);
+  EXPECT_EQ(p.visits(), schedule);
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    EXPECT_EQ(stats.termination_round[i + 1], schedule[i].back());
+  }
+  EXPECT_EQ(stats.termination_round[0], 1026);
+
+  // Far deadlines, default dispatch only (per-node would walk every
+  // round): the top buckets, reached by skipping the idle stretches.
+  const std::vector<std::vector<std::int64_t>> far = {
+      {(1 << 20) - 1, (1 << 20) + 1},
+      {1 << 20, 1 << 30},
+      {(1 << 30) - 1},
+      {(1 << 30) + 1, (std::int64_t{1} << 31) - 2},
+  };
+  Tree far_star = graph::make_star(static_cast<NodeId>(far.size()));
+  ScheduledLeaves q(far);
+  const RunStats far_stats = Engine(far_star).run(q);
+  EXPECT_EQ(q.visits(), far);
+  EXPECT_FALSE(far_stats.truncated);
+  EXPECT_EQ(far_stats.rounds, far.back().back() + 1);
+}
+
+/// Every node sleeps to round 2^40, beyond what a timer stores; node 2
+/// first naps to round 500. A visit terminates once the round reaches
+/// the 32-bit clamp.
+class FarSleepers final : public Program {
+ public:
+  static constexpr std::int64_t kClamp =
+      std::numeric_limits<std::int32_t>::max();
+  void on_init(NodeCtx& ctx) override {
+    ctx.sleep_until(ctx.node() == 2 ? 500 : std::int64_t{1} << 40);
+  }
+  void on_round(NodeCtx& ctx) override {
+    visits_.push_back(ctx.round());
+    if (ctx.round() >= kClamp) {
+      ctx.terminate(0);
+      return;
+    }
+    ctx.sleep_until(std::int64_t{1} << 40);
+  }
+  [[nodiscard]] const std::vector<std::int64_t>& visits() const {
+    return visits_;
+  }
+
+ private:
+  std::vector<std::int64_t> visits_;
+};
+
+TEST(EngineTimers, ClampedDeadlineAndTruncationInASkippedStretch) {
+  Tree t = graph::make_path(3);
+  // The clamped deadline wakes everyone in round 2^31 - 1 (early for
+  // 2^40, which by contract is a no-op visit), and they end there.
+  FarSleepers p;
+  const RunStats stats = Engine(t).run(p);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_EQ(stats.rounds, FarSleepers::kClamp);
+  for (const std::int64_t t_v : stats.termination_round) {
+    EXPECT_EQ(t_v, FarSleepers::kClamp);
+  }
+  const std::int64_t c = FarSleepers::kClamp;
+  EXPECT_EQ(p.visits(), (std::vector<std::int64_t>{500, c, c, c}));
+  EXPECT_EQ(stats.visits, 4);
+
+  // max_rounds inside the second idle stretch: censored like per-node.
+  RunStats cut;
+  const FarSleepers q =
+      run_both_modes(t, [] { return FarSleepers(); }, 1000, &cut);
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_EQ(cut.rounds, 1000);
+  EXPECT_EQ(cut.unterminated, 3);
+  EXPECT_EQ(q.visits(), (std::vector<std::int64_t>{500}));
+  EXPECT_EQ(cut.visits, 1);
+}
+
+/// Node 1 stays awake until round 3, where it sleeps to 20 and then
+/// terminates in the same callback. Nodes 2 and 3 sleep to 20 (the same
+/// deadline) and end there; node 0 ends once it sees node 1 terminated.
+class SleepThenTerminate final : public Program {
+ public:
+  void on_init(NodeCtx& ctx) override {
+    if (ctx.node() == 0) ctx.sleep_until(NodeCtx::kNever);
+    if (ctx.node() >= 2) ctx.sleep_until(20);
+  }
+  void on_round(NodeCtx& ctx) override {
+    const std::int64_t r = ctx.round();
+    visits_.push_back({ctx.node(), r});
+    switch (ctx.node()) {
+      case 0:
+        if (ctx.neighbor_terminated(0)) {
+          ctx.terminate(0);
+        } else {
+          ctx.sleep_until(NodeCtx::kNever);
+        }
+        return;
+      case 1:
+        if (r == 3) {
+          ctx.sleep_until(20);
+          ctx.terminate(1);
+        }
+        return;
+      default:
+        if (r >= 20) {
+          ctx.terminate(2);
+        } else {
+          ctx.sleep_until(20);
+        }
+    }
+  }
+  [[nodiscard]] const std::vector<std::pair<NodeId, std::int64_t>>& visits()
+      const {
+    return visits_;
+  }
+
+ private:
+  std::vector<std::pair<NodeId, std::int64_t>> visits_;
+};
+
+TEST(EngineTimers, SleepThenTerminateInOneCallback) {
+  Tree t = graph::make_path(4);
+  RunStats stats;
+  const SleepThenTerminate p = run_both_modes(
+      t, [] { return SleepThenTerminate(); }, 1000, &stats);
+  EXPECT_EQ(stats.termination_round,
+            (std::vector<std::int64_t>{4, 3, 20, 20}));
+  // Termination wins over the deadline: node 1 is never visited again,
+  // and round 20 still wakes the two nodes that share its deadline.
+  const std::vector<std::pair<NodeId, std::int64_t>> expected = {
+      {1, 1}, {1, 2}, {1, 3}, {0, 4}, {2, 4}, {2, 20}, {3, 20}};
+  EXPECT_EQ(p.visits(), expected);
+  EXPECT_EQ(stats.visits, 7);
+}
+
+/// Seeded random sleepers. A node acts when its deadline has come or its
+/// neighbourhood (neighbour registers and visible terminations) changed
+/// since it last acted; any other visit is a no-op re-sleep, so per-node
+/// and default dispatch must agree. What an action does is drawn from a
+/// hash of (seed, node, round) alone: publish a small value (sometimes
+/// the committed one, which is dropped), terminate (sometimes right
+/// after a `sleep_until` in the same callback), and pick the next
+/// deadline — stay awake, a short or long nap, the pending deadline
+/// again, one next to a multiple of a power of two, or kNever. From
+/// round kLastAct every action terminates.
+class RandomSleepers final : public Program {
+ public:
+  static constexpr std::int64_t kLastAct = 3000;
+
+  RandomSleepers(std::uint64_t seed, NodeId n)
+      : seed_(seed),
+        deadline_(static_cast<std::size_t>(n), 0),
+        seen_(static_cast<std::size_t>(n), 0) {}
+
+  void on_init(NodeCtx& ctx) override { act(ctx); }
+  void on_round(NodeCtx& ctx) override {
+    const auto v = static_cast<std::size_t>(ctx.node());
+    if (ctx.round() < deadline_[v] && digest(ctx) == seen_[v]) {
+      ctx.sleep_until(deadline_[v]);
+      return;
+    }
+    act(ctx);
+  }
+
+ private:
+  static std::uint64_t mix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+  static std::uint64_t digest(const NodeCtx& ctx) {
+    std::uint64_t h = 1;
+    for (int p = 0; p < ctx.degree(); ++p) {
+      h = mix(h + (ctx.neighbor_terminated(p) ? 1 : 2));
+      for (const std::int64_t w : ctx.peek(p)) {
+        h = mix(h + static_cast<std::uint64_t>(w));
+      }
+    }
+    return h;
+  }
+
+  /// Whether a neighbour that never sleeps to kNever (id divisible by 4)
+  /// is still alive, so a kNever sleeper is sure to be woken again.
+  static bool has_waker(const NodeCtx& ctx) {
+    for (int p = 0; p < ctx.degree(); ++p) {
+      if (!ctx.neighbor_terminated(p) && ctx.peek(p).size() == 2 &&
+          ctx.peek(p)[1] % 4 == 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::int64_t next_deadline(const NodeCtx& ctx, std::uint64_t y) const {
+    const std::int64_t r = ctx.round();
+    const auto v = static_cast<std::size_t>(ctx.node());
+    const auto span = static_cast<std::int64_t>(y >> 3);
+    switch (y % 8) {
+      case 0:
+        return r + 1;  // stays awake
+      case 1:
+      case 2:
+        return r + 2 + span % 6;
+      case 3:
+        return r + 2 + span % 1100;
+      case 4: {
+        const std::int64_t p = std::int64_t{64} << (span % 5);  // 64..1024
+        return std::max(r + 2, (r / p + 1) * p - 1 + (span >> 3) % 3);
+      }
+      case 5:  // the pending deadline, if it is a round
+        return deadline_[v] >= r + 2 && deadline_[v] != NodeCtx::kNever
+                   ? deadline_[v]
+                   : r + 2 + span % 6;
+      default:
+        if (ctx.node() % 4 != 0 && has_waker(ctx)) return NodeCtx::kNever;
+        return r + 2 + span % 40;
+    }
+  }
+
+  void act(NodeCtx& ctx) {
+    const NodeId v = ctx.node();
+    const auto i = static_cast<std::size_t>(v);
+    const std::int64_t r = ctx.round();
+    const std::uint64_t x =
+        mix(seed_ ^ mix(static_cast<std::uint64_t>(v) << 32 ^
+                        static_cast<std::uint64_t>(r)));
+    if (r == 0 || x % 3 == 0) {
+      ctx.publish({static_cast<std::int64_t>((x >> 8) % 4), v});
+    }
+    if (r >= kLastAct || (r > 0 && (x >> 16) % 30 == 0)) {
+      if ((x >> 20) % 2 == 0) {
+        ctx.sleep_until(r + 2 + static_cast<std::int64_t>((x >> 24) % 100));
+      }
+      ctx.terminate(static_cast<int>(x % 5));
+      return;
+    }
+    deadline_[i] = next_deadline(ctx, x >> 32);
+    seen_[i] = digest(ctx);
+    ctx.sleep_until(deadline_[i]);
+  }
+
+  std::uint64_t seed_;
+  std::vector<std::int64_t> deadline_;
+  std::vector<std::uint64_t> seen_;
+};
+
+TEST(EngineTimers, RandomSleepersMatchPerNodeAndPinnedCounts) {
+  struct Pinned {
+    std::uint64_t seed;
+    std::int64_t visits;
+    std::int64_t total_rounds;
+    std::int64_t rounds;
+  };
+  // Pinned: any change to which rounds wake which sleepers moves them.
+  for (const Pinned& pin : {Pinned{1, 7065, 421090, 3844},
+                            Pinned{2, 6511, 378749, 4039}}) {
+    SCOPED_TRACE(pin.seed);
+    Tree t = graph::make_random_tree(300, 4, pin.seed);
+    RandomSleepers pernode_program(pin.seed, t.size());
+    RandomSleepers default_program(pin.seed, t.size());
+    local::RunProfile pernode_profile;
+    local::RunProfile default_profile;
+    const RunStats pernode =
+        Engine(t, local::DispatchMode::kPerNode)
+            .run(pernode_program, 100000, &pernode_profile);
+    const RunStats by_default =
+        Engine(t).run(default_program, 100000, &default_profile);
+    expect_identical(pernode, by_default);
+    EXPECT_EQ(pernode_profile.alive_per_round,
+              default_profile.alive_per_round);
+    EXPECT_FALSE(by_default.truncated);
+    EXPECT_EQ(pernode.visits, pernode.total_rounds);
+    EXPECT_EQ(by_default.visits, pin.visits);
+    EXPECT_EQ(by_default.total_rounds, pin.total_rounds);
+    EXPECT_EQ(by_default.rounds, pin.rounds);
+  }
 }
 
 TEST(AlignedPlaneContract, PaddingAlignmentAndAllocAccounting) {

@@ -4,7 +4,6 @@
 
 #include "algo/cole_vishkin.hpp"
 #include "bw/path_lcl.hpp"
-#include "decomp/rake_compress.hpp"
 #include "problems/classify.hpp"
 
 namespace lcl::algo {
@@ -27,16 +26,13 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
   out_.assign(n, -1);
 
   const bw::TreeBwProblem problem = table_.to_problem();
-  const decomp::Decomposition dec =
-      decomp::rake_compress(tree, /*gamma=*/1, /*ell=*/4,
-                            /*split_paths=*/true);
-
   bw::TreeBwResult result = bw::solve_tree_bw(tree, problem);
+  const std::vector<int>& step = result.assign_step;
   if (result.solved) {
     mode_ = BwMode::kFlexible;
     edge_labels_ = std::move(result.edge_label);
     for (std::size_t v = 0; v < n; ++v) {
-      round_of_[v] = std::max(1, dec.assign_step[v]);
+      round_of_[v] = std::max(1, step[v]);
     }
     // Per-chain split decision on the *realized* compress problems: the
     // chain's committed boundary label-sets restrict the path
@@ -65,12 +61,10 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
       mode_ = BwMode::kGlobal;
       edge_labels_ = std::move(exact.edge_label);
       int depth = 1;
+      for (std::size_t v = 0; v < n; ++v) depth = std::max(depth, step[v]);
       for (std::size_t v = 0; v < n; ++v) {
-        depth = std::max(depth, dec.assign_step[v]);
-      }
-      for (std::size_t v = 0; v < n; ++v) {
-        round_of_[v] = 2 * static_cast<std::int64_t>(depth) -
-                       std::max(1, dec.assign_step[v]);
+        round_of_[v] =
+            2 * static_cast<std::int64_t>(depth) - std::max(1, step[v]);
       }
     } else {
       mode_ = BwMode::kInfeasible;
@@ -91,11 +85,17 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
   }
 }
 
+void BwGenericProgram::on_init(local::NodeCtx& ctx) {
+  ctx.sleep_until(round_of_[static_cast<std::size_t>(ctx.node())]);
+}
+
 void BwGenericProgram::on_round(local::NodeCtx& ctx) {
   const auto v = static_cast<std::size_t>(ctx.node());
-  if (ctx.round() >= round_of_[v]) {
-    ctx.terminate(out_[v]);
+  if (ctx.round() < round_of_[v]) {
+    ctx.sleep_until(round_of_[v]);
+    return;
   }
+  ctx.terminate(out_[v]);
 }
 
 }  // namespace lcl::algo

@@ -8,8 +8,9 @@
 //
 //   * flexible mode (the rectangle solver succeeded): node v terminates
 //     at its peel step `assign_step[v]` — the distributed round in which
-//     it learns its layer; the geometric layer decay makes the
-//     node-average O(1) (Theorem 7's constant-good side).
+//     it learns its layer, taken from the decomposition solve_tree_bw
+//     swept (TreeBwResult::assign_step); the geometric layer decay makes
+//     the node-average O(1) (Theorem 7's constant-good side).
 //   * split surcharge: a compress chain whose realized compress problem
 //     (the chain's committed boundary label-sets, Definition 77) does
 //     not classify O(1) must be split by symmetry breaking; its nodes
@@ -21,6 +22,9 @@
 //   * infeasible: both solvers rejected; the program terminates
 //     immediately with output -1 and `solved() == false`, and the
 //     registry certifier reports the instance as infeasible.
+//
+// Every node sleeps until its charge round, so the engine visits a node
+// at its termination and on neighbour wake-ups only, not every round.
 //
 // Certification recovers the full edge labeling from the program
 // (downcast, like the weight-augmented orientation map) and re-checks it
@@ -56,7 +60,9 @@ class BwGenericProgram final : public local::Program {
 
   BwGenericProgram(const graph::Tree& tree, problems::BwTable table);
 
-  void on_init(local::NodeCtx&) override {}
+  /// Every node only waits for its charge round; a neighbour that
+  /// terminates earlier wakes it, and that visit sleeps again.
+  void on_init(local::NodeCtx& ctx) override;
   void on_round(local::NodeCtx& ctx) override;
 
   [[nodiscard]] bool solved() const { return mode_ != BwMode::kInfeasible; }

@@ -14,10 +14,19 @@
 // one-node extension (rake) and the long-path rectangle restriction
 // (compress), recording every label-set produced. The tested function is
 // *good* iff no empty label-set ever arises.
+//
+// `choose` and `up_set` are the one-node steps on trees, over any
+// predicate `allowed(sorted_multiset)`: the tree solvers bind a node's
+// color into the problem's predicate, the classifier's rake closure
+// passes a table's.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "bw/path_lcl.hpp"
@@ -53,6 +62,68 @@ struct Rectangle {
 /// node may commit to on its outgoing edge given that its single
 /// incoming edge carries a label-set S.
 [[nodiscard]] LabelSet rake_step(const PathLcl& lcl, LabelSet incoming);
+
+/// Does some choice l_i in sets[i] make sorted(fixed + l) allowed? The
+/// search is depth-first with labels ascending, so `pick` (when
+/// non-null) receives the first witness in that order. Exact when the
+/// sets come from disjoint subtrees: any combination of achievable
+/// labels is then achievable at once. Exponential in |sets| but degrees
+/// are constant; a combination cap guards misuse.
+template <typename Allowed>
+[[nodiscard]] bool choose(int alphabet, std::span<const int> fixed,
+                          std::span<const LabelSet> sets,
+                          const Allowed& allowed,
+                          std::vector<int>* pick = nullptr) {
+  std::int64_t combos = 1;
+  for (const LabelSet s : sets) {
+    combos *= std::max(1, std::popcount(s));
+    if (combos > 2'000'000) {
+      throw std::runtime_error("tree_bw: combination explosion");
+    }
+  }
+  std::vector<int> label(sets.size(), -1);
+  std::vector<int> multiset;
+  multiset.reserve(fixed.size() + sets.size());
+  std::size_t depth = 0;
+  while (true) {
+    if (depth == sets.size()) {
+      multiset.assign(fixed.begin(), fixed.end());
+      multiset.insert(multiset.end(), label.begin(), label.end());
+      std::sort(multiset.begin(), multiset.end());
+      if (allowed(multiset)) {
+        if (pick != nullptr) *pick = label;
+        return true;
+      }
+      if (depth == 0) return false;
+      --depth;
+    }
+    // Advance the label at `depth` to the next member of its set.
+    int l = label[depth] + 1;
+    while (l < alphabet && !((sets[depth] >> l) & 1u)) ++l;
+    if (l < alphabet) {
+      label[depth] = l;
+      if (++depth < sets.size()) label[depth] = -1;
+    } else {
+      label[depth] = -1;
+      if (depth == 0) return false;
+      --depth;
+    }
+  }
+}
+
+/// The up-set of Definition 74's g(v): the labels o of a node's outgoing
+/// edge for which some choice from the incoming `sets` completes it.
+template <typename Allowed>
+[[nodiscard]] LabelSet up_set(int alphabet, std::span<const LabelSet> sets,
+                              const Allowed& allowed) {
+  LabelSet g = 0;
+  for (int o = 0; o < alphabet; ++o) {
+    if (choose(alphabet, std::span<const int>(&o, 1), sets, allowed)) {
+      g |= 1u << o;
+    }
+  }
+  return g;
+}
 
 /// Outcome of the bounded testing procedure.
 struct TestingOutcome {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <stdexcept>
 
 #include "bw/label_sets.hpp"
@@ -34,55 +35,90 @@ std::vector<int> two_color(const Tree& t) {
   return color;
 }
 
-/// Does some choice l_i in sets[i] make sorted(fixed + l) allowed?
-/// Fills `pick` with a witness when non-null. Exponential in |sets| but
-/// degrees are constant; a combination cap guards misuse.
-bool feasible_choice(const TreeBwProblem& problem, int color,
-                     std::vector<int> fixed,
-                     const std::vector<LabelSet>& sets,
-                     std::vector<int>* pick) {
-  std::int64_t combos = 1;
-  for (LabelSet s : sets) {
-    combos *= std::max(1, __builtin_popcount(s));
-    if (combos > 2'000'000) {
-      throw std::runtime_error("tree_bw: combination explosion");
+/// The two node steps every rooted label-set sweep is built from. A
+/// sweep orients each node's ports: in-ports lead to subtrees settled
+/// before the node, and at most one out port leads on. Bottom-up,
+/// `settle` turns the label-sets on a node's in-ports into the up-set
+/// g(v) of Definition 74 on its out edge; top-down, `commit` picks the
+/// in-port labels once every other port of the node is labeled.
+struct Sweep {
+  const Tree& tree;
+  const TreeBwProblem& problem;
+  const EdgeIndex edges;
+  const std::vector<int> color;
+  std::vector<LabelSet> edge_set;  ///< settled up-set per edge id
+  std::vector<int>& edge_label;    ///< committed label per edge id
+
+  Sweep(const Tree& t, const TreeBwProblem& p, std::vector<int>& labels)
+      : tree(t),
+        problem(p),
+        edges(EdgeIndex::build(t)),
+        color(two_color(t)),
+        edge_set(static_cast<std::size_t>(edges.edge_count), 0),
+        edge_label(labels) {
+    edge_label.assign(static_cast<std::size_t>(edges.edge_count), -1);
+  }
+
+  [[nodiscard]] std::size_t edge(NodeId v, int port) const {
+    return static_cast<std::size_t>(edges.of(tree, v, port));
+  }
+
+  /// The label-sets on v's `ports`, in the given order.
+  [[nodiscard]] std::vector<LabelSet> sets_at(
+      NodeId v, std::span<const int> ports) const {
+    std::vector<LabelSet> sets;
+    sets.reserve(ports.size());
+    for (const int p : ports) sets.push_back(edge_set[edge(v, p)]);
+    return sets;
+  }
+
+  /// The problem's predicate with v's color bound.
+  [[nodiscard]] auto allowed_at(NodeId v) const {
+    return [this, c = color[static_cast<std::size_t>(v)]](
+               const std::vector<int>& m) { return problem.allowed(c, m); };
+  }
+
+  /// Does some choice from `sets` complete v next to the `fixed` labels?
+  [[nodiscard]] bool choose(NodeId v, std::span<const int> fixed,
+                            std::span<const LabelSet> sets,
+                            std::vector<int>* pick = nullptr) const {
+    return bw::choose(problem.alphabet, fixed, sets, allowed_at(v), pick);
+  }
+
+  /// Stores the up-set of v's out edge; with no out port (out_port < 0)
+  /// checks that v completes as a root instead. False when the up-set
+  /// is empty or the root cannot complete.
+  bool settle(NodeId v, std::span<const int> in_ports, int out_port) {
+    const std::vector<LabelSet> sets = sets_at(v, in_ports);
+    if (out_port < 0) return choose(v, {}, sets);
+    const LabelSet g = up_set(problem.alphabet, sets, allowed_at(v));
+    edge_set[edge(v, out_port)] = g;
+    return g != 0;
+  }
+
+  /// Labels v's `ports` from their up-sets, next to the labels already
+  /// on every other port of v.
+  void commit(NodeId v, std::span<const int> ports) {
+    std::vector<int> fixed;
+    for (int p = 0; p < tree.degree(v); ++p) {
+      if (std::find(ports.begin(), ports.end(), p) != ports.end()) continue;
+      const int lab = edge_label[edge(v, p)];
+      if (lab < 0) {
+        throw std::logic_error("tree_bw: commit before the other ports of " +
+                               std::to_string(v) + " were labeled");
+      }
+      fixed.push_back(lab);
+    }
+    std::vector<int> picks;
+    if (!choose(v, fixed, sets_at(v, ports), &picks)) {
+      throw std::logic_error("tree_bw: committed set not completable at " +
+                             std::to_string(v));
+    }
+    for (std::size_t s = 0; s < ports.size(); ++s) {
+      edge_label[edge(v, ports[s])] = picks[s];
     }
   }
-  std::vector<int> chosen(sets.size(), -1);
-  // Depth-first over the free edges.
-  std::vector<int> stack_label(sets.size(), -1);
-  std::size_t depth = 0;
-  while (true) {
-    if (depth == sets.size()) {
-      std::vector<int> multiset = fixed;
-      for (int l : stack_label) multiset.push_back(l);
-      std::sort(multiset.begin(), multiset.end());
-      if (problem.allowed(color, multiset)) {
-        if (pick != nullptr) *pick = stack_label;
-        return true;
-      }
-      if (depth == 0) return false;
-      --depth;
-    }
-    // Advance the label at `depth`.
-    bool advanced = false;
-    for (int l = stack_label[depth] + 1; l < problem.alphabet; ++l) {
-      if ((sets[depth] >> l) & 1u) {
-        stack_label[depth] = l;
-        advanced = true;
-        break;
-      }
-    }
-    if (advanced) {
-      ++depth;
-      if (depth < sets.size()) stack_label[depth] = -1;
-    } else {
-      stack_label[depth] = -1;
-      if (depth == 0) return false;
-      --depth;
-    }
-  }
-}
+};
 
 }  // namespace
 
@@ -134,15 +170,9 @@ std::int64_t EdgeIndex::of(const Tree& t, NodeId v, int port) const {
 
 TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
   TreeBwResult res;
-  const EdgeIndex edges = EdgeIndex::build(tree);
-  const std::vector<int> color = two_color(tree);
-  const auto dec = decomp::rake_compress(tree, 1, 4, /*split_paths=*/true);
-
-  const LabelSet all =
-      static_cast<LabelSet>((1u << problem.alphabet) - 1);
-  std::vector<LabelSet> edge_set(static_cast<std::size_t>(edges.edge_count),
-                                 0);
-  res.edge_label.assign(static_cast<std::size_t>(edges.edge_count), -1);
+  Sweep sweep(tree, problem, res.edge_label);
+  auto dec = decomp::rake_compress(tree, 1, 4, /*split_paths=*/true);
+  res.assign_step = std::move(dec.assign_step);
 
   auto key_of = [&](NodeId v) {
     return decomp::layer_order_key(
@@ -160,6 +190,7 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
   });
 
   // Splits a node's ports into (incoming = lower key, outgoing ports).
+  // Chain mates share a key, so they are outgoing on both sides.
   auto split_ports = [&](NodeId v, std::vector<int>& in_ports,
                          std::vector<int>& out_ports) {
     const auto nb = tree.neighbors(v);
@@ -215,160 +246,83 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
     return path;
   };
 
-  // The per-chain DP. Computes feasible (left, right) outgoing pairs,
-  // or, when `commit` is non-null with fixed outgoing labels, commits
-  // chain-edge and incoming labels.
   struct ChainPlan {
     std::vector<NodeId> path;
+    std::vector<std::vector<int>> in_ports;  ///< per path node
     int left_out_port = -1;   // on path.front(), toward higher (or -1)
     int right_out_port = -1;  // on path.back()
   };
+  // The per-chain DP. Returns the feasible (left, right) outgoing label
+  // pairs; with `commit`, labels the chain for the first pair feasible
+  // under the fixed outgoing labels (-1 = any) and returns just it.
   auto chain_pairs = [&](const ChainPlan& plan, int fixed_left,
                          int fixed_right, bool commit) {
     const auto& path = plan.path;
     const std::size_t len = path.size();
-    // feasible[i][e] = set of left labels for which a labeling of the
-    // prefix up to chain edge i (label e) exists. For reconstruction we
-    // store, per (i, e, left), one predecessor edge label.
-    // Simpler: DP per left label separately (alphabet is tiny).
+    const auto a = static_cast<std::size_t>(problem.alphabet);
+    std::vector<std::vector<LabelSet>> sets;
+    for (std::size_t i = 0; i < len; ++i) {
+      sets.push_back(sweep.sets_at(path[i], plan.in_ports[i]));
+    }
     std::vector<std::pair<int, int>> pairs;
-    const int a = problem.alphabet;
-    std::vector<int> lefts, rights;
-    for (int l = 0; l < a; ++l) {
-      if (fixed_left < 0 || l == fixed_left) lefts.push_back(l);
-    }
-    for (int r = 0; r < a; ++r) {
-      if (fixed_right < 0 || r == fixed_right) rights.push_back(r);
-    }
-    for (int l : lefts) {
-      // reach[i][e]: prefix through node i with chain edge (i,i+1)
-      // labeled e is completable; pred[i][e] = previous edge label.
-      std::vector<std::vector<char>> reach(
-          len, std::vector<char>(static_cast<std::size_t>(a), 0));
-      std::vector<std::vector<int>> pred(
-          len, std::vector<int>(static_cast<std::size_t>(a), -1));
+    std::vector<int> fixed;
+    // reach[i][e]: the prefix through node i with chain edge (i, i+1)
+    // labeled e completes; pred[i][e]: the first such label of chain
+    // edge (i - 1, i). One DP per left label (the alphabet is tiny).
+    std::vector<std::vector<char>> reach(len);
+    std::vector<std::vector<int>> pred(len);
+    for (int l = 0; l < problem.alphabet; ++l) {
+      if (fixed_left >= 0 && l != fixed_left) continue;
       for (std::size_t i = 0; i < len; ++i) {
-        const NodeId v = path[i];
-        std::vector<int> in_ports, out_ports;
-        split_ports(v, in_ports, out_ports);
-        // Incoming label-sets from raked subtrees (exclude chain mates
-        // and the outgoing-to-higher port).
-        std::vector<LabelSet> sets;
-        for (int p : in_ports) {
-          const NodeId u = tree.neighbors(v)[static_cast<std::size_t>(p)];
-          if (key_of(u) == key_of(v)) continue;  // chain mate
-          sets.push_back(
-              edge_set[static_cast<std::size_t>(edges.of(tree, v, p))]);
-        }
+        reach[i].assign(a, 0);
+        pred[i].assign(a, -1);
         const bool first = (i == 0);
         const bool last = (i + 1 == len);
-        for (int e_prev = 0; e_prev < (first ? 1 : a); ++e_prev) {
+        for (int e_prev = 0; e_prev < (first ? 1 : problem.alphabet);
+             ++e_prev) {
           if (!first && !reach[i - 1][static_cast<std::size_t>(e_prev)]) {
             continue;
           }
-          for (int e_next = 0; e_next < (last ? 1 : a); ++e_next) {
-            std::vector<int> fixed;
-            if (first) {
-              if (plan.left_out_port >= 0) fixed.push_back(l);
-            } else {
-              fixed.push_back(e_prev);
-            }
-            if (last) {
-              // right outgoing handled by caller loop below
-            } else {
+          fixed.clear();
+          if (!first) {
+            fixed.push_back(e_prev);
+          } else if (plan.left_out_port >= 0) {
+            fixed.push_back(l);
+          }
+          if (!last) {
+            for (int e_next = 0; e_next < problem.alphabet; ++e_next) {
               fixed.push_back(e_next);
-            }
-            if (!last) {
-              if (feasible_choice(problem,
-                                  color[static_cast<std::size_t>(v)],
-                                  fixed, sets, nullptr)) {
+              if (sweep.choose(path[i], fixed, sets[i])) {
                 reach[i][static_cast<std::size_t>(e_next)] = 1;
-                if (pred[i][static_cast<std::size_t>(e_next)] < 0) {
-                  pred[i][static_cast<std::size_t>(e_next)] =
-                      first ? -2 : e_prev;
-                }
+                int& p = pred[i][static_cast<std::size_t>(e_next)];
+                if (p < 0) p = e_prev;
               }
-            } else {
-              for (int r : rights) {
-                std::vector<int> fixed_last = fixed;
-                if (plan.right_out_port >= 0) fixed_last.push_back(r);
-                if (feasible_choice(problem,
-                                    color[static_cast<std::size_t>(v)],
-                                    fixed_last, sets, nullptr)) {
-                  // For single-node chains the left label is unused
-                  // unless there is a left port; normalize.
-                  pairs.emplace_back(l, r);
-                  if (commit) {
-                    // Reconstruct: walk predecessors backward.
-                    std::vector<int> chain_edges(len >= 1 ? len - 1 : 0,
-                                                 -1);
-                    int cur = first ? -2 : e_prev;
-                    if (!first) {
-                      chain_edges[i - 1] = e_prev;
-                      for (std::size_t j = i - 1; j > 0; --j) {
-                        cur = pred[j][static_cast<std::size_t>(
-                            chain_edges[j])];
-                        chain_edges[j - 1] = cur;
-                      }
-                    }
-                    // Commit chain edges.
-                    for (std::size_t j = 0; j + 1 < len; ++j) {
-                      const NodeId x = path[j];
-                      const auto nb = tree.neighbors(x);
-                      for (std::size_t p = 0; p < nb.size(); ++p) {
-                        if (nb[p] == path[j + 1]) {
-                          res.edge_label[static_cast<std::size_t>(
-                              edges.of(tree, x, static_cast<int>(p)))] =
-                              chain_edges[j];
-                        }
-                      }
-                    }
-                    // Commit incoming picks at every chain node.
-                    for (std::size_t j = 0; j < len; ++j) {
-                      const NodeId x = path[j];
-                      std::vector<int> ip, op;
-                      split_ports(x, ip, op);
-                      std::vector<int> fixed2;
-                      std::vector<LabelSet> sets2;
-                      std::vector<int> set_ports;
-                      for (int p : ip) {
-                        const NodeId u =
-                            tree.neighbors(x)[static_cast<std::size_t>(p)];
-                        if (key_of(u) == key_of(x)) continue;
-                        sets2.push_back(edge_set[static_cast<std::size_t>(
-                            edges.of(tree, x, p))]);
-                        set_ports.push_back(p);
-                      }
-                      const auto nb = tree.neighbors(x);
-                      for (std::size_t p = 0; p < nb.size(); ++p) {
-                        const std::int64_t eid =
-                            edges.of(tree, x, static_cast<int>(p));
-                        const int lab = res.edge_label[
-                            static_cast<std::size_t>(eid)];
-                        if (lab >= 0 &&
-                            std::find(set_ports.begin(), set_ports.end(),
-                                      static_cast<int>(p)) ==
-                                set_ports.end()) {
-                          fixed2.push_back(lab);
-                        }
-                      }
-                      std::vector<int> picks;
-                      if (!feasible_choice(
-                              problem, color[static_cast<std::size_t>(x)],
-                              fixed2, sets2, &picks)) {
-                        throw std::logic_error(
-                            "tree_bw: chain commit infeasible");
-                      }
-                      for (std::size_t s = 0; s < set_ports.size(); ++s) {
-                        res.edge_label[static_cast<std::size_t>(
-                            edges.of(tree, x, set_ports[s]))] = picks[s];
-                      }
-                    }
-                    return pairs;  // committed one witness
-                  }
-                }
-              }
+              fixed.pop_back();
             }
+            continue;
+          }
+          for (int r = 0; r < problem.alphabet; ++r) {
+            if (fixed_right >= 0 && r != fixed_right) continue;
+            if (plan.right_out_port >= 0) fixed.push_back(r);
+            const bool ok = sweep.choose(path[i], fixed, sets[i]);
+            if (plan.right_out_port >= 0) fixed.pop_back();
+            if (!ok) continue;
+            pairs.emplace_back(l, r);
+            if (!commit) continue;
+            // Walk the predecessors back from the last chain edge, then
+            // let every chain node pick its in-port labels.
+            int e = e_prev;
+            for (std::size_t j = len - 1; j > 0; --j) {
+              const auto nb = tree.neighbors(path[j]);
+              const auto p = std::find(nb.begin(), nb.end(), path[j - 1]);
+              sweep.edge_label[sweep.edge(
+                  path[j], static_cast<int>(p - nb.begin()))] = e;
+              e = pred[j - 1][static_cast<std::size_t>(e)];
+            }
+            for (std::size_t j = 0; j < len; ++j) {
+              sweep.commit(path[j], plan.in_ports[j]);
+            }
+            return pairs;
           }
         }
       }
@@ -381,30 +335,23 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
   std::vector<int> chain_of(static_cast<std::size_t>(tree.size()), -1);
   for (NodeId v : order) {
     const auto& assign = dec.assignment[static_cast<std::size_t>(v)];
+    std::vector<int> in_ports, out_ports;
     if (assign.kind == decomp::LayerKind::kCompress) {
       if (chain_done[static_cast<std::size_t>(v)]) continue;
       ChainPlan plan;
       plan.path = collect_chain(v);
       // Outgoing ports at both endpoints (toward strictly higher keys).
-      {
-        std::vector<int> ip, op;
-        split_ports(plan.path.front(), ip, op);
-        for (int p : op) {
-          const NodeId u = tree.neighbors(
-              plan.path.front())[static_cast<std::size_t>(p)];
-          if (key_of(u) > key_of(plan.path.front())) {
-            plan.left_out_port = p;
-          }
-        }
-      }
-      if (plan.path.size() > 1) {
-        std::vector<int> ip, op;
-        split_ports(plan.path.back(), ip, op);
-        for (int p : op) {
-          const NodeId u = tree.neighbors(
-              plan.path.back())[static_cast<std::size_t>(p)];
-          if (key_of(u) > key_of(plan.path.back())) {
-            plan.right_out_port = p;
+      for (std::size_t i = 0; i < plan.path.size(); ++i) {
+        const NodeId x = plan.path[i];
+        out_ports.clear();
+        plan.in_ports.emplace_back();
+        split_ports(x, plan.in_ports.back(), out_ports);
+        if (i != 0 && i + 1 != plan.path.size()) continue;
+        int& out = i == 0 ? plan.left_out_port : plan.right_out_port;
+        for (int p : out_ports) {
+          if (key_of(tree.neighbors(x)[static_cast<std::size_t>(p)]) >
+              key_of(x)) {
+            out = p;
           }
         }
       }
@@ -419,12 +366,12 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
         return res;
       }
       if (need_left) {
-        edge_set[static_cast<std::size_t>(edges.of(
-            tree, plan.path.front(), plan.left_out_port))] = rect.left;
+        sweep.edge_set[sweep.edge(plan.path.front(), plan.left_out_port)] =
+            rect.left;
       }
       if (need_right) {
-        edge_set[static_cast<std::size_t>(edges.of(
-            tree, plan.path.back(), plan.right_out_port))] = rect.right;
+        sweep.edge_set[sweep.edge(plan.path.back(), plan.right_out_port)] =
+            rect.right;
       }
       ChainRecord record;
       record.nodes = plan.path;
@@ -437,99 +384,53 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
       continue;
     }
 
-    // Rake node: compute g(v) for the (unique) outgoing edge.
-    std::vector<int> in_ports, out_ports;
+    // Rake node: settle the (unique) outgoing edge, or the root.
     split_ports(v, in_ports, out_ports);
-    std::vector<LabelSet> sets;
-    for (int p : in_ports) {
-      sets.push_back(
-          edge_set[static_cast<std::size_t>(edges.of(tree, v, p))]);
-    }
-    if (out_ports.empty()) {
-      if (!feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                           {}, sets, nullptr)) {
-        res.failure = "infeasible root node " + std::to_string(v);
-        return res;
-      }
-      continue;
-    }
     if (out_ports.size() > 1) {
       res.failure = "rake node with two higher neighbors (decomposition "
                     "violation) at " +
                     std::to_string(v);
       return res;
     }
-    LabelSet g = 0;
-    for (int o = 0; o < problem.alphabet; ++o) {
-      if (feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                          {o}, sets, nullptr)) {
-        g |= (1u << o);
-      }
-    }
-    if (g == 0) {
-      res.failure = "empty label-set at node " + std::to_string(v);
+    const int out = out_ports.empty() ? -1 : out_ports[0];
+    if (!sweep.settle(v, in_ports, out)) {
+      res.failure = (out < 0 ? "infeasible root node "
+                             : "empty label-set at node ") +
+                    std::to_string(v);
       return res;
     }
-    edge_set[static_cast<std::size_t>(edges.of(tree, v, out_ports[0]))] =
-        g;
-    (void)all;
   }
 
   // --- Top-down: commit labels ---------------------------------------
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId v = *it;
-    const auto& assign = dec.assignment[static_cast<std::size_t>(v)];
-    if (assign.kind == decomp::LayerKind::kCompress) {
+    if (dec.assignment[static_cast<std::size_t>(v)].kind ==
+        decomp::LayerKind::kCompress) {
       const int ci = chain_of[static_cast<std::size_t>(v)];
       if (ci < 0) continue;  // interior / non-anchor chain nodes
       const ChainPlan& plan = chains[static_cast<std::size_t>(ci)];
-      int fixed_left = -1, fixed_right = -1;
-      if (plan.left_out_port >= 0) {
-        fixed_left = res.edge_label[static_cast<std::size_t>(edges.of(
-            tree, plan.path.front(), plan.left_out_port))];
-      } else {
-        fixed_left = 0;  // unused by the DP when there is no left port
-      }
-      if (plan.right_out_port >= 0) {
-        fixed_right = res.edge_label[static_cast<std::size_t>(edges.of(
-            tree, plan.path.back(), plan.right_out_port))];
-      }
-      const auto committed =
-          chain_pairs(plan, fixed_left, fixed_right, /*commit=*/true);
-      if (committed.empty()) {
+      // Without a left port the DP ignores the left label.
+      const int fixed_left =
+          plan.left_out_port >= 0
+              ? sweep.edge_label[sweep.edge(plan.path.front(),
+                                            plan.left_out_port)]
+              : 0;
+      const int fixed_right =
+          plan.right_out_port >= 0
+              ? sweep.edge_label[sweep.edge(plan.path.back(),
+                                            plan.right_out_port)]
+              : -1;
+      if (chain_pairs(plan, fixed_left, fixed_right, /*commit=*/true)
+              .empty()) {
         throw std::logic_error(
             "tree_bw: independent rectangle was not completable");
       }
       continue;
     }
-
-    // Rake node: outgoing already labeled by the higher layer (or none);
-    // pick incoming labels.
+    // Rake node: the outgoing edge is labeled by the higher layer.
     std::vector<int> in_ports, out_ports;
     split_ports(v, in_ports, out_ports);
-    std::vector<int> fixed;
-    for (int p : out_ports) {
-      const int lab = res.edge_label[static_cast<std::size_t>(
-          edges.of(tree, v, p))];
-      if (lab < 0) {
-        throw std::logic_error("tree_bw: outgoing edge not yet labeled");
-      }
-      fixed.push_back(lab);
-    }
-    std::vector<LabelSet> sets;
-    for (int p : in_ports) {
-      sets.push_back(
-          edge_set[static_cast<std::size_t>(edges.of(tree, v, p))]);
-    }
-    std::vector<int> picks;
-    if (!feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                         fixed, sets, &picks)) {
-      throw std::logic_error("tree_bw: committed set not completable");
-    }
-    for (std::size_t s = 0; s < in_ports.size(); ++s) {
-      res.edge_label[static_cast<std::size_t>(
-          edges.of(tree, v, in_ports[s]))] = picks[s];
-    }
+    sweep.commit(v, in_ports);
   }
 
   res.solved = true;
@@ -539,16 +440,13 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
 TreeBwResult solve_tree_bw_global(const Tree& tree,
                                   const TreeBwProblem& problem) {
   TreeBwResult res;
-  const EdgeIndex edges = EdgeIndex::build(tree);
-  const std::vector<int> color = two_color(tree);
+  Sweep sweep(tree, problem, res.edge_label);
   const NodeId n = tree.size();
-  res.edge_label.assign(static_cast<std::size_t>(edges.edge_count), -1);
 
   // Root every component at its smallest node; record a BFS order so the
   // reverse is a valid bottom-up order (children before parents) without
-  // recursion (components can be 10^5-node paths).
-  std::vector<NodeId> parent(static_cast<std::size_t>(n),
-                             graph::kInvalidNode);
+  // recursion (components can be 10^5-node paths). A node's in-ports are
+  // its children, its out port leads to its parent.
   std::vector<int> parent_port(static_cast<std::size_t>(n), -1);
   std::vector<char> visited(static_cast<std::size_t>(n), 0);
   std::vector<NodeId> bfs;
@@ -559,90 +457,38 @@ TreeBwResult solve_tree_bw_global(const Tree& tree,
     bfs.push_back(root);
     for (std::size_t head = bfs.size() - 1; head < bfs.size(); ++head) {
       const NodeId v = bfs[head];
-      const auto nb = tree.neighbors(v);
-      for (std::size_t p = 0; p < nb.size(); ++p) {
-        const NodeId u = nb[p];
+      for (const NodeId u : tree.neighbors(v)) {
         if (visited[static_cast<std::size_t>(u)]) continue;
         visited[static_cast<std::size_t>(u)] = 1;
-        parent[static_cast<std::size_t>(u)] = v;
-        // Record u's port toward v for the edge-id lookup at commit time.
         const auto unb = tree.neighbors(u);
-        for (std::size_t q = 0; q < unb.size(); ++q) {
-          if (unb[q] == v) {
-            parent_port[static_cast<std::size_t>(u)] =
-                static_cast<int>(q);
-          }
-        }
+        parent_port[static_cast<std::size_t>(u)] = static_cast<int>(
+            std::find(unb.begin(), unb.end(), v) - unb.begin());
         bfs.push_back(u);
       }
     }
   }
+  auto children = [&](NodeId v) {
+    std::vector<int> ports;
+    for (int p = 0; p < tree.degree(v); ++p) {
+      if (p != parent_port[static_cast<std::size_t>(v)]) ports.push_back(p);
+    }
+    return ports;
+  };
 
-  // Bottom-up: up[v] = labels the edge (v, parent) can carry such that
-  // v's subtree completes. Children's sets are independent (disjoint
-  // subtrees), so feasible_choice's exists-a-choice semantics is exact.
-  std::vector<LabelSet> up(static_cast<std::size_t>(n), 0);
-  std::vector<LabelSet> sets;
+  // Bottom-up: the parent edge's up-set is exact, because the children's
+  // sets come from disjoint subtrees.
   for (auto it = bfs.rbegin(); it != bfs.rend(); ++it) {
     const NodeId v = *it;
-    sets.clear();
-    const auto nb = tree.neighbors(v);
-    for (std::size_t p = 0; p < nb.size(); ++p) {
-      if (nb[p] == parent[static_cast<std::size_t>(v)]) continue;
-      sets.push_back(up[static_cast<std::size_t>(nb[p])]);
-    }
-    if (parent[static_cast<std::size_t>(v)] == graph::kInvalidNode) {
-      // Component root: solvable iff some choice over the children's
-      // sets completes the root's own multiset constraint.
-      if (!feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                           {}, sets, nullptr)) {
-        res.failure =
-            "global DP: no completion at root " + std::to_string(v);
-        return res;
-      }
-      continue;
-    }
-    LabelSet g = 0;
-    for (int o = 0; o < problem.alphabet; ++o) {
-      if (feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                          {o}, sets, nullptr)) {
-        g |= (1u << o);
-      }
-    }
-    if (g == 0) {
-      res.failure =
-          "global DP: empty up-set at node " + std::to_string(v);
+    const int out = parent_port[static_cast<std::size_t>(v)];
+    if (!sweep.settle(v, children(v), out)) {
+      res.failure = (out < 0 ? "global DP: no completion at root "
+                             : "global DP: empty up-set at node ") +
+                    std::to_string(v);
       return res;
     }
-    up[static_cast<std::size_t>(v)] = g;
   }
-
-  // Top-down commit in BFS order: the parent edge's label is fixed when
-  // v is reached; choose child-edge labels from the children's up-sets.
-  for (const NodeId v : bfs) {
-    std::vector<int> fixed;
-    if (parent[static_cast<std::size_t>(v)] != graph::kInvalidNode) {
-      fixed.push_back(res.edge_label[static_cast<std::size_t>(edges.of(
-          tree, v, parent_port[static_cast<std::size_t>(v)]))]);
-    }
-    sets.clear();
-    std::vector<int> set_ports;
-    const auto nb = tree.neighbors(v);
-    for (std::size_t p = 0; p < nb.size(); ++p) {
-      if (nb[p] == parent[static_cast<std::size_t>(v)]) continue;
-      sets.push_back(up[static_cast<std::size_t>(nb[p])]);
-      set_ports.push_back(static_cast<int>(p));
-    }
-    std::vector<int> picks;
-    if (!feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                         fixed, sets, &picks)) {
-      throw std::logic_error("tree_bw: global DP commit infeasible");
-    }
-    for (std::size_t s = 0; s < set_ports.size(); ++s) {
-      res.edge_label[static_cast<std::size_t>(
-          edges.of(tree, v, set_ports[s]))] = picks[s];
-    }
-  }
+  // Top-down in BFS order: the parent edge is labeled when v is reached.
+  for (const NodeId v : bfs) sweep.commit(v, children(v));
 
   res.solved = true;
   return res;

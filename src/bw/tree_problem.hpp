@@ -8,7 +8,10 @@
 // which covers every use the paper makes of the formalism in Section 11.
 //
 // The solver follows the paper's pipeline:
-//   1. compute a (gamma, ell, L)-decomposition (Definition 71);
+//   1. compute a (gamma, ell, L)-decomposition (Definition 71) with
+//      gamma = 1, ell = 4 and split paths, fixed in tree_problem.cpp
+//      alone; the result carries the peel steps the engine wrapper
+//      charges;
 //   2. sweep layers bottom-up (Definition 75 order), assigning to each
 //      rake node's outgoing edge the label-set g(v) of Definition 74 and
 //      to each compress path's two outgoing edges the canonical
@@ -19,6 +22,15 @@
 // A problem is *solvable by the generic algorithm* iff no empty
 // label-set arises (the testing procedure's criterion); `solve` reports
 // failure otherwise.
+//
+// Both solvers are one rooted sweep of two node steps: bottom-up, a node
+// turns the label-sets on its in-ports into the up-set of its out edge
+// (bw::up_set), or checks it completes as a root; top-down, it picks its
+// in-port labels next to the labels already on its other ports
+// (bw::choose). The flexible solver takes in- and out-ports from the
+// layer order and runs a chain DP on compress paths; the exact global
+// solver takes them from a BFS rooting and treats every node as a rake
+// node.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +76,13 @@ struct ChainRecord {
 struct TreeBwResult {
   bool solved = false;
   std::string failure;          ///< first empty label-set, if any
-  std::vector<int> edge_label;  ///< per edge id (see edge_index)
+  std::vector<int> edge_label;  ///< per edge id (see EdgeIndex)
   /// Compress chains in bottom-up order (filled by solve_tree_bw only).
   std::vector<ChainRecord> chains;
+  /// Peel step (>= 1) per node of the decomposition solve_tree_bw swept:
+  /// the round in which a distributed run learns the node's layer.
+  /// Filled whether or not the solve succeeds (solve_tree_bw only).
+  std::vector<int> assign_step;
 };
 
 /// Canonical edge indexing: edge {u, v} with u < v gets a dense id. The

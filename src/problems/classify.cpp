@@ -11,35 +11,6 @@ namespace {
 
 using bw::LabelSet;
 
-/// Does some choice (l_1, ..., l_m) with l_i in sets[i] make
-/// sorted(extra + l) allowed by the table? Exact because the sets come
-/// from disjoint subtrees (any combination of achievable labels is
-/// simultaneously achievable).
-bool exists_choice(const BwTable& t, const std::vector<LabelSet>& sets,
-                   int extra) {
-  std::vector<int> labels;
-  labels.reserve(sets.size() + 1);
-  std::function<bool(std::size_t)> rec = [&](std::size_t i) {
-    if (i == sets.size()) {
-      std::vector<int> sorted = labels;
-      if (extra >= 0) sorted.push_back(extra);
-      std::sort(sorted.begin(), sorted.end());
-      return t.allows(sorted);
-    }
-    for (int l = 0; l < t.alphabet; ++l) {
-      if (!((sets[i] >> l) & 1u)) continue;
-      labels.push_back(l);
-      if (rec(i + 1)) {
-        labels.pop_back();
-        return true;
-      }
-      labels.pop_back();
-    }
-    return false;
-  };
-  return rec(0);
-}
-
 std::string set_to_string(LabelSet s, int alphabet) {
   std::string out = "{";
   bool first = true;
@@ -161,8 +132,12 @@ TreeTesting tree_testing(const BwTable& table) {
 
   // Fixed point of the one-node extension: a node with m child subtrees
   // whose up-sets are S_1..S_m can commit label o on its outgoing edge
-  // iff some choice completes its multiset constraint. `recipes[i]`
-  // records how seen[i] is realized, for witness construction.
+  // iff some choice completes its multiset constraint — exact, because
+  // the subtrees are disjoint. `recipes[i]` records how seen[i] is
+  // realized, for witness construction.
+  const auto allows = [&table](const std::vector<int>& sorted) {
+    return table.allows(sorted);
+  };
   std::vector<LabelSet> seen{leaf};
   std::vector<Recipe> recipes{{}};
   // Maps a snapshot combo back to seen indices (sets are unique in
@@ -184,10 +159,7 @@ TreeTesting tree_testing(const BwTable& table) {
     const std::vector<LabelSet> snapshot = seen;
     for (int m = 1; m < table.max_degree && out.good; ++m) {
       for_each_combo(snapshot, m, [&](const std::vector<LabelSet>& combo) {
-        LabelSet g = 0;
-        for (int o = 0; o < table.alphabet; ++o) {
-          if (exists_choice(table, combo, o)) g |= (1u << o);
-        }
+        const LabelSet g = bw::up_set(table.alphabet, combo, allows);
         if (g == 0) {
           out.good = false;
           out.failure = "empty up-set at a degree-" + std::to_string(m + 1) +
@@ -216,7 +188,7 @@ TreeTesting tree_testing(const BwTable& table) {
   // witness tree with no valid labeling.)
   for (int m = 1; m <= table.max_degree && out.good; ++m) {
     for_each_combo(seen, m, [&](const std::vector<LabelSet>& combo) {
-      if (!exists_choice(table, combo, -1)) {
+      if (!bw::choose(table.alphabet, {}, combo, allows)) {
         out.good = false;
         out.failure = "no completion at a degree-" + std::to_string(m) +
                       " root over child classes " +

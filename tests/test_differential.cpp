@@ -393,14 +393,16 @@ TEST(DifferentialFuzz, WeightedWrappersPerNodeBatchAgreeOnPaperInstances) {
 }
 
 // The standalone wrappers and distributed programs that sleep at their
-// waits: d-free Algorithm A and the hierarchical labeling until their
-// charge round, level peeling until round k + 1, and the decomposition's
-// non-chain nodes through each compress step. On fixed instances the
+// waits: d-free Algorithm A, the hierarchical labeling and the generic
+// black-white solver until their charge round, level peeling until
+// round k + 1, and the decomposition's non-chain nodes through each
+// compress step. On fixed instances the
 // default dispatch must make strictly fewer callbacks than sum_v T_v
 // while reproducing the per-node run's schedule and outputs.
 TEST(DifferentialFuzz, SleepingProgramsVisitLessThanSumT) {
   for (const std::string solver_name :
-       {"dfree_a", "hier_labeling", "level_peeling", "rake_compress"}) {
+       {"dfree_a", "hier_labeling", "level_peeling", "rake_compress",
+        "bw_generic"}) {
     SCOPED_TRACE("solver=" + solver_name);
     const algo::SolverSpec& spec = algo::solver(solver_name);
     graph::Tree tree =

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "algo/bw_generic.hpp"
 #include "bw/tree_problem.hpp"
 #include "graph/builders.hpp"
 #include "graph/families.hpp"
@@ -448,6 +449,40 @@ TEST(TreeBw, SolveRecordsCompressChains) {
   }
   EXPECT_GT(covered, 0u);
   EXPECT_LE(covered, static_cast<std::size_t>(t.size()));
+}
+
+// Pins the schedule the engine wrapper charges in each of its four
+// modes: the mode, sum_v T_v and the worst case of one engine run.
+TEST(BwGeneric, EachModeChargesItsSchedule) {
+  struct Case {
+    const char* what;
+    graph::Tree tree;
+    BwTable table;
+    algo::BwMode mode;
+    std::int64_t sum_t;
+    std::int64_t worst;
+  };
+  const Case cases[] = {
+      {"free", graph::make_family_instance("prufer", 400, 5, 3),
+       problems::free_table(2, 3), algo::BwMode::kFlexible, 1237, 11},
+      {"split", graph::make_family_instance("prufer", 400, 5, 3),
+       problems::sample_table(7207960013413128ULL),
+       algo::BwMode::kFlexibleSplit, 7357, 48},
+      {"global", graph::make_path(240), problems::two_coloring_table(3),
+       algo::BwMode::kGlobal, 914, 5},
+      {"infeasible", graph::make_star(3), problems::edge_coloring_table(2, 3),
+       algo::BwMode::kInfeasible, 4, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    algo::BwGenericProgram program(c.tree, c.table);
+    local::Engine engine(c.tree);
+    const local::RunStats stats = engine.run(program);
+    ASSERT_FALSE(stats.truncated);
+    EXPECT_EQ(program.mode(), c.mode) << algo::to_string(program.mode());
+    EXPECT_EQ(stats.total_rounds, c.sum_t);
+    EXPECT_EQ(stats.worst_case, c.worst);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,13 @@
 // unsolvable problems are detected via empty classes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "bw/tree_problem.hpp"
 #include "graph/builders.hpp"
+#include "graph/families.hpp"
+#include "problems/lclgen.hpp"
 
 namespace lcl {
 namespace {
@@ -23,6 +28,12 @@ void solve_and_check(const Tree& t, const bw::TreeBwProblem& p,
   ASSERT_TRUE(res.solved) << p.name << ": " << res.failure;
   const std::string err = bw::check_tree_bw(t, p, res.edge_label);
   EXPECT_EQ(err, "") << p.name;
+  // The exact global DP solves whatever the flexible solver solves; on
+  // sinkless orientation, whose white and black nodes need different
+  // labels, this also pins the color each node's step binds.
+  const auto exact = bw::solve_tree_bw_global(t, p);
+  ASSERT_TRUE(exact.solved) << p.name << ": " << exact.failure;
+  EXPECT_EQ(bw::check_tree_bw(t, p, exact.edge_label), "") << p.name;
 }
 
 TEST(TreeBw, FreeProblemOnEverything) {
@@ -92,6 +103,77 @@ TEST(TreeBw, HierarchicalInstances) {
   const auto inst = graph::make_hierarchical_lower_bound({5, 8});
   solve_and_check(inst.tree, bw::make_bw_edge_coloring(4));
   solve_and_check(inst.tree, bw::make_bw_sinkless());
+}
+
+/// FNV-1a over little-endian 64-bit words and string bytes.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ULL;
+  void byte(unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(w >> (8 * i)));
+  }
+  void str(const std::string& s) {
+    word(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  template <typename T>
+  void seq(const std::vector<T>& xs) {
+    word(xs.size());
+    for (const T x : xs) word(static_cast<std::uint64_t>(x));
+  }
+};
+
+void hash_result(Fnv& h, const bw::TreeBwResult& r) {
+  h.word(r.solved ? 1 : 0);
+  h.str(r.failure);
+  h.seq(r.edge_label);
+  h.word(r.chains.size());
+  for (const bw::ChainRecord& c : r.chains) {
+    h.seq(c.nodes);
+    h.word(c.left);
+    h.word(c.right);
+  }
+}
+
+// Pins both solvers bit for bit on sampled tables: labels, failure
+// strings, chain records and the peel steps the engine wrapper charges.
+// Any change to a label, a tie-break, a failure message or a peel step
+// moves the hashes.
+TEST(TreeBw, SolversArePinnedOnSampledTables) {
+  struct Family {
+    const char* name;
+    int delta;
+    std::uint64_t pinned;
+  };
+  const Family families[] = {
+      {"prufer", 3, 5977905102640292979ULL},
+      {"galton_watson", 3, 4532293355673696523ULL},
+      {"path", 0, 17144442911895913011ULL}};
+  const auto tables = problems::sample_problems(1, 24);
+  ASSERT_EQ(tables.size(), 24u);
+  for (const Family& f : families) {
+    SCOPED_TRACE(f.name);
+    Fnv h;
+    int unsolved = 0;
+    for (const NodeId n : {300, 3000}) {
+      const Tree t = graph::make_family_instance(f.name, n, 11, f.delta);
+      for (const problems::BwTable& table : tables) {
+        const bw::TreeBwProblem problem = table.to_problem();
+        const bw::TreeBwResult res = bw::solve_tree_bw(t, problem);
+        hash_result(h, res);
+        h.seq(res.assign_step);
+        if (!res.solved) {
+          ++unsolved;
+          hash_result(h, bw::solve_tree_bw_global(t, problem));
+        }
+      }
+    }
+    EXPECT_GT(unsolved, 0);
+    EXPECT_EQ(h.h, f.pinned);
+  }
 }
 
 }  // namespace

@@ -14,10 +14,11 @@ and identical across workflows):
                                               same replay over TCP (pipelined)
 
 `service-tcp` is self-contained: it launches the given lcld binary on an
-ephemeral TCP port, sends the whole pinned script as one pipelined burst
-(exercising the transport supervisor's in-flight window and ordered
-write backlog), validates the responses with the same assertions as
-`service`, then SIGTERMs the daemon and requires a clean drain (exit 0).
+ephemeral TCP port, sends the pinned script's two classifies one at a
+time and the rest as one pipelined burst (exercising the transport
+supervisor's in-flight window and ordered write backlog), validates the
+responses with the same assertions as `service`, then SIGTERMs the
+daemon and requires a clean drain (exit 0).
 
 Exit status: 0 when every assertion holds, 1 with a message otherwise.
 Run locally with e.g.:
@@ -112,9 +113,15 @@ def check_service(lines):
 
 def check_service_tcp(lcld_path, script_path):
     """End-to-end TCP replay: launch lcld on an ephemeral port, send the
-    pinned script as ONE pipelined burst over a single connection (the
-    responses must still come back in request order), validate with the
-    same assertions as the stdio replay, then SIGTERM-drain."""
+    pinned script over a single connection, validate with the same
+    assertions as the stdio replay, then SIGTERM-drain.
+
+    The two identical classifies go one at a time, each after the
+    previous reply: with two workers, a burst lets both miss the cache
+    together and lets `info` run before the second lookup, and lcld
+    promises no order between concurrent requests. The remaining lines
+    (info, the slow solve, the two errors) go as ONE pipelined burst,
+    whose responses must still come back in request order."""
     proc = subprocess.Popen(
         [lcld_path, "--tcp", "127.0.0.1:0", "--threads", "2"],
         stderr=subprocess.PIPE, text=True)
@@ -127,19 +134,28 @@ def check_service_tcp(lcld_path, script_path):
             requests = [l for l in f.read().splitlines() if l.strip()]
         conn = socket.create_connection(("127.0.0.1", port), timeout=30)
         conn.settimeout(30)
-        conn.sendall(b"".join(r + b"\n" for r in requests))
         buf = b""
-        while buf.count(b"\n") < len(requests):
-            chunk = conn.recv(1 << 16)
-            assert chunk, "daemon closed the connection mid-replay"
-            buf += chunk
+
+        def send_and_wait(lines):
+            nonlocal buf
+            conn.sendall(b"".join(r + b"\n" for r in lines))
+            want = buf.count(b"\n") + len(lines)
+            while buf.count(b"\n") < want:
+                chunk = conn.recv(1 << 16)
+                assert chunk, "daemon closed the connection mid-replay"
+                buf += chunk
+
+        send_and_wait(requests[:1])
+        send_and_wait(requests[1:2])
+        send_and_wait(requests[2:])
         conn.close()
         check_service([l.decode() for l in buf.splitlines()])
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0, \
             f"lcld did not drain cleanly: exit {proc.returncode}"
-        print(f"tcp replay ok: pipelined burst of {len(requests)} "
-              "requests, ordered responses, clean SIGTERM drain")
+        print(f"tcp replay ok: 2 sequential classifies, pipelined burst "
+              f"of {len(requests) - 2} requests, ordered responses, "
+              "clean SIGTERM drain")
     finally:
         if proc.poll() is None:
             proc.kill()

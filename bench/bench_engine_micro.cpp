@@ -64,20 +64,17 @@ class ArenaFlash final : public local::Program {
 };
 
 // A chatty workload mirroring the real wave programs (generic_hier's
-// 6-word wave registers, decomp_program's per-round republish): every
-// alive node republishes a 6-word register every round and terminates
-// after 64 rounds. Register traffic dominates: one 6-word write plus a
+// 4-word wave registers, decomp_program's per-round republish): every
+// alive node republishes a 4-word register every round and terminates
+// after 64 rounds. Register traffic dominates: one 4-word write plus a
 // parity toggle per node-round.
 
 class ArenaChatter final : public local::Program {
  public:
-  void on_init(local::NodeCtx& ctx) override {
-    ctx.publish({0, 0, 0, 0, 0, 0});
-  }
+  void on_init(local::NodeCtx& ctx) override { ctx.publish({0, 0, 0, 0}); }
   void on_round(local::NodeCtx& ctx) override {
     const local::RegView mine = ctx.own();
-    ctx.publish({mine[0] + 1, mine[1], mine[2], mine[3], mine[4],
-                 mine[5]});
+    ctx.publish({mine[0] + 1, mine[1], mine[2], mine[3]});
     if (ctx.round() == 64) ctx.terminate(0);
   }
 };

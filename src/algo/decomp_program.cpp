@@ -9,9 +9,12 @@ namespace {
 
 using graph::NodeId;
 
-// Register layout: [snapshot_degree, tgt0, d0, tgt1, d1]. Whether a
-// neighbour is still alive is whether it has visibly terminated.
-constexpr std::size_t kRegSize = 5;
+// Register layout: [snapshot_degree, tgt0|d0, tgt1|d1], where tgt|d is
+// the addressed chain neighbour and the saturated end distance packed
+// into one word (`local::pack_entry`), kNone when a side has no entry.
+// Whether a neighbour is still alive is whether it has visibly
+// terminated.
+constexpr std::size_t kRegSize = 3;
 constexpr std::int64_t kNone = -1;
 
 }  // namespace
@@ -40,7 +43,7 @@ DecompositionProgram::DecompositionProgram(const graph::Tree& tree,
 }
 
 void DecompositionProgram::on_init(local::NodeCtx& ctx) {
-  ctx.publish({ctx.degree(), kNone, kNone, kNone, kNone});
+  ctx.publish({ctx.degree(), kNone, kNone});
 }
 
 void DecompositionProgram::on_round(local::NodeCtx& ctx) {
@@ -65,7 +68,7 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
       int deg = 0;
       for (int p = 0; p < ctx.degree(); ++p) deg += neighbor_alive(p);
       st.snapshot_degree = deg;
-      ctx.publish({deg, kNone, kNone, kNone, kNone});
+      ctx.publish({deg, kNone, kNone});
       return;
     }
     // Decision round.
@@ -97,7 +100,7 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
     int deg = 0;
     for (int p = 0; p < ctx.degree(); ++p) deg += neighbor_alive(p);
     st.snapshot_degree = deg;
-    ctx.publish({deg, kNone, kNone, kNone, kNone});
+    ctx.publish({deg, kNone, kNone});
     if (deg != 2) ctx.sleep_until(next_window);
     return;
   }
@@ -136,27 +139,23 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
       const int p = st.chain_ports[s];
       if (p < 0 || side_dist(s) >= 0) continue;
       const local::RegView reg = ctx.peek(p);
-      for (int e = 0; e < 2; ++e) {
-        const std::size_t base = 1 + 2 * static_cast<std::size_t>(e);
-        if (reg[base] == static_cast<std::int64_t>(v)) {
-          set_side_dist(s, std::min<int>(
-                               ell_, static_cast<int>(reg[base + 1]) + 1));
+      for (std::size_t e = 1; e < kRegSize; ++e) {
+        if (local::entry_target(reg[e]) == v) {
+          set_side_dist(s, std::min(ell_, local::entry_value(reg[e]) + 1));
         }
       }
     }
   }
   if (c >= 1 && c <= 1 + ell_) {
     // Publish toward each chain port the distance on the *other* side.
-    std::int64_t out[kRegSize] = {st.snapshot_degree, kNone, kNone, kNone,
-                                  kNone};
+    std::int64_t out[kRegSize] = {st.snapshot_degree, kNone, kNone};
     bool any = false;
     for (int s = 0; s < 2; ++s) {
       const int p = st.chain_ports[s];
       const int other = side_dist(1 - s);
       if (p < 0 || other < 0) continue;
-      const std::size_t base = 1 + 2 * static_cast<std::size_t>(s);
-      out[base] = tree_.neighbors(v)[static_cast<std::size_t>(p)];
-      out[base + 1] = other;
+      out[1 + static_cast<std::size_t>(s)] = local::pack_entry(
+          tree_.neighbors(v)[static_cast<std::size_t>(p)], other);
       any = true;
     }
     if (any) ctx.publish(local::RegView(out, kRegSize));

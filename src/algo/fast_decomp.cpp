@@ -1,6 +1,7 @@
 #include "algo/fast_decomp.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -80,6 +81,13 @@ struct Planner {
     return r != FdaRole::kInactive || !in(v);
   }
 
+  /// Gives v its output role, ready at `round`.
+  void decide(NodeId v, FdaRole role, std::int64_t round) {
+    plan.role[static_cast<std::size_t>(v)] = role;
+    plan.ready_round[static_cast<std::size_t>(v)] =
+        static_cast<std::int32_t>(round);
+  }
+
   /// Orients `parent` -> `child`, appending `child` to parent's kids.
   void adopt(NodeId parent, NodeId child) {
     const auto e = static_cast<std::int32_t>(kid_edges.size());
@@ -109,10 +117,7 @@ struct Planner {
                          std::int64_t base_round) {
     fifo.clear();
     for (NodeId s : seeds) {
-      if (!has_output(s)) {
-        plan.role[static_cast<std::size_t>(s)] = FdaRole::kDecline;
-        plan.ready_round[static_cast<std::size_t>(s)] = base_round;
-      }
+      if (!has_output(s)) decide(s, FdaRole::kDecline, base_round);
       if (plan.role[static_cast<std::size_t>(s)] == FdaRole::kDecline) {
         fifo.emplace_back(s, base_round);
       }
@@ -122,8 +127,7 @@ struct Planner {
       const std::int64_t r = fifo[head].second;
       for_each_kid(u, [&](NodeId w) {
         if (has_output(w)) return;
-        plan.role[static_cast<std::size_t>(w)] = FdaRole::kDecline;
-        plan.ready_round[static_cast<std::size_t>(w)] = r + 1;
+        decide(w, FdaRole::kDecline, r + 1);
         fifo.emplace_back(w, r + 1);
       });
     }
@@ -149,10 +153,13 @@ struct Planner {
             plan.comp_depth[static_cast<std::size_t>(u)] + 1;
         const auto nb = tree.neighbors(w);
         for (std::size_t p = 0; p < nb.size(); ++p) {
-          if (nb[p] == u) {
-            plan.flood_parent_port[static_cast<std::size_t>(w)] =
-                static_cast<int>(p);
+          if (nb[p] != u) continue;
+          if (p > static_cast<std::size_t>(
+                      std::numeric_limits<std::int16_t>::max())) {
+            throw std::length_error("fda: flood port does not fit int16");
           }
+          plan.flood_parent_port[static_cast<std::size_t>(w)] =
+              static_cast<std::int16_t>(p);
         }
         members.push_back(w);
       });
@@ -162,7 +169,7 @@ struct Planner {
         plan.comp_depth[static_cast<std::size_t>(members.back())];
     // rho_dec: assignment + collect the component topology (2 * depth).
     plan.ready_round[static_cast<std::size_t>(root)] =
-        base_round + 2 * max_depth + 1;
+        static_cast<std::int32_t>(base_round + 2 * max_depth + 1);
     plan.comp_of_root[static_cast<std::size_t>(root)] =
         static_cast<int>(plan.components.size());
     plan.components.push_back(std::move(members));
@@ -174,10 +181,7 @@ struct Planner {
     if (is_a[static_cast<std::size_t>(b)]) {
       throw std::logic_error("fda: input-A node bordered (pre-step broken)");
     }
-    if (!has_output(b)) {
-      plan.role[static_cast<std::size_t>(b)] = FdaRole::kDecline;
-      plan.ready_round[static_cast<std::size_t>(b)] = round;
-    }
+    if (!has_output(b)) decide(b, FdaRole::kDecline, round);
     // Its subtree propagation happens when it gets assigned (rule 2),
     // which `on_assigned` triggers because its role is already kDecline.
   }
@@ -239,8 +243,7 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
   // --- Pre-step: Connect paths between input-A nodes within distance 5.
   constexpr std::int64_t kBound = 5;
   mark_connect_paths(tree, participates, is_a, kBound, [&](NodeId v) {
-    pl.plan.role[static_cast<std::size_t>(v)] = FdaRole::kConnect;
-    pl.plan.ready_round[static_cast<std::size_t>(v)] = kBound + 1;
+    pl.decide(v, FdaRole::kConnect, kBound + 1);
   });
 
   // Alive = participants that did not output Connect. Two worklists in
@@ -491,12 +494,13 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
   }
   drop_decided();
   for (const NodeId v : open) {
-    pl.plan.role[static_cast<std::size_t>(v)] = FdaRole::kDecline;
-    pl.plan.ready_round[static_cast<std::size_t>(v)] = final_round + 1;
+    pl.decide(v, FdaRole::kDecline, final_round + 1);
   }
 
   pl.plan.iterations = iter;
-  return pl.plan;
+  // Moved, not copied: the plan is a member of the local planner, so a
+  // plain return would copy every per-node array and member list.
+  return std::move(pl.plan);
 }
 
 std::vector<char> prune_component(const Tree& tree,

@@ -39,7 +39,7 @@ using graph::NodeId;
 using graph::Tree;
 
 /// Role of a weight node after the adapted fast decomposition.
-enum class FdaRole : int {
+enum class FdaRole : std::uint8_t {
   kInactive = 0,  ///< not a participant (active node)
   kConnect,       ///< pre-step Connect path
   kDecline,       ///< declines at a known round
@@ -47,16 +47,22 @@ enum class FdaRole : int {
   kCopyMember,    ///< member of some C(v), flood-listens
 };
 
-/// Plan produced by the adapted fast decomposition.
+/// Plan produced by the adapted fast decomposition. The per-node fields
+/// are the Pi^{3.5} program's largest state (19 B per node, plus
+/// the member lists), so each uses the narrowest type its values fit.
 struct FastDecompPlan {
   std::vector<FdaRole> role;
   /// kConnect/kDecline: termination round. kCopyRoot: the decision round
   /// rho_dec at which Case 1 (flood everything) vs Case 2 (prune first)
-  /// is resolved. kCopyMember: unused (0).
-  std::vector<std::int64_t> ready_round;
+  /// is resolved. kCopyMember: unused (0). Rounds are 3 per iteration
+  /// and iterations are O(log n), so int32 holds them (engine deadlines
+  /// are clamped to 2^31 - 1 anyway).
+  std::vector<std::int32_t> ready_round;
   std::vector<NodeId> comp_root;   ///< C(v) root per member (or invalid)
   std::vector<int> comp_depth;     ///< depth within C(v) (-1 if none)
-  std::vector<int> flood_parent_port;  ///< port toward depth-1 neighbor
+  /// Port toward the depth-1 neighbor (-1 if none). int16 rather than
+  /// int8: family instances have unbounded degree.
+  std::vector<std::int16_t> flood_parent_port;
   std::vector<std::vector<NodeId>> components;  ///< members per component,
                                                 ///< BFS order from root
   std::vector<int> comp_of_root;   ///< root node -> component index

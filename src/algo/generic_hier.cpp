@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "algo/cole_vishkin.hpp"
@@ -17,8 +18,12 @@ using problems::Variant;
 
 constexpr std::int64_t kNoEntry = -1;
 
-// Wave register layout: [tgt0, src0, d0, tgt1, src1, d1].
-constexpr std::size_t kWaveRegSize = 6;
+// Wave register layout: [tgt0|d0, src0, tgt1|d1, src1], where tgt|d is
+// the addressed neighbour and the wave's distance packed into one word
+// (`local::pack_entry`) and src is the wave's LOCAL id; a side with no
+// wave holds kNoEntry in both words. Four words is the engine's initial
+// register capacity.
+constexpr std::size_t kWaveRegSize = 4;
 
 }  // namespace
 
@@ -134,6 +139,27 @@ bool GenericHierProgram::try_exempt(local::NodeCtx& ctx) {
   return false;
 }
 
+void GenericHierProgram::freeze_path_ports(local::NodeCtx& ctx,
+                                           WaveState& w) const {
+  const NodeId v = ctx.node();
+  const auto nb = tree_.neighbors(v);
+  int alive = 0;
+  for (std::size_t p = 0; p < nb.size(); ++p) {
+    const NodeId u = nb[p];
+    if (!is_active(u) || level(u) != level(v)) continue;
+    if (ctx.neighbor_terminated(static_cast<int>(p))) continue;
+    if (alive == 2) {
+      throw std::logic_error("generic: level path with degree > 2");
+    }
+    if (p > static_cast<std::size_t>(
+                std::numeric_limits<std::int16_t>::max())) {
+      throw std::length_error("generic: path port does not fit int16");
+    }
+    w.port[alive++] = static_cast<std::int16_t>(p);
+  }
+  w.ports_alive = static_cast<std::int8_t>(alive);
+}
+
 void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
   const NodeId v = ctx.node();
   WaveState& w = wave_[static_cast<std::size_t>(v)];
@@ -146,17 +172,7 @@ void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
 
   if (w.ports_alive < 0) {
     // Phase start: freeze the set of alive same-level path ports.
-    w.ports_alive = 0;
-    for (std::size_t p = 0; p < nb.size(); ++p) {
-      const NodeId u = nb[p];
-      if (!is_active(u) || level(u) != level(v)) continue;
-      if (ctx.neighbor_terminated(static_cast<int>(p))) continue;
-      if (w.ports_alive < 2) w.port[w.ports_alive] = static_cast<int>(p);
-      ++w.ports_alive;
-    }
-    if (w.ports_alive > 2) {
-      throw std::logic_error("generic: level path with degree > 2");
-    }
+    freeze_path_ports(ctx, w);
     // Endpoints seed the missing side(s) with their own wave.
     for (int s = 0; s < 2; ++s) {
       if (w.port[s] < 0) {
@@ -172,33 +188,32 @@ void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
     const local::RegView reg = ctx.peek(w.port[s]);
     if (reg.size() != kWaveRegSize) continue;
     for (int e = 0; e < 2; ++e) {
-      const std::size_t base = static_cast<std::size_t>(3 * e);
-      if (reg[base] == static_cast<std::int64_t>(v)) {
+      const std::size_t base = static_cast<std::size_t>(2 * e);
+      if (local::entry_target(reg[base]) == v) {
         w.src[s] = reg[base + 1];
-        w.dist[s] = reg[base + 2] + 1;
+        w.dist[s] = local::entry_value(reg[base]) + 1;
       }
     }
   }
 
   // 2. Forward: toward port[s] goes the wave of the other side. The
   // register lives on the stack: this runs on every wave node-round.
-  std::int64_t out[kWaveRegSize] = {kNoEntry, kNoEntry, kNoEntry,
-                                    kNoEntry, kNoEntry, kNoEntry};
+  std::int64_t out[kWaveRegSize] = {kNoEntry, kNoEntry, kNoEntry, kNoEntry};
   bool publish = false;
   for (int s = 0; s < 2; ++s) {
     const int other = 1 - s;
     if (w.port[s] < 0 || w.src[other] < 0) continue;
-    const std::size_t base = static_cast<std::size_t>(3 * s);
-    out[base] = nb[static_cast<std::size_t>(w.port[s])];
+    const std::size_t base = static_cast<std::size_t>(2 * s);
+    out[base] = local::pack_entry(nb[static_cast<std::size_t>(w.port[s])],
+                                  w.dist[other]);
     out[base + 1] = w.src[other];
-    out[base + 2] = w.dist[other];
     publish = true;
   }
   if (publish) ctx.publish(local::RegView(out, kWaveRegSize));
 
   // 3. Decide.
   if (w.src[0] >= 0 && w.src[1] >= 0) {
-    const std::int64_t len = w.dist[0] + w.dist[1] + 1;
+    const std::int64_t len = std::int64_t{w.dist[0]} + w.dist[1] + 1;
     if (!last_phase && len >= gamma) {
       ctx.terminate(static_cast<int>(Color::kD));
       return;
@@ -226,21 +241,10 @@ void GenericHierProgram::cv_round(local::NodeCtx& ctx) {
   const std::int64_t t =
       ctx.round() - phase_start_[static_cast<std::size_t>(opt_.k)] + 1;
   const std::int64_t sched = static_cast<std::int64_t>(cv_schedule_.size());
-  const auto nb = tree_.neighbors(v);
 
   if (t == 1) {
     // Freeze alive same-level ports; adopt the LOCAL id as initial color.
-    w.ports_alive = 0;
-    for (std::size_t p = 0; p < nb.size(); ++p) {
-      const NodeId u = nb[p];
-      if (!is_active(u) || level(u) != level(v)) continue;
-      if (ctx.neighbor_terminated(static_cast<int>(p))) continue;
-      if (w.ports_alive < 2) w.port[w.ports_alive] = static_cast<int>(p);
-      ++w.ports_alive;
-    }
-    if (w.ports_alive > 2) {
-      throw std::logic_error("generic: level-k path with degree > 2");
-    }
+    freeze_path_ports(ctx, w);
     color_[static_cast<std::size_t>(v)] = ctx.local_id();
     ctx.publish({color_[static_cast<std::size_t>(v)]});
     return;

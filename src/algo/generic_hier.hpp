@@ -81,11 +81,15 @@ class GenericHierProgram final : public local::Program {
   struct WaveState {
     // One logical wave per side; side 0/1 map to the node's (up to two)
     // alive same-level path ports, or to "self" for endpoints.
-    std::int64_t src[2] = {-1, -1};
-    std::int64_t dist[2] = {-1, -1};
-    int port[2] = {-1, -1};  ///< alive path ports (-1 = absent)
-    int ports_alive = -1;    ///< -1 until computed at phase start
+    std::int64_t src[2] = {-1, -1};  ///< LOCAL ids: any int64
+    std::int32_t dist[2] = {-1, -1};  ///< < n, which is a NodeId
+    /// Alive path ports (-1 = absent). int16, not int8: family
+    /// instances have unbounded degree, and int16 still fits 32 B.
+    std::int16_t port[2] = {-1, -1};
+    std::int8_t ports_alive = -1;  ///< -1 until computed at phase start
   };
+  // One per node, so it is part of the job's bytes per node.
+  static_assert(sizeof(WaveState) <= 32);
 
   [[nodiscard]] bool is_active(NodeId v) const {
     return tree_.input(v) ==
@@ -100,6 +104,8 @@ class GenericHierProgram final : public local::Program {
   /// Phase containing `round`, or 0 if before phase 1.
   [[nodiscard]] int phase_of(std::int64_t round) const;
 
+  /// Freezes v's alive same-level path ports (at most two) into `w`.
+  void freeze_path_ports(local::NodeCtx& ctx, WaveState& w) const;
   void wave_round(local::NodeCtx& ctx, int phase);
   void cv_round(local::NodeCtx& ctx);
 

@@ -69,8 +69,8 @@ void Pi35Program::resolve_component(local::NodeCtx& ctx, NodeId root) {
     if (keep[i]) continue;
     const NodeId m = members[i];
     declined_[static_cast<std::size_t>(m)] = 1;
-    prune_round_[static_cast<std::size_t>(m)] =
-        ctx.round() + plan_.comp_depth[static_cast<std::size_t>(m)];
+    prune_round_[static_cast<std::size_t>(m)] = static_cast<std::int32_t>(
+        ctx.round() + plan_.comp_depth[static_cast<std::size_t>(m)]);
   }
 }
 

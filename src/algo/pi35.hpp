@@ -62,7 +62,8 @@ class Pi35Program final : public local::Program {
   /// `prune_component`'s node -> member scratch (all -1 between calls).
   std::vector<std::int32_t> member_idx_;
   /// Per member node: round at which a pruning Decline fires (-1 none).
-  std::vector<std::int64_t> prune_round_;
+  /// int32 like the plan's rounds (engine deadlines are 32-bit).
+  std::vector<std::int32_t> prune_round_;
   /// Per root: 0 undecided, 1 flood-all, 2 pruned.
   std::vector<char> case_of_root_;
   std::int64_t copies_kept_ = 0;

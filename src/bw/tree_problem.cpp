@@ -4,6 +4,7 @@
 #include <deque>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "bw/label_sets.hpp"
 #include "decomp/rake_compress.hpp"
@@ -174,20 +175,22 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
   auto dec = decomp::rake_compress(tree, 1, 4, /*split_paths=*/true);
   res.assign_step = std::move(dec.assign_step);
 
-  auto key_of = [&](NodeId v) {
-    return decomp::layer_order_key(
-        dec.assignment[static_cast<std::size_t>(v)]);
-  };
+  // Each node's layer key, computed once: the sort and every port split
+  // below read it many times.
+  const auto n = static_cast<std::size_t>(tree.size());
+  std::vector<std::int64_t> key(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    key[v] = decomp::layer_order_key(dec.assignment[v]);
+  }
+  auto key_of = [&](NodeId v) { return key[static_cast<std::size_t>(v)]; };
 
   // Group nodes by layer key; compress chains handled as components.
-  std::vector<NodeId> order(static_cast<std::size_t>(tree.size()));
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    order[static_cast<std::size_t>(v)] = v;
+  // Sorting (key, id) pairs is the (key, then id) total order.
+  std::vector<std::pair<std::int64_t, NodeId>> keyed(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    keyed[v] = {key[v], static_cast<NodeId>(v)};
   }
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const auto ka = key_of(a), kb = key_of(b);
-    return ka != kb ? ka < kb : a < b;
-  });
+  std::sort(keyed.begin(), keyed.end());
 
   // Splits a node's ports into (incoming = lower key, outgoing ports).
   // Chain mates share a key, so they are outgoing on both sides.
@@ -333,7 +336,7 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
   // --- Bottom-up: label-sets ----------------------------------------
   std::vector<ChainPlan> chains;
   std::vector<int> chain_of(static_cast<std::size_t>(tree.size()), -1);
-  for (NodeId v : order) {
+  for (const auto& [k, v] : keyed) {
     const auto& assign = dec.assignment[static_cast<std::size_t>(v)];
     std::vector<int> in_ports, out_ports;
     if (assign.kind == decomp::LayerKind::kCompress) {
@@ -402,8 +405,8 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
   }
 
   // --- Top-down: commit labels ---------------------------------------
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId v = *it;
+  for (auto it = keyed.rbegin(); it != keyed.rend(); ++it) {
+    const NodeId v = it->second;
     if (dec.assignment[static_cast<std::size_t>(v)].kind ==
         decomp::LayerKind::kCompress) {
       const int ci = chain_of[static_cast<std::size_t>(v)];

@@ -18,8 +18,12 @@
 // in plane p occupy [p.data() + v*cap, ... + len[p][v]), with `cap` a
 // uniform capacity that doubles on demand (a publish wider than `cap`
 // triggers a rare O(n*cap) plane rebuild; steady state never
-// reallocates). A per-node parity byte (`cur`) names the committed
-// plane; the other plane is the staging side. All per-node bookkeeping
+// reallocates). `cap` starts at 4 words, the widest in-tree register:
+// every node that publishes makes its slots' pages resident, so each
+// spare word costs 16 bytes per node. Registers that address a
+// neighbour keep the (neighbour, value) pair in one word (`pack_entry`).
+// A per-node parity byte (`cur`) names the committed plane; the other
+// plane is the staging side. All per-node bookkeeping
 // is split into separate 64-byte-aligned lanes, each padded to a whole
 // number of 64-byte blocks: the `cur`/`pub`/`terminated`/`sleep` byte
 // lanes, the per-plane `len` lanes, the `term_round` lane, and the two
@@ -116,6 +120,22 @@ using Register = std::vector<std::int64_t>;
 /// duration of the current round callback; copy the words out to retain
 /// them across rounds.
 using RegView = std::span<const std::int64_t>;
+
+/// One register word holding a (target node, small value) pair, for
+/// registers that address a neighbour: `target << 32 | uint32(value)`.
+/// The empty entry, the word -1, decodes to target -1, which is no node.
+[[nodiscard]] constexpr std::int64_t pack_entry(NodeId target,
+                                                std::int32_t value) {
+  return static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(target)) << 32 |
+      static_cast<std::uint32_t>(value));
+}
+[[nodiscard]] constexpr NodeId entry_target(std::int64_t word) {
+  return static_cast<NodeId>(word >> 32);
+}
+[[nodiscard]] constexpr std::int32_t entry_value(std::int64_t word) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(word));
+}
 
 /// Per-node output of an LCL algorithm: a primary label and an optional
 /// secondary label (used by the weighted problems of Definition 22).
@@ -342,9 +362,11 @@ class Engine {
   /// across threads only via one-workspace-per-thread
   /// (`tls_workspace()`).
   struct Workspace {
-    /// Initial uniform register capacity (words); doubles on demand and
-    /// the grown capacity is kept across runs.
-    static constexpr std::int64_t kInitialCap = 8;
+    /// Initial uniform register capacity (words): the widest in-tree
+    /// register (the generic algorithm's packed wave register). Doubles
+    /// on demand for wider registers, and the grown capacity is kept
+    /// across runs.
+    static constexpr std::int64_t kInitialCap = 4;
 
     /// Plane (re)allocations since construction, including mid-run
     /// capacity growth. Flat across reps == the steady state is

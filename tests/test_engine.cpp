@@ -467,7 +467,7 @@ TEST(EngineWorkspace, ReusedAcrossDifferentSizesAndGrowth) {
   expect_identical(ref_small, small_engine.run(p, ws));
   expect_identical(ref_big, big_engine.run(p, ws));
   // Capacity growth inside a shared workspace persists across runs
-  // (ChurnProgram's widest register exceeds the initial 8 words).
+  // (ChurnProgram's widest register exceeds the initial capacity).
   expect_identical(ref_small, small_engine.run(p, ws));
 }
 
@@ -1405,6 +1405,30 @@ TEST(AlignedPlaneContract, PaddingAlignmentAndAllocAccounting) {
   EXPECT_FALSE(plane.assign(50, 1));   // shrinking reuses
   EXPECT_FALSE(plane.assign(104, 2));  // fits the padded capacity
   EXPECT_TRUE(plane.assign(105, 3));   // genuine growth reallocates
+}
+
+TEST(PackedEntry, RoundTripsAtTheBoundaries) {
+  using local::entry_target;
+  using local::entry_value;
+  using local::pack_entry;
+  constexpr NodeId kMaxNode = std::numeric_limits<NodeId>::max();
+  constexpr std::int32_t kMaxValue = std::numeric_limits<std::int32_t>::max();
+  for (const NodeId target : {NodeId{0}, NodeId{1}, kMaxNode}) {
+    for (const std::int32_t value : {0, 1, kMaxValue}) {
+      const std::int64_t word = pack_entry(target, value);
+      EXPECT_EQ(entry_target(word), target) << target << "," << value;
+      EXPECT_EQ(entry_value(word), value) << target << "," << value;
+      // A real entry is never the empty word.
+      EXPECT_NE(word, -1);
+    }
+  }
+  EXPECT_EQ(pack_entry(0, 0), 0);
+  EXPECT_EQ(pack_entry(kMaxNode, kMaxValue), 0x7FFFFFFF7FFFFFFF);
+  // The empty entry decodes to no node at all, so no reader mistakes it
+  // for an entry addressed to it.
+  EXPECT_EQ(entry_target(-1), graph::kInvalidNode);
+  EXPECT_LT(entry_target(-1), 0);
+  static_assert(entry_target(pack_entry(kMaxNode, -1)) == kMaxNode);
 }
 
 }  // namespace

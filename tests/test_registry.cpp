@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -291,6 +292,43 @@ TEST(Registry, RngSolverVariesWithSeedButNotHiddenState) {
   EXPECT_TRUE(r1.verdict.ok);
   EXPECT_TRUE(r2.verdict.ok);
   EXPECT_NE(r1.stats.termination_round, r2.stats.termination_round);
+}
+
+/// Terminates every node at init: its run allocates exactly what the
+/// workspace's prepare(n) does.
+class SilentProgram final : public local::Program {
+ public:
+  void on_init(local::NodeCtx& ctx) override { ctx.terminate(0); }
+  void on_round(local::NodeCtx&) override {}
+};
+
+// The engine's register planes start at Workspace::kInitialCap words
+// per node and double when a publish is wider. No in-tree program may
+// need that: a growth doubles the two largest per-node arrays of the
+// run. Every solver runs on every compatible family in a fresh
+// workspace, which must allocate exactly what preparing the same n
+// does.
+TEST(Registry, NoSolverGrowsTheRegisterPlanes) {
+  for (const Cell& cell : all_compatible_cells()) {
+    SCOPED_TRACE(cell.solver + " on " + cell.family);
+    const algo::SolverSpec& spec = algo::solver(cell.solver);
+    Tree t = graph::make_family_instance(cell.family, /*n=*/120, 11);
+    algo::prepare_instance(t, spec.needs, 11);
+    algo::SolverConfig cfg;
+    cfg.seed = 11;
+    cfg.validate(spec);
+    const std::unique_ptr<local::Program> program = spec.factory(t, cfg);
+
+    local::Engine engine(t);
+    local::Engine::Workspace prepared;
+    SilentProgram silent;
+    (void)engine.run(silent, prepared);
+    local::Engine::Workspace ws;
+    const local::RunStats stats =
+        engine.run(*program, ws, /*max_rounds=*/100000);
+    ASSERT_FALSE(stats.truncated);
+    EXPECT_EQ(ws.alloc_events(), prepared.alloc_events());
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "algo/bw_generic.hpp"
+#include "bw/tree_problem.hpp"
 #include "graph/families.hpp"
 #include "problems/classify.hpp"
 #include "problems/lclgen.hpp"
@@ -35,8 +36,8 @@ int main() {
   std::printf("\n%s on a 400-node prufer tree: mode %s\n",
               table.name.c_str(), algo::to_string(program.mode()));
   if (program.solved()) {
-    const std::string err = bw::check_tree_bw(tree, table.to_problem(),
-                                              program.edge_labels());
+    const std::string err =
+        bw::check_tree_bw(tree, table, program.edge_labels());
     std::printf("  independent checker: %s\n",
                 err.empty() ? "accepted" : err.c_str());
   } else {

@@ -4,6 +4,7 @@
 
 #include "algo/cole_vishkin.hpp"
 #include "bw/path_lcl.hpp"
+#include "bw/tree_problem.hpp"
 #include "problems/classify.hpp"
 
 namespace lcl::algo {
@@ -25,12 +26,13 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
   round_of_.assign(n, 1);
   out_.assign(n, -1);
 
-  const bw::TreeBwProblem problem = table_.to_problem();
-  bw::TreeBwResult result = bw::solve_tree_bw(tree, problem);
+  bw::TreeBwResult result = bw::solve_tree_bw(tree, table_);
   const std::vector<int>& step = result.assign_step;
+  bw::EdgeIndex edges;  // keys edge_labels_
   if (result.solved) {
     mode_ = BwMode::kFlexible;
     edge_labels_ = std::move(result.edge_label);
+    edges = std::move(result.edges);
     for (std::size_t v = 0; v < n; ++v) {
       round_of_[v] = std::max(1, step[v]);
     }
@@ -56,10 +58,11 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
     }
   } else {
     const std::string flexible_failure = result.failure;
-    bw::TreeBwResult exact = bw::solve_tree_bw_global(tree, problem);
+    bw::TreeBwResult exact = bw::solve_tree_bw_global(tree, table_);
     if (exact.solved) {
       mode_ = BwMode::kGlobal;
       edge_labels_ = std::move(exact.edge_label);
+      edges = std::move(exact.edges);
       int depth = 1;
       for (std::size_t v = 0; v < n; ++v) depth = std::max(depth, step[v]);
       for (std::size_t v = 0; v < n; ++v) {
@@ -75,9 +78,9 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
   }
 
   // Per-node output: the label of the node's port-0 edge (leaves report
-  // their unique incident label). The checker grades the full edge
-  // labeling recovered by downcast, not these.
-  const bw::EdgeIndex edges = bw::EdgeIndex::build(tree);
+  // their unique incident label), read through the solver's own edge
+  // index. The checker grades the full edge labeling recovered by
+  // downcast, not these.
   for (graph::NodeId v = 0; v < tree.size(); ++v) {
     if (tree.degree(v) == 0) continue;
     out_[static_cast<std::size_t>(v)] =

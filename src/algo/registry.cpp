@@ -585,8 +585,7 @@ std::vector<SolverSpec> build_registry() {
                                  p->failure());
       }
       const std::string err =
-          bw::check_tree_bw(tree, p->table().to_problem(),
-                            p->edge_labels());
+          bw::check_tree_bw(tree, p->table(), p->edge_labels());
       return err.empty() ? CheckResult::pass()
                          : CheckResult::fail("bw_generic: " + err);
     };

@@ -16,9 +16,8 @@
 // *good* iff no empty label-set ever arises.
 //
 // `choose` and `up_set` are the one-node steps on trees, over any
-// predicate `allowed(sorted_multiset)`: the tree solvers bind a node's
-// color into the problem's predicate, the classifier's rake closure
-// passes a table's.
+// predicate `allowed(sorted_multiset)`: the tree solvers and the
+// classifier's rake closure both pass a table's `allows`.
 #pragma once
 
 #include <algorithm>

@@ -13,29 +13,6 @@ namespace lcl::bw {
 
 namespace {
 
-/// Proper 2-coloring of the forest by BFS parity (the W/B split the
-/// black-white formalism assumes).
-std::vector<int> two_color(const Tree& t) {
-  std::vector<int> color(static_cast<std::size_t>(t.size()), -1);
-  for (NodeId s = 0; s < t.size(); ++s) {
-    if (color[static_cast<std::size_t>(s)] >= 0) continue;
-    color[static_cast<std::size_t>(s)] = 0;
-    std::deque<NodeId> q{s};
-    while (!q.empty()) {
-      const NodeId u = q.front();
-      q.pop_front();
-      for (NodeId w : t.neighbors(u)) {
-        if (color[static_cast<std::size_t>(w)] < 0) {
-          color[static_cast<std::size_t>(w)] =
-              1 - color[static_cast<std::size_t>(u)];
-          q.push_back(w);
-        }
-      }
-    }
-  }
-  return color;
-}
-
 /// The two node steps every rooted label-set sweep is built from. A
 /// sweep orients each node's ports: in-ports lead to subtrees settled
 /// before the node, and at most one out port leads on. Bottom-up,
@@ -44,20 +21,17 @@ std::vector<int> two_color(const Tree& t) {
 /// in-port labels once every other port of the node is labeled.
 struct Sweep {
   const Tree& tree;
-  const TreeBwProblem& problem;
-  const EdgeIndex edges;
-  const std::vector<int> color;
+  const problems::BwTable& table;
+  EdgeIndex& edges;                ///< built into the result
   std::vector<LabelSet> edge_set;  ///< settled up-set per edge id
   std::vector<int>& edge_label;    ///< committed label per edge id
 
-  Sweep(const Tree& t, const TreeBwProblem& p, std::vector<int>& labels)
-      : tree(t),
-        problem(p),
-        edges(EdgeIndex::build(t)),
-        color(two_color(t)),
-        edge_set(static_cast<std::size_t>(edges.edge_count), 0),
-        edge_label(labels) {
-    edge_label.assign(static_cast<std::size_t>(edges.edge_count), -1);
+  Sweep(const Tree& t, const problems::BwTable& p, TreeBwResult& res)
+      : tree(t), table(p), edges(res.edges), edge_label(res.edge_label) {
+    edges = EdgeIndex::build(t);
+    const auto m = static_cast<std::size_t>(edges.edge_count);
+    edge_set.assign(m, 0);
+    edge_label.assign(m, -1);
   }
 
   [[nodiscard]] std::size_t edge(NodeId v, int port) const {
@@ -73,17 +47,17 @@ struct Sweep {
     return sets;
   }
 
-  /// The problem's predicate with v's color bound.
-  [[nodiscard]] auto allowed_at(NodeId v) const {
-    return [this, c = color[static_cast<std::size_t>(v)]](
-               const std::vector<int>& m) { return problem.allowed(c, m); };
+  /// The table's constraint, shared by every node.
+  [[nodiscard]] auto allowed() const {
+    return [&t = table](const std::vector<int>& m) { return t.allows(m); };
   }
 
-  /// Does some choice from `sets` complete v next to the `fixed` labels?
-  [[nodiscard]] bool choose(NodeId v, std::span<const int> fixed,
+  /// Does some choice from `sets` complete a node next to the `fixed`
+  /// labels?
+  [[nodiscard]] bool choose(std::span<const int> fixed,
                             std::span<const LabelSet> sets,
                             std::vector<int>* pick = nullptr) const {
-    return bw::choose(problem.alphabet, fixed, sets, allowed_at(v), pick);
+    return bw::choose(table.alphabet, fixed, sets, allowed(), pick);
   }
 
   /// Stores the up-set of v's out edge; with no out port (out_port < 0)
@@ -91,8 +65,8 @@ struct Sweep {
   /// is empty or the root cannot complete.
   bool settle(NodeId v, std::span<const int> in_ports, int out_port) {
     const std::vector<LabelSet> sets = sets_at(v, in_ports);
-    if (out_port < 0) return choose(v, {}, sets);
-    const LabelSet g = up_set(problem.alphabet, sets, allowed_at(v));
+    if (out_port < 0) return choose({}, sets);
+    const LabelSet g = up_set(table.alphabet, sets, allowed());
     edge_set[edge(v, out_port)] = g;
     return g != 0;
   }
@@ -111,7 +85,7 @@ struct Sweep {
       fixed.push_back(lab);
     }
     std::vector<int> picks;
-    if (!choose(v, fixed, sets_at(v, ports), &picks)) {
+    if (!choose(fixed, sets_at(v, ports), &picks)) {
       throw std::logic_error("tree_bw: committed set not completable at " +
                              std::to_string(v));
     }
@@ -169,9 +143,10 @@ std::int64_t EdgeIndex::of(const Tree& t, NodeId v, int port) const {
             static_cast<std::size_t>(port)];
 }
 
-TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
+TreeBwResult solve_tree_bw(const Tree& tree,
+                           const problems::BwTable& table) {
   TreeBwResult res;
-  Sweep sweep(tree, problem, res.edge_label);
+  Sweep sweep(tree, table, res);
   auto dec = decomp::rake_compress(tree, 1, 4, /*split_paths=*/true);
   res.assign_step = std::move(dec.assign_step);
 
@@ -262,7 +237,7 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
                          int fixed_right, bool commit) {
     const auto& path = plan.path;
     const std::size_t len = path.size();
-    const auto a = static_cast<std::size_t>(problem.alphabet);
+    const auto a = static_cast<std::size_t>(table.alphabet);
     std::vector<std::vector<LabelSet>> sets;
     for (std::size_t i = 0; i < len; ++i) {
       sets.push_back(sweep.sets_at(path[i], plan.in_ports[i]));
@@ -274,14 +249,14 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
     // edge (i - 1, i). One DP per left label (the alphabet is tiny).
     std::vector<std::vector<char>> reach(len);
     std::vector<std::vector<int>> pred(len);
-    for (int l = 0; l < problem.alphabet; ++l) {
+    for (int l = 0; l < table.alphabet; ++l) {
       if (fixed_left >= 0 && l != fixed_left) continue;
       for (std::size_t i = 0; i < len; ++i) {
         reach[i].assign(a, 0);
         pred[i].assign(a, -1);
         const bool first = (i == 0);
         const bool last = (i + 1 == len);
-        for (int e_prev = 0; e_prev < (first ? 1 : problem.alphabet);
+        for (int e_prev = 0; e_prev < (first ? 1 : table.alphabet);
              ++e_prev) {
           if (!first && !reach[i - 1][static_cast<std::size_t>(e_prev)]) {
             continue;
@@ -293,9 +268,9 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
             fixed.push_back(l);
           }
           if (!last) {
-            for (int e_next = 0; e_next < problem.alphabet; ++e_next) {
+            for (int e_next = 0; e_next < table.alphabet; ++e_next) {
               fixed.push_back(e_next);
-              if (sweep.choose(path[i], fixed, sets[i])) {
+              if (sweep.choose(fixed, sets[i])) {
                 reach[i][static_cast<std::size_t>(e_next)] = 1;
                 int& p = pred[i][static_cast<std::size_t>(e_next)];
                 if (p < 0) p = e_prev;
@@ -304,10 +279,10 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
             }
             continue;
           }
-          for (int r = 0; r < problem.alphabet; ++r) {
+          for (int r = 0; r < table.alphabet; ++r) {
             if (fixed_right >= 0 && r != fixed_right) continue;
             if (plan.right_out_port >= 0) fixed.push_back(r);
-            const bool ok = sweep.choose(path[i], fixed, sets[i]);
+            const bool ok = sweep.choose(fixed, sets[i]);
             if (plan.right_out_port >= 0) fixed.pop_back();
             if (!ok) continue;
             pairs.emplace_back(l, r);
@@ -359,7 +334,7 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
         }
       }
       const auto pairs = chain_pairs(plan, -1, -1, /*commit=*/false);
-      const Rectangle rect = independent_rectangle(pairs, problem.alphabet);
+      const Rectangle rect = independent_rectangle(pairs, table.alphabet);
       const bool need_left = plan.left_out_port >= 0;
       const bool need_right = plan.right_out_port >= 0;
       if ((need_left && rect.left == 0) ||
@@ -441,9 +416,9 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
 }
 
 TreeBwResult solve_tree_bw_global(const Tree& tree,
-                                  const TreeBwProblem& problem) {
+                                  const problems::BwTable& table) {
   TreeBwResult res;
-  Sweep sweep(tree, problem, res.edge_label);
+  Sweep sweep(tree, table, res);
   const NodeId n = tree.size();
 
   // Root every component at its smallest node; record a BFS order so the
@@ -497,10 +472,9 @@ TreeBwResult solve_tree_bw_global(const Tree& tree,
   return res;
 }
 
-std::string check_tree_bw(const Tree& tree, const TreeBwProblem& problem,
+std::string check_tree_bw(const Tree& tree, const problems::BwTable& table,
                           const std::vector<int>& edge_label) {
   const EdgeIndex edges = EdgeIndex::build(tree);
-  const std::vector<int> color = two_color(tree);
   if (static_cast<std::int64_t>(edge_label.size()) != edges.edge_count) {
     return "edge label vector size mismatch";
   }
@@ -509,68 +483,17 @@ std::string check_tree_bw(const Tree& tree, const TreeBwProblem& problem,
     for (int p = 0; p < tree.degree(v); ++p) {
       const int lab =
           edge_label[static_cast<std::size_t>(edges.of(tree, v, p))];
-      if (lab < 0 || lab >= problem.alphabet) {
+      if (lab < 0 || lab >= table.alphabet) {
         return "edge at node " + std::to_string(v) + " unlabeled";
       }
       incident.push_back(lab);
     }
     std::sort(incident.begin(), incident.end());
-    if (!problem.allowed(color[static_cast<std::size_t>(v)], incident)) {
+    if (!table.allows(incident)) {
       return "constraint violated at node " + std::to_string(v);
     }
   }
   return {};
-}
-
-TreeBwProblem make_bw_free(int alphabet) {
-  TreeBwProblem p;
-  p.alphabet = alphabet;
-  p.name = "bw-free";
-  p.allowed = [](int, const std::vector<int>&) { return true; };
-  return p;
-}
-
-TreeBwProblem make_bw_edge_coloring(int colors) {
-  TreeBwProblem p;
-  p.alphabet = colors;
-  p.name = "edge-coloring";
-  p.allowed = [](int, const std::vector<int>& labels) {
-    for (std::size_t i = 1; i < labels.size(); ++i) {
-      if (labels[i] == labels[i - 1]) return false;
-    }
-    return true;
-  };
-  return p;
-}
-
-TreeBwProblem make_bw_sinkless() {
-  TreeBwProblem p;
-  p.alphabet = 2;
-  p.name = "sinkless-orientation";
-  // Label 1 on an edge = oriented away from the white endpoint. A node
-  // of degree >= 2 needs an outgoing edge: white nodes need some 1,
-  // black nodes need some 0.
-  p.allowed = [](int color, const std::vector<int>& labels) {
-    if (labels.size() <= 1) return true;  // leaves are exempt
-    const int need = color == 0 ? 1 : 0;
-    for (int l : labels) {
-      if (l == need) return true;
-    }
-    return false;
-  };
-  return p;
-}
-
-TreeBwProblem make_bw_weak_matching() {
-  TreeBwProblem p;
-  p.alphabet = 2;
-  p.name = "weak-matching";
-  p.allowed = [](int, const std::vector<int>& labels) {
-    int ones = 0;
-    for (int l : labels) ones += (l == 1);
-    return ones <= 1;
-  };
-  return p;
 }
 
 }  // namespace lcl::bw

@@ -1,10 +1,11 @@
 // LCLs on trees in the black-white formalism (Definition 70) and the
 // generic rake-and-compress solver of Sections 11.3-11.5.
 //
-// A problem assigns labels to *edges*; the constraint of a node is a set
-// of allowed multisets of incident edge labels (one collection per node
-// color of the proper 2-coloring W/B that every tree admits — the
-// formalism's black/white split). Inputs are omitted (Sigma_in = {eps}),
+// A problem assigns labels to *edges*; the constraint of a node is the
+// set of allowed multisets of incident edge labels. Every problem here is
+// a colour-symmetric `problems::BwTable`: white and black nodes of the
+// formalism's W/B split share one constraint table, so the solvers need
+// no 2-colouring of the tree. Inputs are omitted (Sigma_in = {eps}),
 // which covers every use the paper makes of the formalism in Section 11.
 //
 // The solver follows the paper's pipeline:
@@ -34,32 +35,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bw/path_lcl.hpp"
 #include "graph/tree.hpp"
+#include "problems/lclgen.hpp"
 
 namespace lcl::bw {
 
 using graph::NodeId;
 using graph::Tree;
-
-/// An LCL on tree edges in the black-white formalism, inputs omitted.
-/// `allowed(color, labels)` decides whether the sorted multiset of
-/// incident edge labels is permitted for a node of the given 2-coloring
-/// color (0 = white, 1 = black).
-struct TreeBwProblem {
-  int alphabet = 0;
-  std::string name;
-  /// Degree-indexed explicit constraint sets would be exponential; a
-  /// predicate keeps problems like "all incident labels distinct"
-  /// O(1)-describable. Must be symmetric in the multiset (the caller
-  /// passes sorted labels).
-  std::function<bool(int color, const std::vector<int>&)> allowed;
-};
 
 /// One compress chain the generic solver processed, with the label-sets
 /// it committed to the chain's outgoing edges (0 = no outgoing edge on
@@ -70,19 +56,6 @@ struct ChainRecord {
   std::vector<NodeId> nodes;  ///< in path order
   LabelSet left = 0;          ///< set on the front node's outgoing edge
   LabelSet right = 0;         ///< set on the back node's outgoing edge
-};
-
-/// Result of the generic solver.
-struct TreeBwResult {
-  bool solved = false;
-  std::string failure;          ///< first empty label-set, if any
-  std::vector<int> edge_label;  ///< per edge id (see EdgeIndex)
-  /// Compress chains in bottom-up order (filled by solve_tree_bw only).
-  std::vector<ChainRecord> chains;
-  /// Peel step (>= 1) per node of the decomposition solve_tree_bw swept:
-  /// the round in which a distributed run learns the node's layer.
-  /// Filled whether or not the solve succeeds (solve_tree_bw only).
-  std::vector<int> assign_step;
 };
 
 /// Canonical edge indexing: edge {u, v} with u < v gets a dense id. The
@@ -97,34 +70,38 @@ struct EdgeIndex {
   [[nodiscard]] std::int64_t of(const Tree& t, NodeId v, int port) const;
 };
 
+/// Result of the generic solver.
+struct TreeBwResult {
+  bool solved = false;
+  std::string failure;          ///< first empty label-set, if any
+  std::vector<int> edge_label;  ///< per edge id of `edges`
+  /// The solver's own edge index, which keys `edge_label`; callers read
+  /// labels through it instead of building another.
+  EdgeIndex edges;
+  /// Compress chains in bottom-up order (filled by solve_tree_bw only).
+  std::vector<ChainRecord> chains;
+  /// Peel step (>= 1) per node of the decomposition solve_tree_bw swept:
+  /// the round in which a distributed run learns the node's layer.
+  /// Filled whether or not the solve succeeds (solve_tree_bw only).
+  std::vector<int> assign_step;
+};
+
 /// Runs the generic rake-and-compress solver.
 [[nodiscard]] TreeBwResult solve_tree_bw(const Tree& tree,
-                                         const TreeBwProblem& problem);
+                                         const problems::BwTable& table);
 
 /// Exact global solver: roots every component and runs the classic
 /// bottom-up feasible-label DP followed by a top-down commit, with no
 /// canonical-rectangle restriction. Solves exactly the instances that
 /// admit *any* labeling (the Theta(log n)-schedule fallback for problems
 /// the flexible generic solver rejects, e.g. parity-rigid chains).
-[[nodiscard]] TreeBwResult solve_tree_bw_global(const Tree& tree,
-                                               const TreeBwProblem& problem);
+[[nodiscard]] TreeBwResult solve_tree_bw_global(
+    const Tree& tree, const problems::BwTable& table);
 
-/// Verifies an edge labeling against the problem (independent checker).
+/// Verifies an edge labeling against the table (independent checker: it
+/// builds its own edge index).
 [[nodiscard]] std::string check_tree_bw(const Tree& tree,
-                                        const TreeBwProblem& problem,
+                                        const problems::BwTable& table,
                                         const std::vector<int>& edge_label);
-
-/// Built-in problems.
-/// Every multiset allowed: trivially solvable.
-[[nodiscard]] TreeBwProblem make_bw_free(int alphabet);
-/// Proper edge coloring with `colors` colors (needs colors >= max degree).
-[[nodiscard]] TreeBwProblem make_bw_edge_coloring(int colors);
-/// Sinkless-orientation flavor: labels {0,1} read as "toward the white
-/// endpoint" (0) / "toward the black endpoint" (1); every node of degree
-/// >= 2 needs at least one outgoing edge. On trees with the white/black
-/// split, a white node's incident label 1 means outgoing.
-[[nodiscard]] TreeBwProblem make_bw_sinkless();
-/// At most one incident edge labeled 1 per node ("matching-ish").
-[[nodiscard]] TreeBwProblem make_bw_weak_matching();
 
 }  // namespace lcl::bw

@@ -114,16 +114,6 @@ bool BwTable::allows(const std::vector<int>& sorted_labels) const {
   return (allowed[static_cast<std::size_t>(d - 1)] >> idx) & 1u;
 }
 
-bw::TreeBwProblem BwTable::to_problem() const {
-  bw::TreeBwProblem p;
-  p.alphabet = alphabet;
-  p.name = name;
-  p.allowed = [t = *this](int /*color*/, const std::vector<int>& labels) {
-    return t.allows(labels);
-  };
-  return p;
-}
-
 std::string BwTable::describe() const {
   std::string out = "BwTable{" + name + ", alphabet=" +
                     std::to_string(alphabet) +

@@ -39,8 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "bw/tree_problem.hpp"
-
 namespace lcl::problems {
 
 /// Hard caps of the table representation: every degree-d row is a
@@ -64,9 +62,6 @@ struct BwTable {
 
   /// Whether the sorted multiset of incident labels is permitted.
   [[nodiscard]] bool allows(const std::vector<int>& sorted_labels) const;
-
-  /// Wraps the table as the predicate-based problem the bw solvers run.
-  [[nodiscard]] bw::TreeBwProblem to_problem() const;
 
   /// Multi-line human-readable dump (used by the property tests to pin
   /// shrunk counterexamples).

@@ -96,15 +96,26 @@ TEST(LclGen, WitnessTablesMatchTheirPredicates) {
 }
 
 TEST(LclGen, TableProblemAgreesWithBuiltinOnRandomTrees) {
-  // The tabulated edge-coloring must behave exactly like the predicate
-  // problem the bw tests exercise: same solvability, checkable labels.
+  // The tabulated edge-coloring must mean what its name says: the bw
+  // solver's labels pass the table's checker, and a direct "no two edges
+  // at a node share a label" pass over the same labels agrees.
   const graph::Tree t = graph::make_random_tree(300, 3, 11);
-  const auto res =
-      bw::solve_tree_bw(t, problems::edge_coloring_table(3, 3).to_problem());
+  const BwTable table = problems::edge_coloring_table(3, 3);
+  const auto res = bw::solve_tree_bw(t, table);
   ASSERT_TRUE(res.solved) << res.failure;
-  EXPECT_EQ(bw::check_tree_bw(t, bw::make_bw_edge_coloring(3),
-                              res.edge_label),
-            "");
+  EXPECT_EQ(bw::check_tree_bw(t, table, res.edge_label), "");
+  for (graph::NodeId v = 0; v < t.size(); ++v) {
+    std::vector<int> seen;
+    for (int p = 0; p < t.degree(v); ++p) {
+      const int lab =
+          res.edge_label[static_cast<std::size_t>(res.edges.of(t, v, p))];
+      ASSERT_GE(lab, 0);
+      ASSERT_LT(lab, 3);
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), lab), 0)
+          << "label " << lab << " repeats at node " << v;
+      seen.push_back(lab);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -407,37 +418,36 @@ TEST(CanonicalKeyProperty, RenderedFormatIsPinned) {
 
 TEST(TreeBwGlobal, SolvesParityRigidChainsTheFlexibleSolverRejects) {
   const graph::Tree t = graph::make_path(240);
-  const auto problem = problems::two_coloring_table(3).to_problem();
-  EXPECT_FALSE(bw::solve_tree_bw(t, problem).solved);
-  const auto exact = bw::solve_tree_bw_global(t, problem);
+  const BwTable table = problems::two_coloring_table(3);
+  EXPECT_FALSE(bw::solve_tree_bw(t, table).solved);
+  const auto exact = bw::solve_tree_bw_global(t, table);
   ASSERT_TRUE(exact.solved) << exact.failure;
-  EXPECT_EQ(bw::check_tree_bw(t, problem, exact.edge_label), "");
+  EXPECT_EQ(bw::check_tree_bw(t, table, exact.edge_label), "");
 }
 
 TEST(TreeBwGlobal, AgreesWithFlexibleSolverOnSolvableProblems) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const graph::Tree t = graph::make_random_tree(350, 3, seed);
-    const auto problem = problems::edge_coloring_table(3, 3).to_problem();
-    ASSERT_TRUE(bw::solve_tree_bw(t, problem).solved);
-    const auto exact = bw::solve_tree_bw_global(t, problem);
+    const BwTable table = problems::edge_coloring_table(3, 3);
+    ASSERT_TRUE(bw::solve_tree_bw(t, table).solved);
+    const auto exact = bw::solve_tree_bw_global(t, table);
     ASSERT_TRUE(exact.solved) << exact.failure;
-    EXPECT_EQ(bw::check_tree_bw(t, problem, exact.edge_label), "");
+    EXPECT_EQ(bw::check_tree_bw(t, table, exact.edge_label), "");
   }
 }
 
 TEST(TreeBwGlobal, RejectsGenuinelyInfeasibleInstances) {
   // 2-edge-coloring a degree-3 star is impossible.
   const graph::Tree t = graph::make_star(3);
-  const auto res = bw::solve_tree_bw_global(
-      t, problems::edge_coloring_table(2, 3).to_problem());
+  const auto res =
+      bw::solve_tree_bw_global(t, problems::edge_coloring_table(2, 3));
   EXPECT_FALSE(res.solved);
   EXPECT_NE(res.failure, "");
 }
 
 TEST(TreeBw, SolveRecordsCompressChains) {
   const graph::Tree t = graph::make_path(120);
-  const auto res =
-      bw::solve_tree_bw(t, problems::edge_coloring_table(3, 3).to_problem());
+  const auto res = bw::solve_tree_bw(t, problems::edge_coloring_table(3, 3));
   ASSERT_TRUE(res.solved);
   ASSERT_FALSE(res.chains.empty());
   std::size_t covered = 0;
@@ -482,6 +492,16 @@ TEST(BwGeneric, EachModeChargesItsSchedule) {
     EXPECT_EQ(program.mode(), c.mode) << algo::to_string(program.mode());
     EXPECT_EQ(stats.total_rounds, c.sum_t);
     EXPECT_EQ(stats.worst_case, c.worst);
+    // Each node outputs its port-0 edge's label, read here through an
+    // edge index independent of the solver's; an infeasible run outputs
+    // -1 everywhere.
+    const std::vector<int> out = stats.primaries();
+    const bw::EdgeIndex edges = bw::EdgeIndex::build(c.tree);
+    for (graph::NodeId v = 0; v < c.tree.size(); ++v) {
+      const auto e = static_cast<std::size_t>(edges.of(c.tree, v, 0));
+      const int want = program.solved() ? program.edge_labels()[e] : -1;
+      ASSERT_EQ(out[static_cast<std::size_t>(v)], want) << "node " << v;
+    }
   }
 }
 

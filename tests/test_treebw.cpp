@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <string>
 
+#include "algo/bw_generic.hpp"
 #include "bw/tree_problem.hpp"
 #include "graph/builders.hpp"
 #include "graph/families.hpp"
@@ -18,7 +19,7 @@ namespace {
 using graph::NodeId;
 using graph::Tree;
 
-void solve_and_check(const Tree& t, const bw::TreeBwProblem& p,
+void solve_and_check(const Tree& t, const problems::BwTable& p,
                      bool expect_solved = true) {
   const auto res = bw::solve_tree_bw(t, p);
   if (!expect_solved) {
@@ -28,18 +29,17 @@ void solve_and_check(const Tree& t, const bw::TreeBwProblem& p,
   ASSERT_TRUE(res.solved) << p.name << ": " << res.failure;
   const std::string err = bw::check_tree_bw(t, p, res.edge_label);
   EXPECT_EQ(err, "") << p.name;
-  // The exact global DP solves whatever the flexible solver solves; on
-  // sinkless orientation, whose white and black nodes need different
-  // labels, this also pins the color each node's step binds.
+  // The exact global DP solves whatever the flexible solver solves.
   const auto exact = bw::solve_tree_bw_global(t, p);
   ASSERT_TRUE(exact.solved) << p.name << ": " << exact.failure;
   EXPECT_EQ(bw::check_tree_bw(t, p, exact.edge_label), "") << p.name;
 }
 
 TEST(TreeBw, FreeProblemOnEverything) {
-  solve_and_check(graph::make_path(50), bw::make_bw_free(2));
-  solve_and_check(graph::make_star(7), bw::make_bw_free(3));
-  solve_and_check(graph::make_random_tree(500, 5, 1), bw::make_bw_free(2));
+  solve_and_check(graph::make_path(50), problems::free_table(2, 2));
+  solve_and_check(graph::make_star(4), problems::free_table(3, 4));
+  solve_and_check(graph::make_random_tree(500, 4, 1),
+                  problems::free_table(2, 4));
 }
 
 TEST(TreeBw, EdgeColoringMirrorsTheRigidityClassification) {
@@ -48,14 +48,14 @@ TEST(TreeBw, EdgeColoringMirrorsTheRigidityClassification) {
   // fail on it — compress chains force parity-coupled classes whose
   // independent restrictions cannot be combined globally. This is the
   // same refusal the testing procedure reports for 2-coloring.
-  solve_and_check(graph::make_path(200), bw::make_bw_edge_coloring(2),
+  solve_and_check(graph::make_path(200), problems::edge_coloring_table(2, 2),
                   /*expect_solved=*/false);
   // Three colors make the problem flexible (Theta(log* n) analog): the
   // generic solver succeeds.
-  solve_and_check(graph::make_path(201), bw::make_bw_edge_coloring(3));
-  // A star with 5 leaves needs 5 colors; 4 must fail.
-  solve_and_check(graph::make_star(5), bw::make_bw_edge_coloring(5));
-  solve_and_check(graph::make_star(5), bw::make_bw_edge_coloring(4),
+  solve_and_check(graph::make_path(201), problems::edge_coloring_table(3, 2));
+  // A star with 4 leaves needs 4 colors; 3 must fail.
+  solve_and_check(graph::make_star(4), problems::edge_coloring_table(4, 4));
+  solve_and_check(graph::make_star(4), problems::edge_coloring_table(3, 4),
                   /*expect_solved=*/false);
 }
 
@@ -64,19 +64,21 @@ class TreeBwRandom : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TreeBwRandom, EdgeColoringOnRandomTrees) {
   const std::uint64_t seed = GetParam();
   const Tree t = graph::make_random_tree(400, 4, seed);
-  solve_and_check(t, bw::make_bw_edge_coloring(4));
+  solve_and_check(t, problems::edge_coloring_table(4, 4));
 }
 
+// Runs the covering table, the colour-symmetric cousin of sinkless
+// orientation: every node of degree >= 2 needs an incident 1.
 TEST_P(TreeBwRandom, SinklessOrientationOnRandomTrees) {
   const std::uint64_t seed = GetParam();
   const Tree t = graph::make_random_tree(400, 4, seed + 50);
-  solve_and_check(t, bw::make_bw_sinkless());
+  solve_and_check(t, problems::covering_table(4));
 }
 
 TEST_P(TreeBwRandom, WeakMatchingOnRandomTrees) {
   const std::uint64_t seed = GetParam();
-  const Tree t = graph::make_random_tree(400, 5, seed + 99);
-  solve_and_check(t, bw::make_bw_weak_matching());
+  const Tree t = graph::make_random_tree(400, 4, seed + 99);
+  solve_and_check(t, problems::weak_matching_table(4));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreeBwRandom,
@@ -84,14 +86,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TreeBwRandom,
 
 TEST(TreeBw, CaterpillarMixesChainsAndRakes) {
   const Tree t = graph::make_caterpillar(120, 1);
-  solve_and_check(t, bw::make_bw_edge_coloring(4));
-  solve_and_check(t, bw::make_bw_sinkless());
-  solve_and_check(t, bw::make_bw_weak_matching());
+  solve_and_check(t, problems::edge_coloring_table(4, 4));
+  solve_and_check(t, problems::covering_table(4));
+  solve_and_check(t, problems::weak_matching_table(4));
 }
 
 TEST(TreeBw, CheckerRejectsCorruption) {
   const Tree t = graph::make_path(30);
-  const auto p = bw::make_bw_edge_coloring(3);
+  const auto p = problems::edge_coloring_table(3, 2);
   auto res = bw::solve_tree_bw(t, p);
   ASSERT_TRUE(res.solved);
   res.edge_label[5] = res.edge_label[4];  // adjacent edges same color
@@ -101,8 +103,26 @@ TEST(TreeBw, CheckerRejectsCorruption) {
 TEST(TreeBw, HierarchicalInstances) {
   // The Figure-3 lower-bound tree as a black-white substrate.
   const auto inst = graph::make_hierarchical_lower_bound({5, 8});
-  solve_and_check(inst.tree, bw::make_bw_edge_coloring(4));
-  solve_and_check(inst.tree, bw::make_bw_sinkless());
+  solve_and_check(inst.tree, problems::edge_coloring_table(4, 4));
+  solve_and_check(inst.tree, problems::covering_table(4));
+}
+
+// ROADMAP item 3's smallest repro: the classifier predicts O(1) for
+// this table (canonical key a2d3:1:3:9), yet the flexible solver
+// rejects this 30-node tree and only the exact global DP solves it.
+// The classifier's prediction is not asserted here; fixing item 3 adds
+// that.
+TEST(TreeBw, ClassifierDisagreementReproOnThirtyNodes) {
+  const problems::BwTable table = problems::sample_table(2074683864505426ULL);
+  ASSERT_EQ(problems::canonical_key(table), "a2d3:1:3:9");
+  const Tree t = graph::make_family_instance("prufer", 30, 14, 3);
+  const bw::TreeBwResult flexible = bw::solve_tree_bw(t, table);
+  EXPECT_FALSE(flexible.solved);
+  EXPECT_EQ(flexible.failure, "infeasible root node 10");
+  const bw::TreeBwResult exact = bw::solve_tree_bw_global(t, table);
+  ASSERT_TRUE(exact.solved) << exact.failure;
+  EXPECT_EQ(bw::check_tree_bw(t, table, exact.edge_label), "");
+  EXPECT_EQ(algo::BwGenericProgram(t, table).mode(), algo::BwMode::kGlobal);
 }
 
 /// FNV-1a over little-endian 64-bit words and string bytes.
@@ -161,13 +181,12 @@ TEST(TreeBw, SolversArePinnedOnSampledTables) {
     for (const NodeId n : {300, 3000}) {
       const Tree t = graph::make_family_instance(f.name, n, 11, f.delta);
       for (const problems::BwTable& table : tables) {
-        const bw::TreeBwProblem problem = table.to_problem();
-        const bw::TreeBwResult res = bw::solve_tree_bw(t, problem);
+        const bw::TreeBwResult res = bw::solve_tree_bw(t, table);
         hash_result(h, res);
         h.seq(res.assign_step);
         if (!res.solved) {
           ++unsolved;
-          hash_result(h, bw::solve_tree_bw_global(t, problem));
+          hash_result(h, bw::solve_tree_bw_global(t, table));
         }
       }
     }

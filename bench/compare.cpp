@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/json.hpp"
-#include "core/snapshot.hpp"
 
 namespace lcl::bench {
 
@@ -230,8 +229,8 @@ int compare_snapshots(const std::string& old_path,
   Value old_snap;
   Value new_snap;
   try {
-    old_snap = core::snapshot::load_any(old_path);
-    new_snap = core::snapshot::load_any(new_path);
+    old_snap = core::json::parse_file(old_path);
+    new_snap = core::json::parse_file(new_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "lclbench --compare: %s\n", e.what());
     return 2;
@@ -368,7 +367,7 @@ int history_snapshots(const std::vector<std::string>& paths,
     HistoryEntry e;
     e.path = path;
     try {
-      e.snap = core::snapshot::load_any(path);
+      e.snap = core::json::parse_file(path);
     } catch (const std::exception& ex) {
       std::fprintf(stderr, "lclbench --history: %s\n", ex.what());
       return 2;

@@ -1,7 +1,7 @@
 // Snapshot regression gates: pairwise diff and long-horizon history.
 //
-// `lclbench --compare old new` loads two snapshots (schema lclbench-v2
-// or -v3, JSON or binary .lclb — formats mix freely), matches scenarios
+// `lclbench --compare old new` loads two JSON snapshots (schema
+// lclbench-v2 or -v3) through core::json::parse_file, matches scenarios
 // by name and series by title, and reports
 //   - schema regressions (new schema older than old, or unknown),
 //   - validity regressions (a series with more non-ok runs than before,
@@ -16,7 +16,7 @@
 // Exit status: 0 = no regression, 1 = regressions found, 2 = a snapshot
 // could not be read or parsed. CI runs this against the committed
 // BENCH_all.json so the perf/validity trajectory is machine-checked.
-// `lclbench --history a.lclb b.lclb c.json ...` generalizes the gate
+// `lclbench --history a.json b.json c.json ...` generalizes the gate
 // from pairwise drift to trajectories: N snapshots are ordered by their
 // recorded timestamp and every per-series metric becomes a time series.
 // On top of the latest-vs-previous pairwise checks (coverage loss,
@@ -73,11 +73,11 @@ struct HistoryOptions {
   bool allow_missing = false;
 };
 
-/// Loads N >= 2 snapshots (JSON or .lclb, mixed freely), orders them by
-/// recorded timestamp (stable, so untimestamped files keep their given
-/// order), prints per-scenario wall and per-series exponent
-/// trajectories, and gates: latest-vs-previous coverage/validity/schema
-/// plus sustained monotone trends across the last `window` snapshots.
+/// Loads N >= 2 JSON snapshots, orders them by recorded timestamp
+/// (stable, so untimestamped files keep their given order), prints
+/// per-scenario wall and per-series exponent trajectories, and gates:
+/// latest-vs-previous coverage/validity/schema plus sustained monotone
+/// trends across the last `window` snapshots.
 /// Exit status: 0 = clean, 1 = regressions found, 2 = a snapshot could
 /// not be read or parsed (or fewer than 2 were given).
 [[nodiscard]] int history_snapshots(const std::vector<std::string>& paths,

@@ -15,7 +15,6 @@
 #include "algo/registry.hpp"
 #include "compare.hpp"
 #include "core/json.hpp"
-#include "core/snapshot.hpp"
 #include "graph/families.hpp"
 
 namespace lcl::bench {
@@ -65,10 +64,8 @@ struct ScenarioReport {
   ScenarioResult result;
 };
 
-/// Renders the snapshot JSON text (schema lclbench-v3). One renderer
-/// feeds both sinks: `--json` writes these bytes verbatim, `--binary`
-/// parses them into the DOM and encodes the .lclb form, so the two
-/// artifacts of one run are views of identical data by construction.
+/// Renders the snapshot JSON text (schema lclbench-v3) that `--json`
+/// writes verbatim.
 std::string render_json(const ScenarioOptions& opts,
                         const std::vector<ScenarioReport>& reports,
                         double total_wall_ms) {
@@ -190,53 +187,18 @@ std::string render_json(const ScenarioOptions& opts,
   return os.str();
 }
 
-void write_json(const std::string& path, const std::string& text) {
+/// Returns false (after saying so on stderr) when the file cannot be
+/// written, so a lost snapshot fails the run.
+bool write_json(const std::string& path, const std::string& text) {
   std::ofstream f(path);
   f << text;
+  f.close();
   if (!f) {
     std::fprintf(stderr, "lclbench: failed to write %s\n", path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
+    return false;
   }
-}
-
-void write_binary(const std::string& path, const std::string& json_text) {
-  try {
-    core::snapshot::write_file(path, core::json::parse(json_text));
-    std::printf("wrote %s\n", path.c_str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "lclbench: failed to write %s: %s\n",
-                 path.c_str(), e.what());
-  }
-}
-
-/// --export: load either snapshot form, write the other (or the same)
-/// by destination extension. The JSON side goes through
-/// `core::json::dump`, the canonical serializer the golden round-trip
-/// test pins — exporting a .lclb made from a dump-canonical JSON file
-/// reproduces that file byte-identically.
-int export_snapshot(const std::string& in_path,
-                    const std::string& out_path) {
-  try {
-    const core::json::Value v = core::snapshot::load_any(in_path);
-    const bool to_binary =
-        out_path.size() >= 5 &&
-        out_path.compare(out_path.size() - 5, 5, ".lclb") == 0;
-    if (to_binary) {
-      core::snapshot::write_file(out_path, v);
-    } else {
-      std::ofstream f(out_path, std::ios::binary);
-      f << core::json::dump(v);
-      if (!f) {
-        throw std::runtime_error("cannot write " + out_path);
-      }
-    }
-    std::printf("exported %s -> %s\n", in_path.c_str(), out_path.c_str());
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "lclbench --export: %s\n", e.what());
-    return 2;
-  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 void print_usage() {
@@ -248,7 +210,7 @@ void print_usage() {
       "                [--seed <s>] [--families <csv|all>]\n"
       "                [--algos <csv|all>] [--algo-opt <k=v>]...\n"
       "                [--problems <count>] [--problem-seed <s>]\n"
-      "                [--json [path]] [--binary [path]]\n"
+      "                [--json [path]]\n"
       "       lclbench --compare <old> <new>\n"
       "                [--tol-exponent <e>] [--tol-avg <rel>]\n"
       "                [--tol-wall <ratio>] [--allow-missing]\n"
@@ -256,7 +218,6 @@ void print_usage() {
       "                [--trend-window <k>] [--tol-exponent <e>]\n"
       "                [--tol-avg <rel>] [--tol-wall <ratio>]\n"
       "                [--allow-missing]\n"
-      "       lclbench --export <in> <out>\n"
       "\n"
       "  --list          enumerate registered scenarios and exit\n"
       "  --list-algos    enumerate the algorithm registry (solvers,\n"
@@ -285,29 +246,24 @@ void print_usage() {
       "                  (default 1); per-problem sub-seeds are recorded\n"
       "                  in the snapshot\n"
       "  --json [path]   write a BENCH_*.json snapshot (schema\n"
-      "                  lclbench-v3; default path BENCH_<run>.json)\n"
-      "  --binary [path] write the same snapshot as a compact columnar\n"
-      "                  .lclb binary (default path BENCH_<run>.lclb);\n"
-      "                  lossless — `--export` recovers the JSON view\n"
+      "                  lclbench-v3; default path BENCH_<run>.json);\n"
+      "                  a failed write exits 1\n"
       "\n"
       "  every flag except --algo-opt may be given at most once;\n"
       "  duplicates are a usage error\n"
       "\n"
-      "  --compare       diff two snapshots (JSON or .lclb, mixed\n"
-      "                  freely) and exit nonzero on regression (schema,\n"
-      "                  validity/status, exponent drift >\n"
-      "                  --tol-exponent [0.15], node-averaged drift at\n"
-      "                  matching scales > --tol-avg [off], wall-time\n"
-      "                  ratio > --tol-wall [off]); --allow-missing\n"
-      "                  downgrades missing scenarios/series to warnings\n"
+      "  --compare       diff two JSON snapshots and exit nonzero on\n"
+      "                  regression (schema, validity/status, exponent\n"
+      "                  drift > --tol-exponent [0.15], node-averaged\n"
+      "                  drift at matching scales > --tol-avg [off],\n"
+      "                  wall-time ratio > --tol-wall [off]);\n"
+      "                  --allow-missing downgrades missing\n"
+      "                  scenarios/series to warnings\n"
       "  --history       order N >= 2 snapshots by timestamp and gate\n"
       "                  trajectories: latest-vs-previous coverage and\n"
       "                  validity plus *sustained* monotone drift (of\n"
       "                  fitted exponents, node-averages, wall time)\n"
-      "                  across the last --trend-window [3] snapshots\n"
-      "  --export        convert a snapshot between the JSON and .lclb\n"
-      "                  forms (destination picked by extension); the\n"
-      "                  JSON side is canonical core::json::dump text\n");
+      "                  across the last --trend-window [3] snapshots\n");
 }
 
 /// --list-algos: one block per registered solver — paper binding,
@@ -557,8 +513,6 @@ int cli_main(int argc, char** argv) {
   bool list_algos = false;
   bool want_json = false;
   std::string json_path;
-  bool want_binary = false;
-  std::string binary_path;
   std::string run_name;
   bool compare_mode = false;
   std::string compare_old;
@@ -567,9 +521,6 @@ int cli_main(int argc, char** argv) {
   bool history_mode = false;
   std::vector<std::string> history_paths;
   HistoryOptions history_opts;
-  bool export_mode = false;
-  std::string export_in;
-  std::string export_out;
 
   // Duplicate-flag detection: every flag except the deliberately
   // repeatable --algo-opt may appear at most once. Without this, the
@@ -717,10 +668,6 @@ int cli_main(int argc, char** argv) {
       once("--json");
       want_json = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
-    } else if (arg == "--binary") {
-      once("--binary");
-      want_binary = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') binary_path = argv[++i];
     } else if (arg == "--history") {
       once("--history");
       history_mode = true;
@@ -736,15 +683,6 @@ int cli_main(int argc, char** argv) {
                      "lclbench: --trend-window expects a window >= 2\n");
         std::exit(2);
       }
-    } else if (arg == "--export") {
-      once("--export");
-      export_mode = true;
-      export_in = next_value("--export");
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "lclbench: --export needs <in> <out>\n");
-        std::exit(2);
-      }
-      export_out = argv[++i];
     } else if (arg == "--compare") {
       once("--compare");
       compare_mode = true;
@@ -786,9 +724,6 @@ int cli_main(int argc, char** argv) {
   }
   if (history_mode) {
     return history_snapshots(history_paths, history_opts);
-  }
-  if (export_mode) {
-    return export_snapshot(export_in, export_out);
   }
   if (list) {
     for (const Scenario& s : all_scenarios()) {
@@ -882,17 +817,10 @@ int cli_main(int argc, char** argv) {
   }
   const double total_wall_ms = wall_ms_since(total_start);
 
-  if (want_json || want_binary) {
-    const std::string text = render_json(opts, reports, total_wall_ms);
-    if (want_json) {
-      if (json_path.empty()) json_path = "BENCH_" + run_name + ".json";
-      write_json(json_path, text);
-    }
-    if (want_binary) {
-      if (binary_path.empty()) {
-        binary_path = "BENCH_" + run_name + ".lclb";
-      }
-      write_binary(binary_path, text);
+  if (want_json) {
+    if (json_path.empty()) json_path = "BENCH_" + run_name + ".json";
+    if (!write_json(json_path, render_json(opts, reports, total_wall_ms))) {
+      return 1;
     }
   }
   return 0;

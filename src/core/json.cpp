@@ -58,8 +58,8 @@ class Parser {
     return true;
   }
 
-  /// Nesting guard, as in the .lclb decoder: a hostile document must
-  /// not be able to recurse the parser off the stack.
+  /// Nesting guard: a hostile document must not be able to recurse
+  /// the parser off the stack.
   static constexpr int kMaxDepth = 192;
 
   Value parse_value() {

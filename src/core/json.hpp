@@ -2,10 +2,11 @@
 //
 // The bench layer *writes* snapshots with a hand-rolled serializer
 // (bench/scenario.cpp); this is the matching reader that `lclbench
-// --compare` and the tests use to load BENCH_*.json files back. It is a
-// deliberate subset implementation — no external dependency, no DOM
-// mutation, object keys kept in file order — just enough to parse what
-// the snapshot writer (and ordinary hand-written JSON) produces.
+// --compare`/`--history` and the tests use to load BENCH_*.json files
+// back, JSON being the only snapshot format. It is a deliberate subset
+// implementation — no external dependency, no DOM mutation, object keys
+// kept in file order — just enough to parse what the snapshot writer
+// (and ordinary hand-written JSON) produces.
 #pragma once
 
 #include <cstdint>

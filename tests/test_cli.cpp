@@ -1,8 +1,9 @@
 // lclbench CLI hardening: malformed --algo-opt pairs, duplicate flags,
 // out-of-range scales, non-integer counts and unknown scenario names
-// must fail with exit code 2 and a clear one-line error — pinned here
-// with exact-message death tests so a parser refactor can't silently
-// regress the messages users script against.
+// must fail with exit code 2 and a clear one-line error, and a snapshot
+// that cannot be written must fail the run with exit code 1 — pinned
+// here with exact-message death tests so a parser refactor can't
+// silently regress the messages users script against.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,7 +18,7 @@ namespace {
 /// on (exit code, stderr). cli_main both std::exit()s on usage errors
 /// and returns codes; wrapping the return in std::exit covers both.
 void expect_cli_failure(const std::vector<std::string>& args,
-                        const std::string& message_regex) {
+                        const std::string& message_regex, int code = 2) {
   std::vector<std::string> storage = args;
   storage.insert(storage.begin(), "lclbench");
   std::vector<char*> argv;
@@ -25,7 +26,7 @@ void expect_cli_failure(const std::vector<std::string>& args,
   for (std::string& s : storage) argv.push_back(s.data());
   EXPECT_EXIT(
       std::exit(bench::cli_main(static_cast<int>(argv.size()), argv.data())),
-      ::testing::ExitedWithCode(2), message_regex);
+      ::testing::ExitedWithCode(code), message_regex);
 }
 
 TEST(CliHardening, AlgoOptMissingEquals) {
@@ -77,6 +78,12 @@ TEST(CliHardening, EngineFlagIsAnUnknownArgument) {
   // process, and there is one kernel, so the CLI has no engine flag.
   expect_cli_failure({"--engine", "simd"},
                      "lclbench: unknown argument --engine");
+  // JSON is the only snapshot format: the retired binary-snapshot
+  // writer and converter flags are unknown too.
+  expect_cli_failure({"--binary", "x"},
+                     "lclbench: unknown argument --binary");
+  expect_cli_failure({"--export", "a", "b"},
+                     "lclbench: unknown argument --export");
 }
 
 TEST(CliHardening, DuplicateValuelessFlags) {
@@ -113,29 +120,38 @@ TEST(CliHardening, MissingValue) {
 }
 
 TEST(CliHardening, TrendWindowMustBeAtLeastTwo) {
-  expect_cli_failure({"--history", "a.lclb", "b.lclb", "--trend-window",
+  expect_cli_failure({"--history", "a.json", "b.json", "--trend-window",
                       "1"},
                      "lclbench: --trend-window expects a window >= 2");
 }
 
-TEST(CliHardening, ExportNeedsBothPaths) {
-  expect_cli_failure({"--export", "only_in.json"},
-                     "lclbench: --export needs <in> <out>");
-  expect_cli_failure({"--export"}, "lclbench: --export requires a value");
+TEST(CliHardening, CompareNeedsBothPaths) {
+  expect_cli_failure({"--compare", "only_old.json"},
+                     "lclbench: --compare needs <old.json> <new.json>");
+  expect_cli_failure({"--compare"},
+                     "lclbench: --compare requires a value");
 }
 
 TEST(CliHardening, HistoryNeedsTwoSnapshots) {
-  expect_cli_failure({"--history", "only_one.lclb"},
+  expect_cli_failure({"--history", "only_one.json"},
                      "lclbench --history: needs at least 2 snapshots");
   expect_cli_failure({"--history"},
                      "lclbench: --history requires a value");
 }
 
 TEST(CliHardening, DuplicateSnapshotModeFlags) {
-  expect_cli_failure({"--binary", "a.lclb", "--binary", "b.lclb"},
-                     "lclbench: duplicate --binary");
-  expect_cli_failure({"--export", "a", "b", "--export", "c", "d"},
-                     "lclbench: duplicate --export");
+  expect_cli_failure({"--json", "a.json", "--json", "b.json"},
+                     "lclbench: duplicate --json");
+  expect_cli_failure({"--compare", "a", "b", "--compare", "c", "d"},
+                     "lclbench: duplicate --compare");
+}
+
+TEST(CliHardening, FailedSnapshotWriteExitsOne) {
+  // The scenario runs, but its snapshot is lost: that must fail the
+  // run, not just print.
+  expect_cli_failure({"--run", "cor60_gap", "--n", "0.02", "--threads",
+                      "1", "--json", "/no/such/dir/x.json"},
+                     "lclbench: failed to write /no/such/dir/x.json", 1);
 }
 
 TEST(CliHardening, ScaleRejectsNan) {

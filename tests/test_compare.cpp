@@ -316,6 +316,9 @@ TEST(Compare, UnreadableSnapshotIsUsageError) {
             2);
   const std::string bad_path = write_temp("bad.json", "{not json");
   EXPECT_EQ(compare_snapshots(ok_path, bad_path, CompareOptions{}), 2);
+  // A snapshot in the retired binary format (magic "LCLB", version 1).
+  const std::string legacy_path = write_temp("legacy_compare", "LCLB\x01");
+  EXPECT_EQ(compare_snapshots(legacy_path, ok_path, CompareOptions{}), 2);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// The long-horizon history gate: N snapshots (mixed JSON / .lclb) are
-// ordered by timestamp and checked for *sustained* trends — the
-// regression class a pairwise --compare structurally cannot see. The
-// synthetic three-snapshot drift here (two steps of 0.10 against a 0.15
+// The long-horizon history gate: N JSON snapshots are ordered by
+// timestamp and checked for *sustained* trends — the regression class a
+// pairwise --compare structurally cannot see. The synthetic
+// three-snapshot drift here (two steps of 0.10 against a 0.15
 // tolerance, each step individually under the pairwise gate) is the
 // canonical case the mode exists for.
 #include <gtest/gtest.h>
@@ -11,15 +11,12 @@
 #include <vector>
 
 #include "compare.hpp"
-#include "core/json.hpp"
-#include "core/snapshot.hpp"
 
 namespace lcl {
 namespace {
 
 using bench::HistoryOptions;
 using bench::history_snapshots;
-namespace json = core::json;
 
 std::string write_temp(const std::string& name, const std::string& body) {
   const std::string path = ::testing::TempDir() + name;
@@ -245,26 +242,11 @@ TEST(History, RepeatedScalesTrendByOccurrence) {
   EXPECT_EQ(history_snapshots(paths, gated), 1);
 }
 
-TEST(History, MixedJsonAndBinaryHistoriesWork) {
-  // The middle snapshot rides in .lclb form; the trend must be flagged
-  // exactly as in the all-JSON case.
-  const std::string s1 =
-      write_snapshot("mix1.json", "2026-01-01T00:00:00Z", 0.50);
-  const std::string s2_path = ::testing::TempDir() + "mix2.lclb";
-  core::snapshot::write_file(
-      s2_path, json::parse(snapshot_body("2026-01-02T00:00:00Z", 0.60,
-                                         2.0, 100, 2)));
-  const std::string s3 =
-      write_snapshot("mix3.json", "2026-01-03T00:00:00Z", 0.72);
-  EXPECT_EQ(history_snapshots({s1, s2_path, s3}, HistoryOptions{}), 1);
-  EXPECT_EQ(history_snapshots({s1, s2_path}, HistoryOptions{}), 0);
-}
-
 TEST(History, UsageAndReadErrorsExitTwo) {
   const std::string one =
       write_snapshot("solo.json", "2026-01-01T00:00:00Z", 0.50);
   EXPECT_EQ(history_snapshots({one}, HistoryOptions{}), 2);
-  EXPECT_EQ(history_snapshots({one, "/nonexistent/past.lclb"},
+  EXPECT_EQ(history_snapshots({one, "/nonexistent/past.json"},
                               HistoryOptions{}),
             2);
   const std::string junk = write_temp("junk.json", "{not json");
@@ -272,6 +254,21 @@ TEST(History, UsageAndReadErrorsExitTwo) {
   const std::string alien = write_temp(
       "alien.json", "{\"schema\": \"other-v1\", \"scenarios\": []}");
   EXPECT_EQ(history_snapshots({one, alien}, HistoryOptions{}), 2);
+  // A snapshot in the retired binary format (magic "LCLB", version 1)
+  // is not JSON: a clean read error, not a crash or a misparse.
+  const std::string legacy = write_temp("legacy_history", "LCLB\x01");
+  EXPECT_EQ(history_snapshots({one, legacy}, HistoryOptions{}), 2);
+}
+
+TEST(History, LegacyBinarySnapshotIsAReadError) {
+  // In the middle of an otherwise drifting JSON history, a legacy
+  // binary snapshot fails the whole gate instead of being skipped.
+  const std::string legacy = write_temp("legacy_mid", "LCLB\x01");
+  const std::string s1 =
+      write_snapshot("mix1.json", "2026-01-01T00:00:00Z", 0.50);
+  const std::string s3 =
+      write_snapshot("mix3.json", "2026-01-03T00:00:00Z", 0.72);
+  EXPECT_EQ(history_snapshots({s1, legacy, s3}, HistoryOptions{}), 2);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 // failure against an old snapshot.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -72,6 +75,53 @@ TEST(JsonRoundTrip, DumpParseIsIdempotent) {
 TEST(JsonRoundTrip, IntegralDoublesPrintAsIntegers) {
   const core::json::Value v = core::json::parse("[3, 3.5, -0, 4503599627370496]");
   EXPECT_EQ(core::json::dump(v), "[\n  3,\n  3.5,\n  0,\n  4503599627370496\n]\n");
+}
+
+// JSON is the only perf snapshot format, so core::json dump/parse is the
+// snapshot codec: every number a snapshot carries must survive it bit
+// for bit.
+core::json::Value number(double d) {
+  core::json::Value n;
+  n.type = core::json::Value::Type::kNumber;
+  n.number = d;
+  return n;
+}
+
+TEST(SnapshotCodec, NumbersRoundTripExactly) {
+  // Integral window edges, 53-bit problem seeds, short decimals, and
+  // doubles with no short decimal form.
+  const core::json::Value v = core::json::parse(
+      "[0, -1, 1, 9007199254740991, -9007199254740991, "
+      "9007199254740992, 2614017550591987, 14.998, -0.125, 1408.4, "
+      "0.000012, 3.5557e7, 1e300, -1e-300, 0.1, "
+      "0.3333333333333333, 41.9634]");
+  const std::string once = core::json::dump(v);
+  const core::json::Value back = core::json::parse(once);
+  EXPECT_EQ(core::json::dump(back), once);
+  ASSERT_EQ(back.array.size(), v.array.size());
+  for (std::size_t i = 0; i < v.array.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.array[i].number),
+              std::bit_cast<std::uint64_t>(v.array[i].number))
+        << core::json::dump(v.array[i]);
+  }
+}
+
+TEST(SnapshotCodec, RawDoubleBitsSurvive) {
+  for (const double d :
+       {0.1, 1e-300, 1e300, 2.2250738585072014e-308, 0.30000000000000004,
+        9007199254740991.0, 2614017550591987.0, 5e-324}) {
+    const core::json::Value back =
+        core::json::parse(core::json::dump(number(d)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.number),
+              std::bit_cast<std::uint64_t>(d))
+        << core::json::dump(number(d));
+  }
+  // The one exception: -0.0 dumps as the integer 0 (see
+  // IntegralDoublesPrintAsIntegers) and reads back as +0.0.
+  const core::json::Value zero =
+      core::json::parse(core::json::dump(number(-0.0)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(zero.number),
+            std::bit_cast<std::uint64_t>(0.0));
 }
 
 }  // namespace

@@ -60,11 +60,12 @@ std::int64_t fda_kept_copies(const Inst& i, int d) {
       declined[static_cast<std::size_t>(v)] = 1;
     }
   }
-  std::vector<std::int32_t> member_idx(declined.size(), -1);
   std::int64_t kept = 0;
   for (std::size_t c = 0; c < plan.components.size(); ++c) {
     const auto keep = algo::prune_component(
-        i.tree, plan, static_cast<int>(c), d, declined, member_idx);
+        i.tree, plan, static_cast<int>(c), d, [&](NodeId u) {
+          return declined[static_cast<std::size_t>(u)] != 0;
+        });
     for (char k : keep) kept += (k != 0);
   }
   return kept;

@@ -2,7 +2,10 @@
 // complexity between Omega((log* n)^{alpha1(x)}) and
 // O((log* n)^{alpha1(x')}) — the fitted exponent of node-average vs the
 // virtual log* (Lambda) must land in (or near) that band.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "algo/registry.hpp"
 #include "core/experiment.hpp"
@@ -46,6 +49,27 @@ void run_thm4_pi35(ScenarioContext& ctx) {
     int delta, d, k;
   };
   const std::int64_t target_n = ctx.scaled(30000);
+  // The k=2 constructions stay near target_n at every Lambda, but the
+  // k=3 one outgrows it from Lambda = 576 on (its first two path lengths
+  // alone multiply past target_n): 159k, 955k and 5.8M nodes at any
+  // --n. So for k >= 3 the ladder is a function of --n: five rungs from
+  // Lambda = 64, evenly spaced in log Lambda, up to 5184 n^2 clamped to
+  // [192, 5184]. --n 1 keeps the full-scale ladder 64, 192, ..., 5184
+  // with its 5.8M-node point; at --n 0.1 and below the top rung is 192
+  // (26,522 nodes, under 10 target_n at --n 0.1).
+  const double scale = ctx.opts().n_scale;
+  auto ladder = [scale](int k) {
+    constexpr double kBottom = 64.0;
+    constexpr double kTop = 5184.0;
+    const double top =
+        k >= 3 ? std::clamp(kTop * scale * scale, 192.0, kTop) : kTop;
+    const double ratio = std::pow(top / kBottom, 0.25);
+    std::vector<std::int64_t> lambdas;
+    for (int i = 0; i < 5; ++i) {
+      lambdas.push_back(std::llround(kBottom * std::pow(ratio, i)));
+    }
+    return lambdas;
+  };
   for (const Config c :
        {Config{6, 3, 2}, Config{7, 4, 2}, Config{9, 5, 2},
         Config{6, 3, 3}}) {
@@ -54,7 +78,7 @@ void run_thm4_pi35(ScenarioContext& ctx) {
     const double hi =
         core::alpha1_logstar(core::efficiency_x_prime(c.delta, c.d), c.k);
     std::vector<core::BatchJob> jobs;
-    for (const std::int64_t lambda : {64, 192, 576, 1728, 5184}) {
+    for (const std::int64_t lambda : ladder(c.k)) {
       core::BatchJob job;
       job.label = "pi35-L" + std::to_string(lambda);
       job.scale = static_cast<double>(lambda);

@@ -27,6 +27,31 @@ double wall_ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Restarts the process's peak resident set (VmHWM in
+/// /proc/self/status) from its current resident set. False where that
+/// is not possible, e.g. off Linux.
+bool reset_peak_rss() {
+  std::ofstream clear("/proc/self/clear_refs");
+  clear << "5";
+  clear.flush();
+  return static_cast<bool>(clear);
+}
+
+/// The process's peak resident set in KiB (VmHWM), or -1 if unknown.
+std::int64_t peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      std::int64_t kb = -1;
+      status >> kb;
+      return kb;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return -1;
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -61,6 +86,10 @@ std::string json_number(double v) {
 struct ScenarioReport {
   std::string name;
   double wall_ms = 0.0;
+  /// Peak resident memory of the process while the scenario ran, in KiB
+  /// (VmHWM, restarted before it; it includes what earlier scenarios
+  /// left resident). -1 when it could not be measured.
+  std::int64_t peak_rss_kb = -1;
   ScenarioResult result;
 };
 
@@ -113,6 +142,10 @@ std::string render_json(const ScenarioOptions& opts,
     os << "    {\n";
     os << "      \"name\": \"" << json_escape(rep.name) << "\",\n";
     os << "      \"wall_ms\": " << json_number(rep.wall_ms) << ",\n";
+    // Additive to schema lclbench-v3; absent when not measured.
+    if (rep.peak_rss_kb >= 0) {
+      os << "      \"peak_rss_kb\": " << rep.peak_rss_kb << ",\n";
+    }
     os << "      \"metrics\": {";
     std::size_t mi = 0;
     for (const auto& [key, value] : rep.result.metrics) {
@@ -797,6 +830,7 @@ int cli_main(int argc, char** argv) {
   const auto total_start = std::chrono::steady_clock::now();
   for (const Scenario* s : to_run) {
     ScenarioContext ctx(opts, pool);
+    const bool rss_reset = reset_peak_rss();
     const auto start = std::chrono::steady_clock::now();
     try {
       s->run(ctx);
@@ -811,8 +845,14 @@ int cli_main(int argc, char** argv) {
     ScenarioReport rep;
     rep.name = s->name;
     rep.wall_ms = wall_ms_since(start);
+    if (rss_reset) rep.peak_rss_kb = peak_rss_kb();
     rep.result = std::move(ctx.result());
-    std::printf("[%s: %.0f ms]\n\n", s->name.c_str(), rep.wall_ms);
+    if (rep.peak_rss_kb >= 0) {
+      std::printf("[%s: %.0f ms, peak RSS %.1f MiB]\n\n", s->name.c_str(),
+                  rep.wall_ms, static_cast<double>(rep.peak_rss_kb) / 1024);
+    } else {
+      std::printf("[%s: %.0f ms]\n\n", s->name.c_str(), rep.wall_ms);
+    }
     reports.push_back(std::move(rep));
   }
   const double total_wall_ms = wall_ms_since(total_start);

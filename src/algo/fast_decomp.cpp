@@ -23,9 +23,19 @@ struct Planner {
   const std::vector<char>& is_a;
   int d;
 
-  std::vector<char> alive;
-  std::vector<char> assigned;
-  std::vector<std::int64_t> layer_key;  // 2i rake / 2i+1 compress
+  // Per-node marks, one bit each in one byte: the planner's scratch is
+  // per node, so it is part of the factory's bytes per node.
+  enum Mark : std::uint8_t {
+    kAlive = 1,
+    kAssigned = 2,
+    kHasABelow = 4,  // the oriented subtree contains an input-A node
+    kInRake = 8,     // raked in the current iteration
+    kIsChain = 16,   // alive degree 2 in the current iteration
+    kVisited = 32,   // walked by the current compress step
+  };
+  std::vector<std::uint8_t> marks;
+  // 2i rake / 2i+1 compress; iterations are O(log n), so int32 holds it.
+  std::vector<std::int32_t> layer_key;
   // Oriented edges u -> w as ordered sibling lists in one edge pool: u's
   // kids run from edge first_kid[u] along `next`, in adoption order. The
   // lists thread through edges, not nodes, because the middle node of an
@@ -42,13 +52,12 @@ struct Planner {
   // pending_parent[c] -> c materializes (compress-endpoint boundary).
   std::vector<NodeId> pending_child;  // per node: child to adopt on assign
   // Early-resolution bookkeeping (the Corollary-47 decay mechanism; see
-  // DESIGN.md Substitution 3): whether a node's oriented subtree contains
-  // an input-A node, and how many early Declines each alive parent has
-  // granted to its raked children (at most d-2, the Lemma-52 budget).
-  std::vector<char> has_a_below;
-  std::vector<int> early_declines;
+  // DESIGN.md Substitution 3): with the kHasABelow mark, how many early
+  // Declines each alive parent has granted to its raked children (at
+  // most d-2, the Lemma-52 budget; d <= 257 keeps that in a byte).
+  std::vector<std::uint8_t> early_declines;
   // FIFO of every Decline propagation: (node, its Decline round).
-  std::vector<std::pair<NodeId, std::int64_t>> fifo;
+  std::vector<std::pair<NodeId, std::int32_t>> fifo;
 
   FastDecompPlan plan;
 
@@ -56,21 +65,28 @@ struct Planner {
                    const std::vector<char>& a, int d_param)
       : tree(t), participates(part), is_a(a), d(d_param) {
     const std::size_t n = static_cast<std::size_t>(t.size());
-    alive.assign(n, 0);
-    assigned.assign(n, 0);
+    marks.assign(n, 0);
     layer_key.assign(n, -1);
-    // Room for one oriented edge per tree edge.
-    kid_edges.reserve(n);
+    // Room for one oriented edge per tree edge between participants.
+    kid_edges.reserve(static_cast<std::size_t>(
+        std::count_if(part.begin(), part.end(), [](char c) { return c; })));
     first_kid.assign(n, -1);
     last_kid.assign(n, -1);
     pending_child.assign(n, graph::kInvalidNode);
-    has_a_below.assign(n, 0);
     early_declines.assign(n, 0);
     plan.role.assign(n, FdaRole::kInactive);
     plan.ready_round.assign(n, 0);
-    plan.comp_root.assign(n, graph::kInvalidNode);
+    plan.comp.assign(n, -1);
     plan.comp_depth.assign(n, -1);
     plan.flood_parent_port.assign(n, -1);
+  }
+
+  [[nodiscard]] bool is(NodeId v, Mark m) const {
+    return (marks[static_cast<std::size_t>(v)] & m) != 0;
+  }
+  void set(NodeId v, Mark m) { marks[static_cast<std::size_t>(v)] |= m; }
+  void clear(NodeId v, Mark m) {
+    marks[static_cast<std::size_t>(v)] &= static_cast<std::uint8_t>(~m);
   }
 
   [[nodiscard]] bool in(NodeId v) const {
@@ -119,7 +135,7 @@ struct Planner {
     for (NodeId s : seeds) {
       if (!has_output(s)) decide(s, FdaRole::kDecline, base_round);
       if (plan.role[static_cast<std::size_t>(s)] == FdaRole::kDecline) {
-        fifo.emplace_back(s, base_round);
+        fifo.emplace_back(s, static_cast<std::int32_t>(base_round));
       }
     }
     for (std::size_t head = 0; head < fifo.size(); ++head) {
@@ -128,7 +144,7 @@ struct Planner {
       for_each_kid(u, [&](NodeId w) {
         if (has_output(w)) return;
         decide(w, FdaRole::kDecline, r + 1);
-        fifo.emplace_back(w, r + 1);
+        fifo.emplace_back(w, static_cast<std::int32_t>(r + 1));
       });
     }
   }
@@ -138,8 +154,9 @@ struct Planner {
     if (has_output(root)) {
       throw std::logic_error("fda: input-A node already has an output");
     }
+    const auto comp = static_cast<std::int32_t>(plan.components.size());
     plan.role[static_cast<std::size_t>(root)] = FdaRole::kCopyRoot;
-    plan.comp_root[static_cast<std::size_t>(root)] = root;
+    plan.comp[static_cast<std::size_t>(root)] = comp;
     plan.comp_depth[static_cast<std::size_t>(root)] = 0;
     // The member list, in BFS order, is its own BFS queue.
     std::vector<NodeId> members{root};
@@ -148,9 +165,13 @@ struct Planner {
       for_each_kid(u, [&](NodeId w) {
         if (has_output(w)) return;
         plan.role[static_cast<std::size_t>(w)] = FdaRole::kCopyMember;
-        plan.comp_root[static_cast<std::size_t>(w)] = root;
+        plan.comp[static_cast<std::size_t>(w)] = comp;
+        const int depth = plan.comp_depth[static_cast<std::size_t>(u)] + 1;
+        if (depth > std::numeric_limits<std::int16_t>::max()) {
+          throw std::length_error("fda: component depth does not fit int16");
+        }
         plan.comp_depth[static_cast<std::size_t>(w)] =
-            plan.comp_depth[static_cast<std::size_t>(u)] + 1;
+            static_cast<std::int16_t>(depth);
         const auto nb = tree.neighbors(w);
         for (std::size_t p = 0; p < nb.size(); ++p) {
           if (nb[p] != u) continue;
@@ -170,8 +191,6 @@ struct Planner {
     // rho_dec: assignment + collect the component topology (2 * depth).
     plan.ready_round[static_cast<std::size_t>(root)] =
         static_cast<std::int32_t>(base_round + 2 * max_depth + 1);
-    plan.comp_of_root[static_cast<std::size_t>(root)] =
-        static_cast<int>(plan.components.size());
     plan.components.push_back(std::move(members));
   }
 
@@ -194,11 +213,13 @@ struct Planner {
       adopt(v, pending_child[static_cast<std::size_t>(v)]);
       pending_child[static_cast<std::size_t>(v)] = graph::kInvalidNode;
     }
-    char flag = is_a[static_cast<std::size_t>(v)] ? 1 : 0;
-    for_each_kid(v, [&](NodeId w) {
-      if (has_a_below[static_cast<std::size_t>(w)]) flag = 1;
-    });
-    has_a_below[static_cast<std::size_t>(v)] = flag;
+    bool flag = is_a[static_cast<std::size_t>(v)] != 0;
+    for_each_kid(v, [&](NodeId w) { flag = flag || is(w, kHasABelow); });
+    if (flag) {
+      set(v, kHasABelow);
+    } else {
+      clear(v, kHasABelow);
+    }
   }
 
   /// Rule 2: bordered nodes propagate their Decline once assigned.
@@ -215,12 +236,11 @@ struct Planner {
   /// (Delta-1) while preserving every Copy node's Decline budget.
   void try_early_decline(NodeId v, NodeId parent, std::int64_t round) {
     if (has_output(v) || is_a[static_cast<std::size_t>(v)] ||
-        has_a_below[static_cast<std::size_t>(v)]) {
+        is(v, kHasABelow)) {
       return;
     }
-    if (parent == graph::kInvalidNode ||
-        !alive[static_cast<std::size_t>(parent)] ||
-        assigned[static_cast<std::size_t>(parent)]) {
+    if (parent == graph::kInvalidNode || !is(parent, kAlive) ||
+        is(parent, kAssigned)) {
       return;
     }
     if (early_declines[static_cast<std::size_t>(parent)] >= d - 2) return;
@@ -235,10 +255,12 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
                                       const std::vector<char>& participates,
                                       const std::vector<char>& is_a,
                                       int d, bool early_resolution) {
-  if (d < 3) throw std::invalid_argument("fda: d >= 3 (Theorem 5)");
+  if (d < 3 || d > 257) {
+    throw std::invalid_argument("fda: 3 <= d <= 257 (Theorem 5)");
+  }
+  using enum Planner::Mark;
   const NodeId n = tree.size();
   Planner pl(tree, participates, is_a, d);
-  pl.plan.comp_of_root.assign(static_cast<std::size_t>(n), -1);
 
   // --- Pre-step: Connect paths between input-A nodes within distance 5.
   constexpr std::int64_t kBound = 5;
@@ -255,14 +277,14 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
   for (NodeId v = 0; v < n; ++v) {
     if (pl.in(v) &&
         pl.plan.role[static_cast<std::size_t>(v)] != FdaRole::kConnect) {
-      pl.alive[static_cast<std::size_t>(v)] = 1;
+      pl.set(v, kAlive);
       alive_list.push_back(v);
     }
   }
   std::vector<NodeId> open = alive_list;
   auto drop_dead = [&] {
     std::erase_if(alive_list, [&](NodeId v) {
-      return !pl.alive[static_cast<std::size_t>(v)];
+      return !pl.is(v, kAlive);
     });
   };
   auto drop_decided = [&] {
@@ -271,18 +293,15 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
   auto alive_degree = [&](NodeId v) {
     int deg = 0;
     for (NodeId u : tree.neighbors(v)) {
-      if (pl.alive[static_cast<std::size_t>(u)]) ++deg;
+      if (pl.is(u, kAlive)) ++deg;
     }
     return deg;
   };
 
-  // Per-iteration scratch, sized once: the marks are cleared through the
-  // lists that set them.
+  // Per-iteration lists; the kInRake, kIsChain and kVisited marks are
+  // cleared through the lists that set them.
   std::vector<NodeId> rake_set;
-  std::vector<char> in_rake(static_cast<std::size_t>(n), 0);
   std::vector<NodeId> chain_nodes;  // alive degree-2 nodes this iteration
-  std::vector<char> is_chain(static_cast<std::size_t>(n), 0);
-  std::vector<char> visited(static_cast<std::size_t>(n), 0);
   std::vector<NodeId> chain;
   std::vector<NodeId> maxima;
   int iter = 0;
@@ -295,7 +314,7 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     for (const NodeId v : alive_list) {
       if (alive_degree(v) <= 1) {
         rake_set.push_back(v);
-        in_rake[static_cast<std::size_t>(v)] = 1;
+        pl.set(v, kInRake);
       }
     }
     for (NodeId v : rake_set) {
@@ -304,21 +323,21 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       NodeId parent = graph::kInvalidNode;
       bool parent_raked_now = false;
       for (NodeId u : tree.neighbors(v)) {
-        if (!pl.alive[static_cast<std::size_t>(u)]) continue;
-        if (!in_rake[static_cast<std::size_t>(u)] ||
+        if (!pl.is(u, kAlive)) continue;
+        if (!pl.is(u, kInRake) ||
             tree.local_id(u) > tree.local_id(v)) {
           parent = u;
-          parent_raked_now = in_rake[static_cast<std::size_t>(u)] != 0;
+          parent_raked_now = pl.is(u, kInRake);
         }
       }
-      pl.assigned[static_cast<std::size_t>(v)] = 1;
+      pl.set(v, kAssigned);
       pl.layer_key[static_cast<std::size_t>(v)] = 2 * iter;
       if (parent != graph::kInvalidNode) pl.adopt(parent, v);
       pl.adopt_and_flag(v);
       // Adapted rule 1, rake case.
       if (is_a[static_cast<std::size_t>(v)] && !pl.has_output(v)) {
         if (parent != graph::kInvalidNode &&
-            !pl.assigned[static_cast<std::size_t>(parent)]) {
+            !pl.is(parent, kAssigned)) {
           pl.make_border(parent, round);
         }
         pl.propagate_copy(v, round);
@@ -328,8 +347,8 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       pl.on_assigned(v, round);
     }
     for (NodeId v : rake_set) {
-      pl.alive[static_cast<std::size_t>(v)] = 0;
-      in_rake[static_cast<std::size_t>(v)] = 0;
+      pl.clear(v, kAlive);
+      pl.clear(v, kInRake);
     }
     drop_dead();
 
@@ -337,16 +356,16 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     chain_nodes.clear();
     for (const NodeId v : alive_list) {
       if (alive_degree(v) == 2) {
-        is_chain[static_cast<std::size_t>(v)] = 1;
+        pl.set(v, kIsChain);
         chain_nodes.push_back(v);
       }
     }
     for (const NodeId v : chain_nodes) {
-      if (visited[static_cast<std::size_t>(v)]) continue;
+      if (pl.is(v, kVisited)) continue;
       int chain_neighbors = 0;
       for (NodeId u : tree.neighbors(v)) {
-        if (pl.alive[static_cast<std::size_t>(u)] &&
-            is_chain[static_cast<std::size_t>(u)]) {
+        if (pl.is(u, kAlive) &&
+            pl.is(u, kIsChain)) {
           ++chain_neighbors;
         }
       }
@@ -356,13 +375,13 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       NodeId prev = graph::kInvalidNode;
       NodeId cur = v;
       while (cur != graph::kInvalidNode) {
-        visited[static_cast<std::size_t>(cur)] = 1;
+        pl.set(cur, kVisited);
         chain.push_back(cur);
         NodeId next = graph::kInvalidNode;
         for (NodeId u : tree.neighbors(cur)) {
-          if (u != prev && pl.alive[static_cast<std::size_t>(u)] &&
-              is_chain[static_cast<std::size_t>(u)] &&
-              !visited[static_cast<std::size_t>(u)]) {
+          if (u != prev && pl.is(u, kAlive) &&
+              pl.is(u, kIsChain) &&
+              !pl.is(u, kVisited)) {
             next = u;
           }
         }
@@ -376,7 +395,7 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       // edges from each end point toward the interior; deeper edges stay
       // unoriented (Observation 46.4).
       for (NodeId c : chain) {
-        pl.assigned[static_cast<std::size_t>(c)] = 1;
+        pl.set(c, kAssigned);
         pl.layer_key[static_cast<std::size_t>(c)] = 2 * iter + 1;
       }
       const std::int64_t inward =
@@ -398,8 +417,8 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       for (int side = 0; side < 2; ++side) {
         const NodeId end = side == 0 ? chain.front() : chain.back();
         for (NodeId h : tree.neighbors(end)) {
-          if (pl.alive[static_cast<std::size_t>(h)] &&
-              !is_chain[static_cast<std::size_t>(h)]) {
+          if (pl.is(h, kAlive) &&
+              !pl.is(h, kIsChain)) {
             pl.pending_child[static_cast<std::size_t>(h)] = end;
           }
         }
@@ -412,11 +431,11 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
         // Border the <= 2 same-chain / still-alive neighbors.
         for (NodeId u : tree.neighbors(c)) {
           const bool same_chain =
-              is_chain[static_cast<std::size_t>(u)] &&
+              pl.is(u, kIsChain) &&
               pl.layer_key[static_cast<std::size_t>(u)] == 2 * iter + 1;
           const bool unassigned =
-              pl.alive[static_cast<std::size_t>(u)] &&
-              !pl.assigned[static_cast<std::size_t>(u)];
+              pl.is(u, kAlive) &&
+              !pl.is(u, kAssigned);
           if (same_chain || unassigned) pl.make_border(u, round);
         }
         pl.propagate_copy(c, round);
@@ -428,18 +447,18 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
       // Rule 2 for freshly assigned bordered chain nodes.
       for (NodeId c : chain) pl.on_assigned(c, round);
 
-      for (NodeId c : chain) pl.alive[static_cast<std::size_t>(c)] = 0;
+      for (NodeId c : chain) pl.clear(c, kAlive);
     }
     for (NodeId v : chain_nodes) {
-      is_chain[static_cast<std::size_t>(v)] = 0;
-      visited[static_cast<std::size_t>(v)] = 0;
+      pl.clear(v, kIsChain);
+      pl.clear(v, kVisited);
     }
     drop_dead();
 
     // ---- Rule 3: local maxima among assigned, output-free nodes.
     maxima.clear();
     for (const NodeId v : open) {
-      if (!pl.assigned[static_cast<std::size_t>(v)] || pl.has_output(v)) {
+      if (!pl.is(v, kAssigned) || pl.has_output(v)) {
         continue;
       }
       bool is_max = true;
@@ -448,7 +467,7 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
         if (pl.plan.role[static_cast<std::size_t>(u)] == FdaRole::kConnect) {
           continue;
         }
-        if (!pl.assigned[static_cast<std::size_t>(u)] ||
+        if (!pl.is(u, kAssigned) ||
             pl.layer_key[static_cast<std::size_t>(u)] >=
                 pl.layer_key[static_cast<std::size_t>(v)]) {
           is_max = false;
@@ -503,41 +522,50 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
   return std::move(pl.plan);
 }
 
-std::vector<char> prune_component(const Tree& tree,
-                                  const FastDecompPlan& plan, int comp,
-                                  int d,
-                                  const std::vector<char>& is_declined,
-                                  std::vector<std::int32_t>& member_idx) {
+std::size_t FastDecompPlan::state_bytes() const {
+  std::size_t bytes = role.capacity() * sizeof(FdaRole) +
+                      ready_round.capacity() * sizeof(std::int32_t) +
+                      comp.capacity() * sizeof(std::int32_t) +
+                      comp_depth.capacity() * sizeof(std::int16_t) +
+                      flood_parent_port.capacity() * sizeof(std::int16_t) +
+                      components.capacity() * sizeof(components[0]);
+  for (const std::vector<NodeId>& members : components) {
+    bytes += members.capacity() * sizeof(NodeId);
+  }
+  return bytes;
+}
+
+std::vector<char> prune_component(
+    const Tree& tree, const FastDecompPlan& plan, int comp, int d,
+    const std::function<bool(NodeId)>& is_declined) {
   const auto& members = plan.components[static_cast<std::size_t>(comp)];
   const std::size_t m = members.size();
-  for (std::size_t i = 0; i < m; ++i) {
-    member_idx[static_cast<std::size_t>(members[i])] =
-        static_cast<std::int32_t>(i);
-  }
-  // Parent within the component (the flood_parent_port target) and the
-  // Decline budget: d minus the neighbors that already decline (outside
-  // the component or previously pruned).
+  auto in_comp = [&](NodeId u) {
+    return plan.comp[static_cast<std::size_t>(u)] == comp;
+  };
+  // Parent within the component and the Decline budget: d minus the
+  // neighbors that already decline (outside the component or previously
+  // pruned). Members are in BFS order, so the children of member i are
+  // the next block of members: its in-component neighbors one level
+  // deeper (in a tree, an adjacent member one level deeper is a child).
   std::vector<std::size_t> parent(m, 0);
   std::vector<int> budget(m, 0);
+  std::size_t next_child = 1;
   for (std::size_t i = 0; i < m; ++i) {
-    const auto nb = tree.neighbors(members[i]);
-    if (i > 0) {
-      const int pp =
-          plan.flood_parent_port[static_cast<std::size_t>(members[i])];
-      const NodeId p = nb[static_cast<std::size_t>(pp)];
-      const std::int32_t pi = member_idx[static_cast<std::size_t>(p)];
-      parent[i] = static_cast<std::size_t>(pi);
-    }
+    const int depth = plan.comp_depth[static_cast<std::size_t>(members[i])];
     int declined_neighbors = 0;
-    for (NodeId u : nb) {
-      if (member_idx[static_cast<std::size_t>(u)] < 0 &&
-          is_declined[static_cast<std::size_t>(u)]) {
-        ++declined_neighbors;
+    for (NodeId u : tree.neighbors(members[i])) {
+      if (!in_comp(u)) {
+        if (is_declined(u)) ++declined_neighbors;
+      } else if (plan.comp_depth[static_cast<std::size_t>(u)] == depth + 1) {
+        if (next_child == m) {
+          throw std::logic_error("fda: component is not in BFS order");
+        }
+        parent[next_child++] = i;
       }
     }
     budget[i] = std::max(0, d - declined_neighbors);
   }
-  for (NodeId v : members) member_idx[static_cast<std::size_t>(v)] = -1;
   // The input-A root always stays Copy; pruned subtrees become Decline.
   return heavy_child_decline(parent, budget);
 }

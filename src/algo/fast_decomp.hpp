@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/tree.hpp"
@@ -48,27 +49,34 @@ enum class FdaRole : std::uint8_t {
 };
 
 /// Plan produced by the adapted fast decomposition. The per-node fields
-/// are the Pi^{3.5} program's largest state (19 B per node, plus
+/// are the Pi^{3.5} program's largest state (13 B per node, plus
 /// the member lists), so each uses the narrowest type its values fit.
 struct FastDecompPlan {
   std::vector<FdaRole> role;
   /// kConnect/kDecline: termination round. kCopyRoot: the decision round
   /// rho_dec at which Case 1 (flood everything) vs Case 2 (prune first)
-  /// is resolved. kCopyMember: unused (0). Rounds are 3 per iteration
+  /// is resolved. kCopyMember: 0 (Pi35Program stores a pruned member's
+  /// Decline round there at run time). Rounds are 3 per iteration
   /// and iterations are O(log n), so int32 holds them (engine deadlines
   /// are clamped to 2^31 - 1 anyway).
   std::vector<std::int32_t> ready_round;
-  std::vector<NodeId> comp_root;   ///< C(v) root per member (or invalid)
-  std::vector<int> comp_depth;     ///< depth within C(v) (-1 if none)
+  /// Index into `components` per member, root included (-1 if none);
+  /// the root of member v is components[comp[v]][0].
+  std::vector<std::int32_t> comp;
+  /// Depth within C(v) (-1 if none). Components grow O(1) deeper per
+  /// iteration, so int16 holds it (the planner checks).
+  std::vector<std::int16_t> comp_depth;
   /// Port toward the depth-1 neighbor (-1 if none). int16 rather than
   /// int8: family instances have unbounded degree.
   std::vector<std::int16_t> flood_parent_port;
   std::vector<std::vector<NodeId>> components;  ///< members per component,
                                                 ///< BFS order from root
-  std::vector<int> comp_of_root;   ///< root node -> component index
   int iterations = 0;
   /// |{nodes without output after iteration i}| — Corollary 47's decay.
   std::vector<std::int64_t> unfinished_after_iteration;
+
+  /// Bytes reserved by the per-node and per-component containers.
+  [[nodiscard]] std::size_t state_bytes() const;
 };
 
 /// Runs the planner on the subgraph induced by `participates`, with
@@ -84,12 +92,12 @@ struct FastDecompPlan {
 /// Lemma 52: prunes C(root) to C'(root). Every kept Copy node may turn at
 /// most (d - #already-Declining-neighbors) of its heaviest child subtrees
 /// into Decline; returns keep[i] for components[comp].
-/// `is_declined(u)` must report whether u's final output is Decline.
-/// `member_idx` is the caller's node-indexed scratch: all -1 on entry,
-/// and reset to all -1 (through the members only) before returning.
+/// `is_declined(u)` must report whether u's final output is Decline; it
+/// is asked only about neighbors outside the component. Needs no
+/// node-indexed scratch: the BFS member order gives each member's
+/// parent, and `plan.comp` tells members from outsiders.
 [[nodiscard]] std::vector<char> prune_component(
     const Tree& tree, const FastDecompPlan& plan, int comp, int d,
-    const std::vector<char>& is_declined,
-    std::vector<std::int32_t>& member_idx);
+    const std::function<bool(NodeId)>& is_declined);
 
 }  // namespace lcl::algo

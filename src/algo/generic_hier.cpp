@@ -29,18 +29,37 @@ constexpr std::size_t kWaveRegSize = 4;
 
 GenericHierProgram::GenericHierProgram(const Tree& tree,
                                        GenericOptions options,
-                                       std::vector<int> levels)
-    : tree_(tree), opt_(std::move(options)), levels_(std::move(levels)) {
-  if (opt_.k < 1) throw std::invalid_argument("generic: k >= 1");
+                                       const std::vector<int>& levels)
+    : tree_(tree), opt_(std::move(options)) {
+  if (opt_.k < 1 || opt_.k >= std::numeric_limits<std::uint8_t>::max()) {
+    throw std::invalid_argument("generic: 1 <= k < 255");
+  }
   if (static_cast<int>(opt_.gammas.size()) != opt_.k - 1) {
     throw std::invalid_argument("generic: need k-1 gammas");
   }
   for (std::int64_t g : opt_.gammas) {
     if (g < 2) throw std::invalid_argument("generic: gamma_i >= 2");
   }
-  if (static_cast<NodeId>(levels_.size()) != tree_.size()) {
+  if (static_cast<NodeId>(levels.size()) != tree_.size()) {
     throw std::invalid_argument("generic: levels size mismatch");
   }
+  // Narrow the levels, then give each wave node (active, level 1..k) a
+  // slot: every other node only ever has its level read.
+  const auto n = static_cast<std::size_t>(tree_.size());
+  levels_.resize(n);
+  slot_.assign(n, -1);
+  std::int32_t waves = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (levels[v] < 0 || levels[v] > opt_.k + 1) {
+      throw std::invalid_argument("generic: level out of range");
+    }
+    levels_[v] = static_cast<std::uint8_t>(levels[v]);
+    if (levels[v] >= 1 && levels[v] <= opt_.k &&
+        is_active(static_cast<NodeId>(v))) {
+      slot_[v] = waves++;
+    }
+  }
+  wave_.assign(static_cast<std::size_t>(waves), WaveState{});
 
   // Phase schedule: phase i occupies [phase_start(i), phase_start(i+1)).
   phase_start_.assign(static_cast<std::size_t>(opt_.k) + 1, 0);
@@ -65,9 +84,12 @@ GenericHierProgram::GenericHierProgram(const Tree& tree,
   cv_end_round_ = phase_start_[static_cast<std::size_t>(opt_.k)] +
                   static_cast<std::int64_t>(cv_schedule_.size()) +
                   cv_pad_ + 24;
+}
 
-  wave_.assign(static_cast<std::size_t>(tree_.size()), WaveState{});
-  color_.assign(static_cast<std::size_t>(tree_.size()), 0);
+std::size_t GenericHierProgram::state_bytes() const {
+  return levels_.capacity() * sizeof(std::uint8_t) +
+         slot_.capacity() * sizeof(std::int32_t) +
+         wave_.capacity() * sizeof(WaveState);
 }
 
 void GenericHierProgram::on_init(local::NodeCtx& ctx) {
@@ -162,7 +184,7 @@ void GenericHierProgram::freeze_path_ports(local::NodeCtx& ctx,
 
 void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
   const NodeId v = ctx.node();
-  WaveState& w = wave_[static_cast<std::size_t>(v)];
+  WaveState& w = wave(v);
   const std::int64_t t =
       ctx.round() - phase_start_[static_cast<std::size_t>(phase)] + 1;
   const bool last_phase = (phase == opt_.k);
@@ -236,8 +258,7 @@ void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
 }
 
 void GenericHierProgram::cv_round(local::NodeCtx& ctx) {
-  const NodeId v = ctx.node();
-  WaveState& w = wave_[static_cast<std::size_t>(v)];
+  WaveState& w = wave(ctx.node());
   const std::int64_t t =
       ctx.round() - phase_start_[static_cast<std::size_t>(opt_.k)] + 1;
   const std::int64_t sched = static_cast<std::int64_t>(cv_schedule_.size());
@@ -245,11 +266,13 @@ void GenericHierProgram::cv_round(local::NodeCtx& ctx) {
   if (t == 1) {
     // Freeze alive same-level ports; adopt the LOCAL id as initial color.
     freeze_path_ports(ctx, w);
-    color_[static_cast<std::size_t>(v)] = ctx.local_id();
-    ctx.publish({color_[static_cast<std::size_t>(v)]});
+    ctx.publish({ctx.local_id()});
     return;
   }
 
+  // The working color is the node's own register: every step publishes
+  // it, and the next step reads it a round later, once it is committed.
+  const std::int64_t color = ctx.own()[0];
   auto neighbor_color = [&](int s) -> std::int64_t {
     if (w.port[s] < 0) return -1;
     const local::RegView reg = ctx.peek(w.port[s]);
@@ -258,10 +281,8 @@ void GenericHierProgram::cv_round(local::NodeCtx& ctx) {
 
   if (t >= 2 && t <= 1 + sched) {
     const std::int64_t q = cv_schedule_[static_cast<std::size_t>(t - 2)];
-    color_[static_cast<std::size_t>(v)] =
-        cv_reduce(q, color_[static_cast<std::size_t>(v)], neighbor_color(0),
-                  neighbor_color(1));
-    ctx.publish({color_[static_cast<std::size_t>(v)]});
+    ctx.publish(
+        {cv_reduce(q, color, neighbor_color(0), neighbor_color(1))});
     return;
   }
 
@@ -275,7 +296,7 @@ void GenericHierProgram::cv_round(local::NodeCtx& ctx) {
   if (t >= elim_start && t < elim_start + 22) {
     // One color class per round, from 24 down to 3.
     const std::int64_t cls = 24 - (t - elim_start);
-    if (color_[static_cast<std::size_t>(v)] == cls) {
+    if (color == cls) {
       bool used[3] = {false, false, false};
       for (int s = 0; s < 2; ++s) {
         const std::int64_t c = neighbor_color(s);
@@ -283,22 +304,20 @@ void GenericHierProgram::cv_round(local::NodeCtx& ctx) {
       }
       for (std::int64_t c = 0; c < 3; ++c) {
         if (!used[static_cast<std::size_t>(c)]) {
-          color_[static_cast<std::size_t>(v)] = c;
+          ctx.publish({c});
           break;
         }
       }
-      ctx.publish({color_[static_cast<std::size_t>(v)]});
     }
     return;
   }
 
   if (ctx.round() >= cv_end_round_) {
     static constexpr Color kMap[3] = {Color::kR, Color::kG, Color::kY};
-    const std::int64_t c = color_[static_cast<std::size_t>(v)];
-    if (c < 0 || c > 2) {
+    if (color < 0 || color > 2) {
       throw std::logic_error("generic: CV did not reach 3 colors");
     }
-    ctx.terminate(static_cast<int>(kMap[static_cast<std::size_t>(c)]));
+    ctx.terminate(static_cast<int>(kMap[static_cast<std::size_t>(color)]));
   }
 }
 

@@ -61,9 +61,10 @@ struct GenericOptions {
 class GenericHierProgram final : public local::Program {
  public:
   /// `levels` are Definition-8 levels of the *active subgraph* (0 for
-  /// weight nodes), e.g. from problems::compute_levels[_masked].
+  /// weight nodes), e.g. from problems::compute_levels[_masked]. They
+  /// are copied into the program's narrower arrays.
   GenericHierProgram(const Tree& tree, GenericOptions options,
-                     std::vector<int> levels);
+                     const std::vector<int>& levels);
 
   void on_init(local::NodeCtx& ctx) override;
   void on_round(local::NodeCtx& ctx) override;
@@ -76,6 +77,8 @@ class GenericHierProgram final : public local::Program {
   /// The fixed round at which every surviving level-k node terminates in
   /// the 3.5 variant (wave phases terminate data-dependently instead).
   [[nodiscard]] std::int64_t cv_end_round() const { return cv_end_round_; }
+  /// Bytes reserved by the per-node and per-wave-node arrays.
+  [[nodiscard]] std::size_t state_bytes() const;
 
  private:
   struct WaveState {
@@ -88,7 +91,7 @@ class GenericHierProgram final : public local::Program {
     std::int16_t port[2] = {-1, -1};
     std::int8_t ports_alive = -1;  ///< -1 until computed at phase start
   };
-  // One per node, so it is part of the job's bytes per node.
+  // One per wave node, so it is part of the job's bytes per node.
   static_assert(sizeof(WaveState) <= 32);
 
   [[nodiscard]] bool is_active(NodeId v) const {
@@ -97,6 +100,10 @@ class GenericHierProgram final : public local::Program {
   }
   [[nodiscard]] int level(NodeId v) const {
     return levels_[static_cast<std::size_t>(v)];
+  }
+  [[nodiscard]] WaveState& wave(NodeId v) {
+    const std::int32_t s = slot_[static_cast<std::size_t>(v)];
+    return wave_[static_cast<std::size_t>(s)];
   }
 
   /// Applies the continuous Exempt rule; returns true if terminated.
@@ -111,14 +118,19 @@ class GenericHierProgram final : public local::Program {
 
   const Tree& tree_;
   GenericOptions opt_;
-  std::vector<int> levels_;
+  /// Per node; levels are at most k + 1, and k is at most 254.
+  std::vector<std::uint8_t> levels_;
   std::vector<std::int64_t> phase_start_;  ///< index 1..k
   std::int64_t cv_end_round_ = 0;
   std::int64_t cv_pad_ = 0;  ///< idle rounds realizing the Lambda target
   std::vector<std::int64_t> cv_schedule_;
 
+  /// Wave nodes: the active nodes of level 1..k, the only ones that run
+  /// a wave or Cole-Vishkin. `slot_` maps each to its `wave_` entry (-1
+  /// for every other node); the CV working color is the node's own
+  /// register, so it needs no array.
+  std::vector<std::int32_t> slot_;
   std::vector<WaveState> wave_;
-  std::vector<std::int64_t> color_;  ///< CV working color
 };
 
 /// Convenience: run the generic algorithm on `tree` and return the stats.

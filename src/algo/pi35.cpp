@@ -28,16 +28,12 @@ Pi35Program::Pi35Program(const graph::Tree& tree, Pi35Options options)
                               opt_.symmetry_pad},
                problems::active_levels(tree, opt_.k)),
       plan_(make_plan(tree, opt_.d)) {
-  const std::size_t n = static_cast<std::size_t>(tree.size());
-  declined_.assign(n, 0);
-  member_idx_.assign(n, -1);
-  prune_round_.assign(n, -1);
-  case_of_root_.assign(plan_.components.size(), 0);
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    if (plan_.role[static_cast<std::size_t>(v)] == FdaRole::kDecline) {
-      declined_[static_cast<std::size_t>(v)] = 1;
-    }
-  }
+  case_of_comp_.assign(plan_.components.size(), 0);
+}
+
+std::size_t Pi35Program::state_bytes() const {
+  return generic_.state_bytes() + plan_.state_bytes() +
+         case_of_comp_.capacity();
 }
 
 void Pi35Program::on_init(local::NodeCtx& ctx) {
@@ -45,7 +41,7 @@ void Pi35Program::on_init(local::NodeCtx& ctx) {
 }
 
 void Pi35Program::resolve_component(local::NodeCtx& ctx, NodeId root) {
-  const int comp = plan_.comp_of_root[static_cast<std::size_t>(root)];
+  const std::int32_t comp = plan_.comp[static_cast<std::size_t>(root)];
   // Case 1 iff some active neighbor has already terminated.
   bool active_done = false;
   const auto nb = tree_.neighbors(root);
@@ -56,20 +52,19 @@ void Pi35Program::resolve_component(local::NodeCtx& ctx, NodeId root) {
     }
   }
   if (active_done) {
-    case_of_root_[static_cast<std::size_t>(comp)] = 1;
+    case_of_comp_[static_cast<std::size_t>(comp)] = 1;
     return;
   }
   // Case 2: prune to C'(v); pruned members decline, one hop per round.
-  case_of_root_[static_cast<std::size_t>(comp)] = 2;
-  const std::vector<char> keep =
-      prune_component(tree_, plan_, comp, opt_.d, declined_, member_idx_);
+  case_of_comp_[static_cast<std::size_t>(comp)] = 2;
+  const std::vector<char> keep = prune_component(
+      tree_, plan_, comp, opt_.d, [this](NodeId u) { return declined(u); });
   const auto& members =
       plan_.components[static_cast<std::size_t>(comp)];
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (keep[i]) continue;
     const NodeId m = members[i];
-    declined_[static_cast<std::size_t>(m)] = 1;
-    prune_round_[static_cast<std::size_t>(m)] = static_cast<std::int32_t>(
+    plan_.ready_round[static_cast<std::size_t>(m)] = static_cast<std::int32_t>(
         ctx.round() + plan_.comp_depth[static_cast<std::size_t>(m)]);
   }
 }
@@ -110,8 +105,8 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
         ctx.sleep_until(decide);
         return;
       }
-      const int comp = plan_.comp_of_root[static_cast<std::size_t>(v)];
-      if (case_of_root_[static_cast<std::size_t>(comp)] == 0) {
+      const std::int32_t comp = plan_.comp[static_cast<std::size_t>(v)];
+      if (case_of_comp_[static_cast<std::size_t>(comp)] == 0) {
         resolve_component(ctx, v);
       }
       // Flood: adopt the first terminated active neighbor's label.
@@ -134,8 +129,8 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
 
     case FdaRole::kCopyMember: {
       // Pruned members decline at their scheduled round.
-      const std::int64_t pr = prune_round_[static_cast<std::size_t>(v)];
-      if (pr >= 0) {
+      const std::int64_t pr = plan_.ready_round[static_cast<std::size_t>(v)];
+      if (pr > 0) {
         if (r >= pr) {
           ctx.terminate(static_cast<int>(WeightOut::kDecline));
         } else {
@@ -156,9 +151,10 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
       // The root resolves at exactly its decision round, so a pruning
       // Decline fires no earlier than comp_depth rounds later; after
       // that only the parent's flood can arrive.
+      const NodeId root = plan_.components[static_cast<std::size_t>(
+          plan_.comp[static_cast<std::size_t>(v)])][0];
       const std::int64_t earliest_prune =
-          plan_.ready_round[static_cast<std::size_t>(
-              plan_.comp_root[static_cast<std::size_t>(v)])] +
+          plan_.ready_round[static_cast<std::size_t>(root)] +
           plan_.comp_depth[static_cast<std::size_t>(v)];
       ctx.sleep_until(r < earliest_prune ? earliest_prune
                                          : local::NodeCtx::kNever);

@@ -44,28 +44,32 @@ class Pi35Program final : public local::Program {
   /// Number of weight nodes whose final primary output is Copy — the
   /// quantity bounded by Lemma 52 (|C'(v)| <= 2 |C(v)|^{x'}).
   [[nodiscard]] std::int64_t copies_kept() const { return copies_kept_; }
+  /// Bytes reserved by the per-node and per-component containers: the
+  /// embedded generic program's, the plan's and this program's own.
+  [[nodiscard]] std::size_t state_bytes() const;
 
  private:
   [[nodiscard]] bool is_active(graph::NodeId v) const {
     return tree_.input(v) ==
            static_cast<int>(graph::WeightInput::kActive);
   }
+  /// Final Decline verdict so far: a plan Decline, or a member pruned by
+  /// an earlier component's resolution. Later prunings count it.
+  [[nodiscard]] bool declined(graph::NodeId v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return plan_.role[i] == FdaRole::kDecline ||
+           (plan_.role[i] == FdaRole::kCopyMember && plan_.ready_round[i] > 0);
+  }
   void resolve_component(local::NodeCtx& ctx, graph::NodeId root);
 
   const graph::Tree& tree_;
   Pi35Options opt_;
   GenericHierProgram generic_;
+  /// A pruned member's Decline round goes into its `ready_round`, which
+  /// the planner leaves 0 for members (a pruning round is always > 0).
   FastDecompPlan plan_;
-  /// Final Decline verdicts (plan declines + runtime pruning), used by
-  /// the adaptive pruning of later components.
-  std::vector<char> declined_;
-  /// `prune_component`'s node -> member scratch (all -1 between calls).
-  std::vector<std::int32_t> member_idx_;
-  /// Per member node: round at which a pruning Decline fires (-1 none).
-  /// int32 like the plan's rounds (engine deadlines are 32-bit).
-  std::vector<std::int32_t> prune_round_;
-  /// Per root: 0 undecided, 1 flood-all, 2 pruned.
-  std::vector<char> case_of_root_;
+  /// Per component: 0 undecided, 1 flood-all, 2 pruned.
+  std::vector<char> case_of_comp_;
   std::int64_t copies_kept_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <unordered_set>
 
 namespace lcl::graph {
@@ -52,49 +53,54 @@ Tree TreeBuilder::build(int max_degree, bool forest_flag, bool verify) {
   // Fill the flat neighbor array in edge-insertion order, so each node's
   // port numbering is the order in which its edges were added — the same
   // stable order the historical vector-of-vectors adjacency produced.
+  // offsets_[v] is v's fill cursor, which ends at v's end, the start of
+  // v + 1; shifting the array right by one restores the starts.
   t.neighbors_.resize(2 * m);
-  fill_.assign(t.offsets_.begin(), t.offsets_.end() - 1);
   for (std::size_t e = 0; e < m; ++e) {
     const NodeId u = edge_u_[e];
     const NodeId v = edge_v_[e];
     t.neighbors_[static_cast<std::size_t>(
-        fill_[static_cast<std::size_t>(u)]++)] = v;
+        t.offsets_[static_cast<std::size_t>(u)]++)] = v;
     t.neighbors_[static_cast<std::size_t>(
-        fill_[static_cast<std::size_t>(v)]++)] = u;
+        t.offsets_[static_cast<std::size_t>(v)]++)] = u;
   }
+  std::copy_backward(t.offsets_.begin(), t.offsets_.end() - 1,
+                     t.offsets_.end());
+  t.offsets_[0] = 0;
 
   // Duplicate-edge detection with a stamp array: while scanning v's
-  // neighbor list, stamp_[u] == v marks "u already seen from v".
+  // neighbor list, scratch_[u] == v marks "u already seen from v".
   if (verify) {
-    stamp_.assign(n, kInvalidNode);
+    scratch_.assign(n, kInvalidNode);
     for (std::size_t v = 0; v < n; ++v) {
       for (std::int32_t i = t.offsets_[v]; i < t.offsets_[v + 1]; ++i) {
         const NodeId u = t.neighbors_[static_cast<std::size_t>(i)];
-        if (stamp_[static_cast<std::size_t>(u)] ==
+        if (scratch_[static_cast<std::size_t>(u)] ==
             static_cast<NodeId>(v)) {
           throw std::logic_error("TreeBuilder: duplicate edge " +
                                  std::to_string(v) + "-" +
                                  std::to_string(u));
         }
-        stamp_[static_cast<std::size_t>(u)] = static_cast<NodeId>(v);
+        scratch_[static_cast<std::size_t>(u)] = static_cast<NodeId>(v);
       }
     }
   }
 
-  // Acyclicity via union-find: an edge inside one component is a cycle.
+  // Acyclicity via union-find (in the same scratch, now free): an edge
+  // inside one component is a cycle.
   if (verify && forest_flag) {
-    dsu_.resize(n);
-    for (std::size_t v = 0; v < n; ++v) dsu_[v] = static_cast<NodeId>(v);
+    scratch_.resize(n);
+    std::iota(scratch_.begin(), scratch_.end(), NodeId{0});
     for (std::size_t e = 0; e < m; ++e) {
-      const NodeId ru = dsu_find(dsu_, edge_u_[e]);
-      const NodeId rv = dsu_find(dsu_, edge_v_[e]);
+      const NodeId ru = dsu_find(scratch_, edge_u_[e]);
+      const NodeId rv = dsu_find(scratch_, edge_v_[e]);
       if (ru == rv) {
         throw std::logic_error(
             "TreeBuilder: cycle through edge " +
             std::to_string(edge_u_[e]) + "-" + std::to_string(edge_v_[e]) +
             " (use finalize_graph for non-forest instances)");
       }
-      dsu_[static_cast<std::size_t>(ru)] = rv;
+      scratch_[static_cast<std::size_t>(ru)] = rv;
     }
   }
 

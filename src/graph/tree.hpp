@@ -262,10 +262,9 @@ class TreeBuilder {
   std::vector<NodeId> edge_v_;
   std::vector<LocalId> ids_;
   std::vector<int> inputs_;
-  // finalize() scratch, reused across builds.
-  std::vector<std::int32_t> fill_;
-  std::vector<NodeId> dsu_;
-  std::vector<NodeId> stamp_;
+  // finalize() scratch, reused across builds: the duplicate-edge stamps,
+  // then the union-find parents.
+  std::vector<NodeId> scratch_;
 };
 
 /// The calling thread's reusable build arena. All `make_*` instance

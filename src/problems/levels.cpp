@@ -1,7 +1,5 @@
 #include "problems/levels.hpp"
 
-#include <deque>
-
 #include "graph/builders.hpp"
 
 namespace lcl::problems {
@@ -15,22 +13,19 @@ bool is_active(const Tree& tree, NodeId v) {
   return tree.input(v) == static_cast<int>(graph::WeightInput::kActive);
 }
 
-std::vector<int> peel(const Tree& tree, int k,
-                      const std::vector<char>* mask) {
+/// Peels the subgraph induced by `in_graph(v)`. A node is removed once
+/// it has a level (levels start at 1), so no separate removed mask.
+template <typename InGraph>
+std::vector<int> peel(const Tree& tree, int k, InGraph in_graph) {
   const NodeId n = tree.size();
   std::vector<int> level(static_cast<std::size_t>(n), 0);
   std::vector<int> remaining_degree(static_cast<std::size_t>(n), 0);
-  std::vector<char> removed(static_cast<std::size_t>(n), 0);
-
-  auto in_graph = [&](NodeId v) {
-    return mask == nullptr || (*mask)[static_cast<std::size_t>(v)] != 0;
+  auto alive = [&](NodeId v) {
+    return level[static_cast<std::size_t>(v)] == 0 && in_graph(v);
   };
 
   for (NodeId v = 0; v < n; ++v) {
-    if (!in_graph(v)) {
-      removed[static_cast<std::size_t>(v)] = 1;
-      continue;
-    }
+    if (!in_graph(v)) continue;
     int d = 0;
     for (NodeId u : tree.neighbors(v)) {
       if (in_graph(u)) ++d;
@@ -38,33 +33,26 @@ std::vector<int> peel(const Tree& tree, int k,
     remaining_degree[static_cast<std::size_t>(v)] = d;
   }
 
+  std::vector<NodeId> peeled;
   for (int round = 1; round <= k; ++round) {
     // Collect this round's peel set first (simultaneous removal).
-    std::vector<NodeId> peeled;
+    peeled.clear();
     for (NodeId v = 0; v < n; ++v) {
-      if (!removed[static_cast<std::size_t>(v)] &&
-          remaining_degree[static_cast<std::size_t>(v)] <= 2) {
+      if (alive(v) && remaining_degree[static_cast<std::size_t>(v)] <= 2) {
         peeled.push_back(v);
       }
     }
-    for (NodeId v : peeled) {
-      level[static_cast<std::size_t>(v)] = round;
-      removed[static_cast<std::size_t>(v)] = 1;
-    }
+    for (NodeId v : peeled) level[static_cast<std::size_t>(v)] = round;
     for (NodeId v : peeled) {
       for (NodeId u : tree.neighbors(v)) {
-        if (!removed[static_cast<std::size_t>(u)] && in_graph(u)) {
-          --remaining_degree[static_cast<std::size_t>(u)];
-        }
+        if (alive(u)) --remaining_degree[static_cast<std::size_t>(u)];
       }
     }
     if (peeled.empty()) break;  // nothing more will ever peel
   }
 
   for (NodeId v = 0; v < n; ++v) {
-    if (!removed[static_cast<std::size_t>(v)]) {
-      level[static_cast<std::size_t>(v)] = k + 1;
-    }
+    if (alive(v)) level[static_cast<std::size_t>(v)] = k + 1;
   }
   return level;
 }
@@ -72,20 +60,18 @@ std::vector<int> peel(const Tree& tree, int k,
 }  // namespace
 
 std::vector<int> compute_levels(const graph::Tree& tree, int k) {
-  return peel(tree, k, nullptr);
+  return peel(tree, k, [](NodeId) { return true; });
 }
 
 std::vector<int> compute_levels_masked(const graph::Tree& tree, int k,
                                        const std::vector<char>& in_subgraph) {
-  return peel(tree, k, &in_subgraph);
+  return peel(tree, k, [&](NodeId v) {
+    return in_subgraph[static_cast<std::size_t>(v)] != 0;
+  });
 }
 
 std::vector<int> active_levels(const Tree& tree, int k) {
-  std::vector<char> mask(static_cast<std::size_t>(tree.size()), 0);
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    mask[static_cast<std::size_t>(v)] = is_active(tree, v) ? 1 : 0;
-  }
-  return compute_levels_masked(tree, k, mask);
+  return peel(tree, k, [&](NodeId v) { return is_active(tree, v); });
 }
 
 WeightSubgraph weight_subgraph(const Tree& tree) {

@@ -195,6 +195,23 @@ TEST(Compare, V2PredecessorToV3IsAccepted) {
   EXPECT_EQ(compare_snapshots(old_path, new_path, CompareOptions{}), 0);
 }
 
+TEST(Compare, PerScenarioPeakRssIsAdditive) {
+  // lclbench records each scenario's peak resident set as an additive
+  // lclbench-v3 field; snapshots with and without it compare clean in
+  // either direction, whatever the figures.
+  const std::string without = snapshot("lclbench-v3", 0.5, "ok");
+  std::string with = without;
+  const std::string wall = "\"wall_ms\": 100, ";
+  const std::size_t at = with.find(wall);
+  ASSERT_NE(at, std::string::npos);
+  with.insert(at + wall.size(), "\"peak_rss_kb\": 250000, ");
+  const std::string old_path = write_temp("rss_old.json", without);
+  const std::string new_path = write_temp("rss_new.json", with);
+  EXPECT_EQ(compare_snapshots(old_path, new_path, CompareOptions{}), 0);
+  EXPECT_EQ(compare_snapshots(new_path, old_path, CompareOptions{}), 0);
+  EXPECT_EQ(compare_snapshots(new_path, new_path, CompareOptions{}), 0);
+}
+
 TEST(Compare, SchemaDowngradeIsARegression) {
   const std::string old_path =
       write_temp("old_v3.json", snapshot("lclbench-v3", 0.5, "ok"));

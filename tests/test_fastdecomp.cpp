@@ -178,9 +178,10 @@ TEST(FastDecomp, PruningBoundLemma52) {
       declined[static_cast<std::size_t>(v)] = 1;
     }
   }
-  std::vector<std::int32_t> member_idx(declined.size(), -1);
   const auto keep =
-      algo::prune_component(inst.tree, plan, 0, d, declined, member_idx);
+      algo::prune_component(inst.tree, plan, 0, d, [&](NodeId u) {
+        return declined[static_cast<std::size_t>(u)] != 0;
+      });
   std::int64_t kept = 0;
   for (char k : keep) kept += (k != 0);
   const double xp = core::efficiency_x_prime(delta, d);
@@ -221,9 +222,10 @@ TEST(FastDecomp, CloseANodesConnect) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: prune_component on the shared heavy-child-decline helper
-// and a caller-owned scratch, against the frozen implementation that
-// allocated an n-sized member map per component.
+// Differential: prune_component on the shared heavy-child-decline helper,
+// with parents taken from the BFS member order and no node-indexed
+// scratch, against the frozen implementation that allocated an n-sized
+// member map per component.
 // ---------------------------------------------------------------------------
 
 /// prune_component before the shared helper, kept verbatim as the oracle.
@@ -300,18 +302,16 @@ TEST(FastDecomp, PruneMatchesFrozenReferenceOnTieHeavyFamilies) {
       const int d = 3 + static_cast<int>(seed % 2);
       const auto plan =
           algo::run_fast_decomposition(t, part, is_a, d, seed <= 4);
-      // One scratch across every component, as Pi35Program holds it.
-      std::vector<std::int32_t> member_idx(n, -1);
       for (std::size_t c = 0; c < plan.components.size(); ++c) {
         std::vector<char> declined(n, 0);
         const auto declined_pct = rng() % 60;
         for (char& x : declined) x = rng() % 100 < declined_pct;
         const int comp = static_cast<int>(c);
         const auto got =
-            algo::prune_component(t, plan, comp, d, declined, member_idx);
+            algo::prune_component(t, plan, comp, d, [&](NodeId u) {
+              return declined[static_cast<std::size_t>(u)] != 0;
+            });
         ASSERT_EQ(got, reference_prune_component(t, plan, comp, d, declined));
-        ASSERT_EQ(std::count(member_idx.begin(), member_idx.end(), -1),
-                  static_cast<std::ptrdiff_t>(n));
         ++components;
       }
     }
@@ -368,7 +368,7 @@ struct Planner {
     early_declines.assign(n, 0);
     plan.role.assign(n, FdaRole::kInactive);
     plan.ready_round.assign(n, 0);
-    plan.comp_root.assign(n, graph::kInvalidNode);
+    plan.comp.assign(n, -1);
     plan.comp_depth.assign(n, -1);
     plan.flood_parent_port.assign(n, -1);
   }
@@ -413,8 +413,9 @@ struct Planner {
     if (has_output(root)) {
       throw std::logic_error("fda: input-A node already has an output");
     }
+    const auto comp = static_cast<std::int32_t>(plan.components.size());
     plan.role[static_cast<std::size_t>(root)] = FdaRole::kCopyRoot;
-    plan.comp_root[static_cast<std::size_t>(root)] = root;
+    plan.comp[static_cast<std::size_t>(root)] = comp;
     plan.comp_depth[static_cast<std::size_t>(root)] = 0;
     std::vector<NodeId> members{root};
     std::deque<NodeId> q{root};
@@ -424,7 +425,7 @@ struct Planner {
       for (NodeId w : kids[static_cast<std::size_t>(u)]) {
         if (has_output(w)) continue;
         plan.role[static_cast<std::size_t>(w)] = FdaRole::kCopyMember;
-        plan.comp_root[static_cast<std::size_t>(w)] = root;
+        plan.comp[static_cast<std::size_t>(w)] = comp;
         plan.comp_depth[static_cast<std::size_t>(w)] =
             plan.comp_depth[static_cast<std::size_t>(u)] + 1;
         const auto nb = tree.neighbors(w);
@@ -444,8 +445,6 @@ struct Planner {
     // rho_dec: assignment + collect the component topology (2 * depth).
     plan.ready_round[static_cast<std::size_t>(root)] =
         base_round + 2 * max_depth + 1;
-    plan.comp_of_root[static_cast<std::size_t>(root)] =
-        static_cast<int>(plan.components.size());
     plan.components.push_back(std::move(members));
   }
 
@@ -514,7 +513,6 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
   if (d < 3) throw std::invalid_argument("fda: d >= 3 (Theorem 5)");
   const NodeId n = tree.size();
   Planner pl(tree, participates, is_a, d);
-  pl.plan.comp_of_root.assign(static_cast<std::size_t>(n), -1);
 
   // --- Pre-step: Connect paths between input-A nodes within distance 5.
   constexpr std::int64_t kBound = 5;
@@ -771,11 +769,10 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
 void expect_same_plan(const FastDecompPlan& got, const FastDecompPlan& ref) {
   EXPECT_EQ(got.role, ref.role);
   EXPECT_EQ(got.ready_round, ref.ready_round);
-  EXPECT_EQ(got.comp_root, ref.comp_root);
+  EXPECT_EQ(got.comp, ref.comp);
   EXPECT_EQ(got.comp_depth, ref.comp_depth);
   EXPECT_EQ(got.flood_parent_port, ref.flood_parent_port);
   EXPECT_EQ(got.components, ref.components);
-  EXPECT_EQ(got.comp_of_root, ref.comp_of_root);
   EXPECT_EQ(got.iterations, ref.iterations);
   EXPECT_EQ(got.unfinished_after_iteration, ref.unfinished_after_iteration);
 }

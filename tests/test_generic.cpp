@@ -185,5 +185,32 @@ TEST(Generic, NodeAveragedMatchesTheoryTwoHalf) {
   EXPECT_GT(stats.node_averaged, t13 / 12.0);
 }
 
+TEST(Generic, StateGrowsWithActiveNodesNotWithN) {
+  // A path whose first tenth is active and the rest weight nodes, as in
+  // the weighted constructions: the wave state is only for the active
+  // part, so the program's state is a few bytes per node plus the wave
+  // nodes' entries, not a wave entry for every node.
+  const NodeId n = 20000;
+  const NodeId active = n / 10;
+  Tree t = graph::make_path(n);
+  for (NodeId v = active; v < n; ++v) {
+    t.set_input(v, static_cast<int>(graph::WeightInput::kWeight));
+  }
+  const auto options = opts(Variant::kThreeHalf, 1, {});
+  const algo::GenericHierProgram few(t, options,
+                                     problems::active_levels(t, 1));
+  const Tree all_active = graph::make_path(n);
+  const algo::GenericHierProgram all(all_active, options,
+                                     problems::compute_levels(all_active, 1));
+  const auto per_node = [&](const algo::GenericHierProgram& p) {
+    return static_cast<double>(p.state_bytes()) / static_cast<double>(n);
+  };
+  // With every node a wave node the entries dominate; with a tenth of
+  // them, the state shrinks in proportion, down to the per-node maps.
+  EXPECT_GT(per_node(all), 32.0);
+  EXPECT_LT(per_node(few), 10.0);
+  EXPECT_LT(per_node(few), per_node(all) / 3.0);
+}
+
 }  // namespace
 }  // namespace lcl

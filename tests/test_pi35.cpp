@@ -107,6 +107,21 @@ TEST(Pi35, KeptCopiesBounded) {
   EXPECT_LT(program.copies_kept(), weight_nodes);
 }
 
+TEST(Pi35, ProgramStateUnderFiftyBytesPerNode) {
+  // The program's per-node and per-component state on a k=3 weighted
+  // construction, where two thirds of the nodes are weight nodes: wave
+  // state belongs to the active wave nodes only, and neither the plan
+  // nor the pruning keeps a node-indexed map for the few component
+  // roots. A 32-byte wave entry, a CV color and such maps for every
+  // node would put it above 70 bytes per node.
+  auto s = make_setup(6, 3, 3, 64, 6000, 17);
+  const algo::Pi35Program program(s.tree, s.options);
+  const double per_node = static_cast<double>(program.state_bytes()) /
+                          static_cast<double>(s.tree.size());
+  EXPECT_LE(per_node, 50.0);
+  EXPECT_GT(per_node, 15.0);  // the plan's own per-node fields
+}
+
 TEST(Pi35, PinnedRunTotals) {
   // Sum of T_v, rounds and worst case on two small Definition-25
   // constructions, recorded from the implementation that predates the

@@ -183,6 +183,11 @@ std::string render_json(const ScenarioOptions& opts,
         if (run.build_ms >= 0.0) {
           os << ", \"build_ms\": " << json_number(run.build_ms);
         }
+        // Only runs on a multi-worker pool shard; at --threads 1 the
+        // field is absent and the snapshot is what it always was.
+        if (run.sharded_rounds > 0) {
+          os << ", \"sharded_rounds\": " << run.sharded_rounds;
+        }
         // Termination-round distribution: exact tail percentiles (max is
         // worst_case) plus the log-bucketed histogram — bucket 0 is
         // T_v == 0, bucket b >= 1 is T_v in [2^(b-1), 2^b - 1].
@@ -402,6 +407,7 @@ std::vector<core::MeasuredRun> ScenarioContext::run_sweep(
     int build_count = 0;
     for (int r = 0; r < reps; ++r) {
       const core::MeasuredRun& rep = raw[base + static_cast<std::size_t>(r)];
+      acc.sharded_rounds += rep.sharded_rounds;
       if (rep.build_ms >= 0.0) {
         build_sum += rep.build_ms;
         ++build_count;

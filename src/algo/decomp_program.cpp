@@ -49,12 +49,11 @@ void DecompositionProgram::on_init(local::NodeCtx& ctx) {
 void DecompositionProgram::on_round(local::NodeCtx& ctx) {
   const NodeId v = ctx.node();
   State& st = state_[static_cast<std::size_t>(v)];
+  // The window position is derived from the round in every visit: the
+  // program keeps no state shared between nodes.
   const std::int64_t r = ctx.round();
-  if (phase_.round != r) {
-    phase_ = {r, (r - 1) / window(), (r - 1) % window()};
-  }
-  const std::int64_t iter = phase_.iter;
-  const std::int64_t offset = phase_.offset;
+  const std::int64_t iter = (r - 1) / window();
+  const std::int64_t offset = (r - 1) % window();
   const int layer = static_cast<int>(iter) + 1;
 
   auto neighbor_alive = [&](int p) { return !ctx.neighbor_terminated(p); };

@@ -54,14 +54,6 @@ class DecompositionProgram final : public local::Program {
   int gamma_;
   int ell_;
   std::vector<State> state_;
-  /// Window position of `round`; every visit of a round shares it, so
-  /// it is computed once per round instead of per visit.
-  struct Phase {
-    std::int64_t round = -1;
-    std::int64_t iter = 0;
-    std::int64_t offset = 0;
-  };
-  Phase phase_;
 };
 
 /// Runs the program and returns (decomposition view, run stats).

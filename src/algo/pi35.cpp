@@ -57,8 +57,11 @@ void Pi35Program::resolve_component(local::NodeCtx& ctx, NodeId root) {
   }
   // Case 2: prune to C'(v); pruned members decline, one hop per round.
   case_of_comp_[static_cast<std::size_t>(comp)] = 2;
-  const std::vector<char> keep = prune_component(
-      tree_, plan_, comp, opt_.d, [this](NodeId u) { return declined(u); });
+  const std::int64_t round = ctx.round();
+  const std::vector<char> keep =
+      prune_component(tree_, plan_, comp, opt_.d, [this, round](NodeId u) {
+        return declined(u, round);
+      });
   const auto& members =
       plan_.components[static_cast<std::size_t>(comp)];
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -118,7 +121,6 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
               ctx.neighbor_output(static_cast<int>(p)).primary;
           ctx.publish({label});
           ctx.terminate(static_cast<int>(WeightOut::kCopy), label);
-          ++copies_kept_;
           return;
         }
       }
@@ -128,14 +130,19 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
     }
 
     case FdaRole::kCopyMember: {
-      // Pruned members decline at their scheduled round.
-      const std::int64_t pr = plan_.ready_round[static_cast<std::size_t>(v)];
-      if (pr > 0) {
-        if (r >= pr) {
-          ctx.terminate(static_cast<int>(WeightOut::kDecline));
-        } else {
-          ctx.sleep_until(pr);
-        }
+      // The root resolves at exactly its decision round, so a pruning
+      // Decline fires at earliest_prune, comp_depth rounds later, and the
+      // prune round is read only from then on: the root wrote it in an
+      // earlier round. Before that, and for kept members after it, only
+      // the parent's flood can arrive.
+      const NodeId root = plan_.components[static_cast<std::size_t>(
+          plan_.comp[static_cast<std::size_t>(v)])][0];
+      const std::int64_t earliest_prune =
+          plan_.ready_round[static_cast<std::size_t>(root)] +
+          plan_.comp_depth[static_cast<std::size_t>(v)];
+      if (r >= earliest_prune &&
+          plan_.ready_round[static_cast<std::size_t>(v)] > 0) {
+        ctx.terminate(static_cast<int>(WeightOut::kDecline));
         return;
       }
       // Kept members listen for the flood from their parent.
@@ -145,17 +152,8 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
         ctx.publish({reg[0]});
         ctx.terminate(static_cast<int>(WeightOut::kCopy),
                       static_cast<int>(reg[0]));
-        ++copies_kept_;
         return;
       }
-      // The root resolves at exactly its decision round, so a pruning
-      // Decline fires no earlier than comp_depth rounds later; after
-      // that only the parent's flood can arrive.
-      const NodeId root = plan_.components[static_cast<std::size_t>(
-          plan_.comp[static_cast<std::size_t>(v)])][0];
-      const std::int64_t earliest_prune =
-          plan_.ready_round[static_cast<std::size_t>(root)] +
-          plan_.comp_depth[static_cast<std::size_t>(v)];
       ctx.sleep_until(r < earliest_prune ? earliest_prune
                                          : local::NodeCtx::kNever);
       return;

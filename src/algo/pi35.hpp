@@ -41,9 +41,6 @@ class Pi35Program final : public local::Program {
   void on_round(local::NodeCtx& ctx) override;
 
   [[nodiscard]] const FastDecompPlan& plan() const { return plan_; }
-  /// Number of weight nodes whose final primary output is Copy — the
-  /// quantity bounded by Lemma 52 (|C'(v)| <= 2 |C(v)|^{x'}).
-  [[nodiscard]] std::int64_t copies_kept() const { return copies_kept_; }
   /// Bytes reserved by the per-node and per-component containers: the
   /// embedded generic program's, the plan's and this program's own.
   [[nodiscard]] std::size_t state_bytes() const;
@@ -53,12 +50,19 @@ class Pi35Program final : public local::Program {
     return tree_.input(v) ==
            static_cast<int>(graph::WeightInput::kActive);
   }
-  /// Final Decline verdict so far: a plan Decline, or a member pruned by
-  /// an earlier component's resolution. Later prunings count it.
-  [[nodiscard]] bool declined(graph::NodeId v) const {
+  /// Final Decline verdict as of `round`: a plan Decline, or a member
+  /// pruned by a component resolved in an earlier round. Later prunings
+  /// count it. A resolution in `round` itself is not counted, so the
+  /// verdict does not depend on the walk order (on the instance families
+  /// no component touches another, so none is ever seen either way).
+  [[nodiscard]] bool declined(graph::NodeId v, std::int64_t round) const {
     const auto i = static_cast<std::size_t>(v);
-    return plan_.role[i] == FdaRole::kDecline ||
-           (plan_.role[i] == FdaRole::kCopyMember && plan_.ready_round[i] > 0);
+    if (plan_.role[i] == FdaRole::kDecline) return true;
+    if (plan_.role[i] != FdaRole::kCopyMember) return false;
+    const NodeId root =
+        plan_.components[static_cast<std::size_t>(plan_.comp[i])][0];
+    return plan_.ready_round[static_cast<std::size_t>(root)] < round &&
+           plan_.ready_round[i] > 0;
   }
   void resolve_component(local::NodeCtx& ctx, graph::NodeId root);
 
@@ -67,10 +71,13 @@ class Pi35Program final : public local::Program {
   GenericHierProgram generic_;
   /// A pruned member's Decline round goes into its `ready_round`, which
   /// the planner leaves 0 for members (a pruning round is always > 0).
+  /// The root writes it in its decision round, and the member reads it
+  /// only from that Decline round on, so no visit sees a write made in
+  /// its own round.
   FastDecompPlan plan_;
-  /// Per component: 0 undecided, 1 flood-all, 2 pruned.
+  /// Per component, touched only by its root: 0 undecided, 1 flood-all,
+  /// 2 pruned.
   std::vector<char> case_of_comp_;
-  std::int64_t copies_kept_ = 0;
 };
 
 [[nodiscard]] local::RunStats run_pi35(const graph::Tree& tree,

@@ -17,10 +17,12 @@
 // arrays are allocated per run, and the engine itself snapshots nothing.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -29,6 +31,7 @@
 #include "algo/registry.hpp"
 #include "core/experiment.hpp"
 #include "graph/tree.hpp"
+#include "local/engine.hpp"
 
 namespace lcl::core {
 
@@ -69,7 +72,14 @@ struct BatchOptions {
 
 /// A persistent thread pool executing batches of jobs. Construction spawns
 /// the workers; they idle between batches and are joined on destruction.
-class BatchRunner {
+///
+/// Idle workers also help the engine runs of busy ones: each worker
+/// lends the pool to its `local::tls_workspace()` as `RoundHelpers`, so
+/// a job running a large program there gets its big walks cut into
+/// chunks that idle workers claim too (local/engine.hpp, "Sharded
+/// rounds"). A worker takes a queued job before it joins another walk,
+/// so helping delays a queued job by at most one walk.
+class BatchRunner final : private local::RoundHelpers {
  public:
   explicit BatchRunner(const BatchOptions& opts = {});
   ~BatchRunner();
@@ -78,28 +88,68 @@ class BatchRunner {
   BatchRunner& operator=(const BatchRunner&) = delete;
 
   /// Number of worker threads in the pool.
-  [[nodiscard]] int threads() const {
-    return static_cast<int>(workers_.size());
-  }
+  [[nodiscard]] int threads() const { return threads_; }
 
   /// Executes all jobs and returns their measurements in job order. A job
   /// whose closure throws yields a `MeasuredRun` with
   /// `status == RunStatus::kException` and the exception message in
   /// `check_reason` (the batch still completes). Blocks until every job
-  /// has finished.
+  /// has finished. Batches submitted from several threads at once queue
+  /// in submission order.
   std::vector<MeasuredRun> run_all(const std::vector<BatchJob>& jobs);
 
  private:
-  void worker_loop();
+  /// One `run_all` call in flight; lives on its caller's stack.
+  struct Batch {
+    const std::vector<BatchJob>* jobs = nullptr;
+    std::vector<MeasuredRun>* results = nullptr;
+    std::size_t next = 0;     ///< first job not yet taken
+    std::size_t pending = 0;  ///< jobs not yet finished
+  };
+  /// Where a worker posts the walks of its engine runs, one at a time.
+  /// Helpers find it without the lock: `open` says whether the walk may
+  /// still be joined, `joined` counts the helpers inside its `help()`.
+  struct Slot {
+    std::atomic<Task*> task{nullptr};
+    std::atomic<bool> open{false};
+    std::atomic<int> joined{0};
+  };
 
+  // local::RoundHelpers, for the runs on the workers' workspaces. Only a
+  // worker posts, into its own slot.
+  [[nodiscard]] int helpers() const override { return threads() - 1; }
+  void post(Task& task) override;
+  void retract(Task& task) override;
+
+  void worker_loop(std::size_t index);
+  /// Helps one open walk, if any; returns whether it did.
+  bool help_open_walk();
+  /// Returns, with `lock` held, after something may have arrived: while
+  /// a job runs elsewhere it watches without the lock a little first,
+  /// then it sleeps on `work_cv_`.
+  void wait_for_work(std::unique_lock<std::mutex>& lock);
+  [[nodiscard]] bool any_open_walk() const;
+  /// Runs job `i` of `batch` with `lock` released.
+  void run_job(Batch& batch, std::size_t i,
+               std::unique_lock<std::mutex>& lock);
+  /// Counts an arrival and wakes the sleeping workers.
+  void announce();
+
+  /// The slot of the worker on this thread, if it is one.
+  static thread_local Slot* own_slot_;
+
+  const int threads_;  ///< set before any worker starts
   std::mutex mu_;
-  std::condition_variable work_cv_;  ///< signals workers: batch available
+  std::condition_variable work_cv_;  ///< signals workers: job or walk
   std::condition_variable done_cv_;  ///< signals run_all: batch finished
-  const std::vector<BatchJob>* jobs_ = nullptr;  // guarded by mu_
-  std::vector<MeasuredRun>* results_ = nullptr;  // guarded by mu_
-  std::size_t next_job_ = 0;                     // guarded by mu_
-  std::size_t pending_ = 0;                      // guarded by mu_
-  bool shutdown_ = false;                        // guarded by mu_
+  std::vector<Batch*> queue_;  ///< batches with jobs left, FIFO; mu_
+  std::unique_ptr<Slot[]> slots_;  ///< one per worker
+  /// Bumped whenever a job, a walk or the shutdown arrives: what
+  /// spinning workers watch.
+  std::atomic<std::uint64_t> arrivals_{0};
+  std::atomic<int> sleeping_{0};  ///< workers blocked on work_cv_
+  std::atomic<int> running_{0};   ///< workers inside a job
+  bool shutdown_ = false;  ///< guarded by mu_
   std::vector<std::thread> workers_;
 };
 

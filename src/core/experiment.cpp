@@ -145,6 +145,7 @@ MeasuredRun measure_run(double scale, const local::RunStats& stats,
   r.worst_case = stats.worst_case;
   r.n = stats.n;
   r.term = TermSummary::from_rounds(stats.termination_round);
+  r.sharded_rounds = stats.sharded_rounds;
   if (stats.truncated) {
     r.status = RunStatus::kTruncated;
     r.check_reason = "round limit " + std::to_string(stats.rounds) +

@@ -89,6 +89,9 @@ struct MeasuredRun {
   RunStatus status = RunStatus::kException;
   std::string check_reason;   ///< human detail for non-ok statuses
   TermSummary term;           ///< T_v distribution (pooled over ok reps)
+  /// Engine walks cut into chunks for idle workers
+  /// (`local::RunStats::sharded_rounds`), summed over the reps.
+  std::int64_t sharded_rounds = 0;
 
   // Repetition spread, filled by run_sweep aggregation.
   int reps = 1;               ///< repetitions aggregated into this record

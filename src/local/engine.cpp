@@ -1,10 +1,13 @@
 #include "local/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
+#include <exception>
 #include <numeric>
 #include <string>
+#include <utility>
 
 namespace lcl::local {
 
@@ -17,14 +20,17 @@ Output NodeCtx::neighbor_output(int port) const {
 
 void NodeCtx::terminate(Output out) {
   const auto v = static_cast<std::size_t>(v_);
-  if (engine_.term_[v] != Engine::kLive) {
+  // Marked in the node's own sleep byte, which no other visit reads:
+  // the `terminated` lane, which neighbours read, changes only when the
+  // compaction makes the termination visible. A pending deadline shares
+  // the term_round slot; termination wins, and the compaction unlinks
+  // the node from the timer queue.
+  std::uint8_t& state = engine_.sleep_[v];
+  if (state == Engine::kEnding) {
     throw std::logic_error("NodeCtx: double termination");
   }
-  engine_.term_[v] = Engine::kEnding;
+  state = Engine::kEnding;
   engine_.outputs_[v] = out;
-  // A pending deadline shares the term_round slot: termination wins, so
-  // the node leaves the timer queue before T_v overwrites the slot.
-  engine_.dequeue(v);
   engine_.term_round_[v] = engine_.round_;
 }
 
@@ -79,7 +85,8 @@ void Engine::Workspace::prepare(std::int64_t n) {
     timer_prev.data()[head] = static_cast<std::int32_t>(head);
   }
   timer_base = 0;
-  retired.clear();
+  wide.clear();
+  wide_words.clear();
   alloc_events_ += allocs;
 }
 
@@ -117,11 +124,6 @@ void Engine::grow(std::int64_t width) {
                     static_cast<std::size_t>(l) * sizeof(std::int64_t));
       }
     }
-    // Keep the outgoing plane alive until the end of the round: the
-    // program may still hold RegViews into it, and committed registers
-    // are immutable for the rest of the round, so those views stay
-    // correct.
-    ws_->retired.push_back(std::move(ws_->words[p]));
     ws_->words[p] = std::move(grown);
     words_[p] = ws_->words[p].data();
   }
@@ -129,17 +131,145 @@ void Engine::grow(std::int64_t width) {
   ws_->cap = new_cap;
 }
 
+void Engine::stage_wide(NodeId v, RegView reg) {
+  pub_[static_cast<std::size_t>(v)] = kStagedWide;
+  Workspace& ws = *ws_;
+  const std::lock_guard<std::mutex> lock(ws.wide_mu);
+  ws.wide.push_back({v, ws.wide_words.size(),
+                     static_cast<std::int64_t>(reg.size())});
+  ws.wide_words.insert(ws.wide_words.end(), reg.begin(), reg.end());
+}
+
+void Engine::flush_wide() {
+  std::vector<Workspace::WidePublish>& wide = ws_->wide;
+  if (wide.empty()) return;
+  // One node's records all come from its own visit, in call order, and
+  // the stable sort keeps that order, so the last one wins as in a
+  // direct write. A record whose node staged a narrower register after
+  // it is void (`pub` is no longer kStagedWide).
+  std::stable_sort(wide.begin(), wide.end(),
+                   [](const Workspace::WidePublish& a,
+                      const Workspace::WidePublish& b) {
+                     return a.node < b.node;
+                   });
+  std::int64_t widest = 0;
+  for (const Workspace::WidePublish& w : wide) {
+    widest = std::max(widest, w.width);
+  }
+  grow(widest);
+  for (const Workspace::WidePublish& w : wide) {
+    const auto i = static_cast<std::size_t>(w.node);
+    if (pub_[i] != kStagedWide) continue;
+    const int staging = cur_[i] ^ 1;
+    std::memcpy(words_[staging] + i * static_cast<std::size_t>(cap_),
+                ws_->wide_words.data() + w.offset,
+                static_cast<std::size_t>(w.width) * sizeof(std::int64_t));
+    len_[staging][i] = static_cast<std::int32_t>(w.width);
+  }
+  for (const Workspace::WidePublish& w : wide) {
+    pub_[static_cast<std::size_t>(w.node)] = kStaged;
+  }
+  wide.clear();
+  ws_->wide_words.clear();
+}
+
+/// A walk cut into `kShardChunk`-node chunks, claimed in increasing order
+/// by the owner and any helper that joins. Lives on the owner's stack for
+/// one walk.
+class Engine::ShardedWalk final : public RoundHelpers::Task {
+ public:
+  ShardedWalk(Engine& engine, Program& program, bool init,
+              const std::vector<NodeId>& list)
+      : engine_(engine),
+        program_(program),
+        init_(init),
+        list_(list.data()),
+        size_(list.size()),
+        chunks_((list.size() + kShardChunk - 1) / kShardChunk) {}
+
+  void help() override {
+    for (;;) {
+      const std::size_t c = next_.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks_) return;
+      const NodeId* first = list_ + c * kShardChunk;
+      const NodeId* last = list_ + std::min(size_, (c + 1) * kShardChunk);
+      try {
+        engine_.walk_range(program_, init_, first, last);
+      } catch (...) {
+        // Keep the exception of the lowest chunk, the one a serial walk
+        // would have met first, and hand out no more chunks.
+        const std::lock_guard<std::mutex> lock(error_mu_);
+        if (c < error_chunk_) {
+          error_chunk_ = c;
+          error_ = std::current_exception();
+        }
+        next_.store(chunks_, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// After `retract`: rethrows the kept exception, if any.
+  void rethrow() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  Engine& engine_;
+  Program& program_;
+  const bool init_;
+  const NodeId* const list_;
+  const std::size_t size_;
+  const std::size_t chunks_;
+  std::atomic<std::size_t> next_{0};
+  std::mutex error_mu_;
+  std::size_t error_chunk_ = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error_;
+};
+
+void Engine::walk_range(Program& program, bool init, const NodeId* first,
+                        const NodeId* last) {
+  if (init) {
+    for (; first != last; ++first) {
+      NodeCtx ctx(*this, *first);
+      program.on_init(ctx);
+    }
+    return;
+  }
+  for (; first != last; ++first) {
+    NodeCtx ctx(*this, *first);
+    program.on_round(ctx);
+  }
+}
+
+void Engine::walk(Program& program, bool init, RunStats& stats) {
+  const std::vector<NodeId>& alive = ws_->alive;
+  RoundHelpers* helpers = ws_->helpers_;
+  if (alive.size() < kShardMin || helpers == nullptr ||
+      helpers->helpers() == 0) {
+    walk_range(program, init, alive.data(), alive.data() + alive.size());
+  } else {
+    ++stats.sharded_rounds;
+    ShardedWalk task(*this, program, init, alive);
+    helpers->post(task);
+    task.help();
+    helpers->retract(task);
+    task.rethrow();
+  }
+  flush_wide();
+}
+
 void Engine::commit_publishes() {
   // Toggle the owners' parity bits via the publisher list; silent and
   // terminated nodes cost nothing. When sleep is honoured the list also
-  // holds the round's silent terminators (pub == 0, nothing to flip),
-  // and every entry wakes its sleeping neighbours for the next round.
+  // holds the round's silent terminators (nothing staged, nothing to
+  // flip), and every entry wakes its sleeping neighbours for the next
+  // round.
   std::vector<NodeId>& published = ws_->published;
   for (const NodeId v : published) {
     const auto i = static_cast<std::size_t>(v);
-    if (pub_[i] != 0) {
+    if (pub_[i] != kUnstaged) {
       cur_[i] ^= 1;
-      pub_[i] = 0;
+      pub_[i] = kUnstaged;
     }
     if (honour_sleep_) {
       for (std::int32_t p = off_[i]; p < off_[i + 1]; ++p) {
@@ -148,38 +278,82 @@ void Engine::commit_publishes() {
     }
   }
   published.clear();
-  ws_->retired.clear();
 }
 
 std::int64_t Engine::compact_alive() {
   // Stable in-place removal of the terminated ids (and the sleepers):
   // survivors keep their relative order, so the alive list stays
-  // strictly increasing.
+  // strictly increasing. Each node's deferred effects are applied here,
+  // in id order, which is the order a serial walk made them in.
   std::vector<NodeId>& alive = ws_->alive;
+  std::vector<NodeId>& published = ws_->published;
   std::size_t w = 0;
   std::int64_t ended = 0;
   for (const NodeId v : alive) {
     const auto i = static_cast<std::size_t>(v);
-    if (term_[i] != kLive) {
-      // The round is over: the termination becomes visible.
+    const std::uint8_t state = sleep_[i];
+    if (state == kEnding) {
+      // The round is over: the termination becomes visible, and a
+      // pending deadline leaves the queue (termination wins). When sleep
+      // is honoured a silent terminator joins the publisher list too,
+      // so the flip wakes its neighbours.
       term_[i] = kEnded;
+      sleep_[i] = kAwake;
+      dequeue(i);
       ++ended;
-      if (honour_sleep_) {
-        // A node may sleep and terminate in one callback: termination
-        // wins. A silent terminator joins the publisher list so the
-        // flip wakes its neighbours.
-        sleep_[i] = kAwake;
-        if (pub_[i] == 0) ws_->published.push_back(v);
-      }
+      if (honour_sleep_ || pub_[i] != kUnstaged) published.push_back(v);
       continue;
     }
-    if (sleep_[i] != kAsleep) alive[w++] = v;
+    if (pub_[i] != kUnstaged) published.push_back(v);
+    if (state == kAwake) {
+      alive[w++] = v;
+    } else if (state == kRelink) {
+      // Asleep under a new deadline (kept in its term_round slot).
+      sleep_[i] = kAsleep;
+      dequeue(i);
+      if (term_round_[i] != NodeCtx::kNever) enqueue(i, term_round_[i]);
+    }
   }
   alive.resize(w);
   return ended;
 }
 
 namespace {
+
+/// Lists shorter than this are sorted by comparison, longer ones by radix.
+constexpr std::size_t kRadixMin = 256;
+constexpr int kRadixBits = 11;
+
+/// Sorts `ids` (each below `n`) in place. A long list goes through a
+/// least-significant-digit radix sort, 11 bits per pass, via `scratch`,
+/// whose capacity must hold the list; `scratch`'s contents are lost.
+void sort_ids(std::vector<NodeId>& ids, std::vector<NodeId>& scratch,
+              std::size_t n) {
+  if (ids.size() < kRadixMin) {
+    std::sort(ids.begin(), ids.end());
+    return;
+  }
+  constexpr std::size_t kBuckets = std::size_t{1} << kRadixBits;
+  const int bits = std::bit_width(n - 1);
+  scratch.resize(ids.size());
+  NodeId* from = ids.data();
+  NodeId* to = scratch.data();
+  for (int shift = 0; shift < bits; shift += kRadixBits) {
+    std::uint32_t start[kBuckets] = {};
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ++start[(static_cast<std::uint32_t>(from[i]) >> shift) &
+              (kBuckets - 1)];
+    }
+    std::uint32_t sum = 0;
+    for (std::uint32_t& s : start) sum += std::exchange(s, sum);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      to[start[(static_cast<std::uint32_t>(from[i]) >> shift) &
+               (kBuckets - 1)]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  if (from != ids.data()) std::copy_n(from, ids.size(), ids.data());
+}
 
 /// The bucket of a deadline above the queue's base: the highest bit in
 /// which the two differ.
@@ -218,13 +392,17 @@ void Engine::sleep(NodeId v, std::int64_t round) {
     if (round <= round_ + 1) return;
   }
   const auto i = static_cast<std::size_t>(v);
-  sleep_[i] = kAsleep;
+  std::uint8_t& state = sleep_[i];
+  if (state == kEnding) return;
   // The deadline lives in the node's (still unused) term_round slot. An
-  // equal deadline there means the node is still queued under it.
-  if (term_round_[i] == round) return;
-  dequeue(i);
+  // equal deadline there means the node is still queued under it, or
+  // already set to be relinked under it.
+  if (term_round_[i] == round) {
+    if (state != kRelink) state = kAsleep;
+    return;
+  }
   term_round_[i] = round;
-  if (round != NodeCtx::kNever) enqueue(i, round);
+  state = kRelink;
 }
 
 void Engine::wake(NodeId u) {
@@ -292,7 +470,10 @@ void Engine::wake_due() {
     woken.clear();
     return;
   }
-  std::sort(woken.begin(), woken.end());
+  // The publisher list is empty from the flip to the next walk, and
+  // reserved for n ids: the sort borrows it as its scratch.
+  sort_ids(woken, ws.published, n);
+  ws.published.clear();
   // Merge from the back: compaction already dropped every woken node
   // from `alive` (they were asleep), so the two lists are disjoint, and
   // the merged size is at most the reserved n.
@@ -367,17 +548,21 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
   ws.prepare(tree_.size());
   bind(ws);
 
+  // Reset every scalar field: the stats object may be recycled from a
+  // previous run (run_into contract).
+  stats.truncated = false;
+  stats.unterminated = 0;
+  stats.visits = 0;
+  stats.sharded_rounds = 0;
+
   // Init phase (round 0): registers published here are visible in round 1.
-  // Every node is called in id order, then a stable compaction drops the
+  // Every node is called, then a stable compaction drops the
   // init-terminated ones. `alive` was reserved for n by prepare(), so
   // the resize never allocates on a warm run.
   std::vector<NodeId>& alive = ws.alive;
   alive.resize(n);
   std::iota(alive.begin(), alive.end(), NodeId{0});
-  for (const NodeId v : alive) {
-    NodeCtx ctx(*this, v);
-    program.on_init(ctx);
-  }
+  walk(program, /*init=*/true, stats);
   // Alive nodes, sleepers included.
   std::int64_t live = tree_.size() - compact_alive();
   commit_publishes();
@@ -386,11 +571,6 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
     profile->term_count.clear();
   }
 
-  // Reset every scalar field: the stats object may be recycled from a
-  // previous run (run_into contract).
-  stats.truncated = false;
-  stats.unterminated = 0;
-  stats.visits = 0;
   while (live > 0) {
     // Only an engine that honours sleep can have every live node asleep.
     if (alive.empty() && ws.woken.empty()) {
@@ -412,10 +592,7 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
     if (honour_sleep_) wake_due();
     if (profile != nullptr) profile->alive_per_round.push_back(live);
     stats.visits += static_cast<std::int64_t>(alive.size());
-    for (const NodeId v : alive) {
-      NodeCtx ctx(*this, v);
-      program.on_round(ctx);
-    }
+    walk(program, /*init=*/false, stats);
     // Compact before the flip: sleepers leave the alive list first, so
     // the flip's wake-ups never re-add a node that is still in it.
     live -= compact_alive();

@@ -54,11 +54,26 @@
 //
 // Cost model. The engine keeps a compacted list of awake nodes (compacted
 // in place after each round, so terminated nodes cost nothing — not even a
-// branch) and a per-round list of publishers, so the flip is
-// O(#published). Per round the work is one program callback per awake
-// node plus one O(register width) write per publish. A terminated node's
-// committed words are simply never touched again, so its final register
-// stays readable for free.
+// branch). Per round the work is one program callback per awake node plus
+// one O(register width) write per publish; the end-of-round compaction
+// collects the publishers, so the flip is O(#published). A terminated
+// node's committed words are simply never touched again, so its final
+// register stays readable for free.
+//
+// Sharded rounds. Within a round a node reads only what was committed at
+// the end of the previous round and writes only its own staging slots and
+// lanes, so the order of the visits cannot be observed. A walk of at
+// least `kShardMin` nodes (init's all-node walk included) is therefore
+// cut into `kShardChunk`-node chunks, and when the workspace has
+// `RoundHelpers` (a `core::BatchRunner` lends its idle workers to the
+// runs on its workers' `tls_workspace()`) any of those threads may claim
+// chunks next to the owning thread. Everything a visit does to shared
+// state is deferred to the serial end of the walk and applied in id
+// order: the compaction builds the publisher list and links and unlinks
+// timer-queue entries, and a publish wider than `cap` is buffered and
+// applied after one plane growth. So every lane, list and queue ends the
+// round as a serial walk leaves it, and results do not depend on how
+// many threads joined (DESIGN.md, "Sharded rounds").
 //
 // Sleep. A node with nothing to do until a later round says so with
 // `NodeCtx::sleep_until(r)`: "visit me again in round r, or in the round
@@ -82,11 +97,12 @@
 // hint changes no result.
 //
 // Dispatch. Every program is one pair of per-node hooks, `on_init` and
-// `on_round`, called in increasing id order. The `DispatchMode`, chosen
-// once where the engine is constructed, only decides whether
-// `sleep_until` is honoured: the default skips sleepers, `kPerNode`
-// calls every alive node every round and is the reference the
-// differential suites compare the default against.
+// `on_round`, called once per awake node per round (see `Program` for
+// the order). The `DispatchMode`, chosen once where the engine is
+// constructed, only decides whether `sleep_until` is honoured: the
+// default skips sleepers, `kPerNode` calls every alive node every round
+// and is the reference the differential suites compare the default
+// against.
 //
 // Algorithms implement `Program`. Independent runs (one engine per
 // instance) share nothing and can execute concurrently; see
@@ -99,6 +115,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <span>
 #include <stdexcept>
@@ -276,8 +293,13 @@ class NodeCtx {
 
 /// A distributed algorithm. One `Program` instance serves the whole run;
 /// per-node state must live in engine registers or in program-owned
-/// per-node arrays (indexed by NodeId) that the program only accesses for
-/// the node passed to the callback.
+/// per-node arrays (indexed by NodeId) that a callback only writes, and
+/// only reads, for the node passed to it. Program state shared by all
+/// nodes is read-only during a run. The engine relies on this: the
+/// callbacks of one round may run in any order and on several threads
+/// at once (see "Sharded rounds"), so a callback that read another
+/// node's per-node state, or wrote shared state, would see a walk order
+/// or race. State another node wrote in an earlier round is fine.
 ///
 /// A program that waits calls `NodeCtx::sleep_until` at the wait, so the
 /// default dispatch skips its idle rounds; it must keep every visit
@@ -290,9 +312,39 @@ class Program {
   /// may terminate (yielding T_v = 0, i.e., constant-time termination).
   virtual void on_init(NodeCtx& ctx) = 0;
   /// Called once per round for each non-terminated node that is not
-  /// asleep, in increasing id order (`DispatchMode::kPerNode` calls the
-  /// sleepers too; see `sleep_until`).
+  /// asleep (`DispatchMode::kPerNode` calls the sleepers too; see
+  /// `sleep_until`). A serial walk goes in increasing id order; a
+  /// sharded one walks id-ordered chunks concurrently.
   virtual void on_round(NodeCtx& ctx) = 0;
+};
+
+/// Threads lent to an engine run for its large walks ("Sharded rounds").
+/// `core::BatchRunner` implements it with its idle workers.
+class RoundHelpers {
+ public:
+  /// One walk, cut into chunks that any joined thread may claim.
+  class Task {
+   public:
+    /// Claims and walks chunks until none is left, then returns. Never
+    /// throws: a callback's exception is kept for the owner.
+    virtual void help() = 0;
+
+   protected:
+    ~Task() = default;
+  };
+
+  /// Threads besides the caller that may join a task; 0 means a walk is
+  /// never sharded. Fixed for the helpers' lifetime, so whether a walk
+  /// is sharded depends only on its size.
+  [[nodiscard]] virtual int helpers() const = 0;
+  /// Makes `task` joinable and returns at once.
+  virtual void post(Task& task) = 0;
+  /// Makes `task` unjoinable, then returns once every thread that joined
+  /// it has returned from `help()`.
+  virtual void retract(Task& task) = 0;
+
+ protected:
+  ~RoundHelpers() = default;
 };
 
 /// Result of a run.
@@ -314,6 +366,10 @@ struct RunStats {
   /// node every round, so there it equals `total_rounds`; the default
   /// dispatch skips sleepers, so <=.
   std::int64_t visits = 0;
+  /// Walks (init included) cut into chunks for `RoundHelpers`. It depends
+  /// only on the walk sizes and on whether the workspace has helpers,
+  /// not on how many joined; every other field is the same either way.
+  std::int64_t sharded_rounds = 0;
   bool truncated = false;         ///< hit `max_rounds` with nodes alive
   std::int64_t unterminated = 0;  ///< nodes whose T_v is censored
   std::vector<std::int64_t> termination_round;  ///< T_v per node
@@ -375,6 +431,11 @@ class Engine {
       return alloc_events_;
     }
 
+    /// Lends `helpers` (nullptr: none) to every later run in this
+    /// workspace; they join its walks of at least `kShardMin` nodes.
+    /// The helpers must outlive those runs.
+    void set_helpers(RoundHelpers* helpers) { helpers_ = helpers; }
+
    private:
     friend class Engine;
     friend class NodeCtx;
@@ -384,17 +445,29 @@ class Engine {
     /// lengths reset to 0, so stale words are unreachable.
     void prepare(std::int64_t n);
 
+    /// A publish wider than `cap`, buffered until the end of the walk:
+    /// `width` words of `wide_words` from `offset` on.
+    struct WidePublish {
+      NodeId node;
+      std::size_t offset;
+      std::int64_t width;
+    };
+
     AlignedPlane<std::int64_t> words[2];  ///< word planes, v at v*cap
     AlignedPlane<std::int32_t> len[2];    ///< per-plane register widths
     AlignedPlane<std::uint8_t> cur;       ///< committed-plane parity
-    AlignedPlane<std::uint8_t> pub;       ///< published-this-round flag
-    AlignedPlane<std::uint8_t> terminated;  ///< kLive / kEnding / kEnded
+    /// kUnstaged / kStaged / kStagedWide (see `Engine`).
+    AlignedPlane<std::uint8_t> pub;
+    AlignedPlane<std::uint8_t> terminated;  ///< kLive / kEnded
     /// T_v once terminated. While a node is alive and asleep its slot
     /// holds its sleep deadline instead: every reader masks the lane
     /// with `terminated`, so the slot is free until termination, and
     /// reusing it keeps sleep from costing a lane of its own.
     AlignedPlane<std::int64_t> term_round;
-    AlignedPlane<std::uint8_t> sleep;  ///< kAwake / kAsleep / kWoken
+    /// kAwake / kAsleep / kWoken between walks; during a walk a visit
+    /// may also set kRelink or kEnding (see `Engine`). Only the visited
+    /// node touches its byte during a walk.
+    AlignedPlane<std::uint8_t> sleep;
     /// The sleep-timer queue, a radix queue keyed by deadline round.
     /// Bucket b holds the sleepers whose deadline first differs from
     /// `timer_base` at bit b (deadlines are 32-bit, and only ever above
@@ -414,19 +487,28 @@ class Engine {
     std::int64_t timer_floor[kTimerBuckets] = {};
     std::vector<Output> outputs;
     std::vector<NodeId> alive;      ///< compacted in place every round
-    /// Publishers of the current round; when sleep is honoured the
-    /// end-of-round compaction appends the silent terminators too, so
-    /// the flip wakes the neighbours of both.
+    /// Publishers of the current round, collected by the end-of-walk
+    /// compaction in id order; when sleep is honoured the silent
+    /// terminators join them, so the flip wakes the neighbours of both.
     std::vector<NodeId> published;
     std::vector<NodeId> woken;  ///< sleepers woken for the next round
-    /// Word planes replaced by a mid-round growth, retired until the
-    /// flip so outstanding RegViews keep pointing at live (committed,
-    /// immutable) data.
-    std::vector<AlignedPlane<std::int64_t>> retired;
+    /// The walk's wide publishes, in call order per node. Empty unless a
+    /// register outgrows `cap`, which is rare, so these allocate.
+    std::vector<WidePublish> wide;
+    std::vector<std::int64_t> wide_words;
+    std::mutex wide_mu;  ///< guards the two above during a sharded walk
     std::int64_t cap = kInitialCap;
     std::int64_t alloc_events_ = 0;
+    RoundHelpers* helpers_ = nullptr;
     bool in_use = false;
   };
+
+  /// Walks of at least `kShardMin` nodes are cut into chunks of
+  /// `kShardChunk` nodes when the workspace has helpers. Chunk bounds
+  /// depend only on the walked list. See DESIGN.md, "Sharded rounds",
+  /// for how the two were chosen.
+  static constexpr std::size_t kShardChunk = 512;
+  static constexpr std::size_t kShardMin = 2 * kShardChunk;
 
   explicit Engine(const Tree& tree,
                   DispatchMode dispatch = DispatchMode::kAuto)
@@ -465,35 +547,60 @@ class Engine {
  private:
   friend class NodeCtx;
 
-  /// Stages v's next register (the one body of every publish; the
-  /// caller has made `width` fit). Drops a publish that equals the
-  /// committed register when nothing is staged yet.
+  class ShardedWalk;
+
+  /// Stages v's next register (the body of every publish that fits
+  /// `cap`). Drops a publish that equals the committed register when
+  /// nothing is staged yet.
   void stage(NodeId v, const std::int64_t* words, std::int64_t width);
-  /// Grows the word planes so a register of `width` words fits. The
-  /// outgoing planes are retired (kept alive until the end of the
-  /// round), so views handed out earlier this round stay valid.
+  /// Buffers a publish wider than `cap` for `flush_wide`.
+  void stage_wide(NodeId v, RegView reg);
+  /// Grows the word planes so a register of `width` words fits. Only
+  /// called between walks, when no `RegView` is outstanding.
   void grow(std::int64_t width);
-  /// Commits this round's publishes (parity toggles) and releases any
-  /// retired planes. Called at the end of init and of every round.
+  /// Applies the walk's wide publishes after one growth.
+  void flush_wide();
+  /// Calls the hook of every node in the alive list: serially, or in
+  /// chunks shared with the workspace's helpers (counted in `stats`).
+  /// Then applies the deferred wide publishes.
+  void walk(Program& program, bool init, RunStats& stats);
+  /// The serial walk of [first, last).
+  void walk_range(Program& program, bool init, const NodeId* first,
+                  const NodeId* last);
+  /// Commits this round's publishes (parity toggles) and wakes the
+  /// neighbours of every listed node. Called at the end of init and of
+  /// every round.
   void commit_publishes();
-  /// Drops the terminated (and, when sleep is honoured, the sleeping) ids
-  /// from the alive list, in place and stable. Returns the number of
-  /// terminations it dropped.
+  /// Ends a walk: drops the terminated (and, when sleep is honoured, the
+  /// sleeping) ids from the alive list, in place and stable; collects
+  /// the publishers; makes the walk's terminations visible; and applies
+  /// its timer-queue changes, all in id order. Returns the number of
+  /// terminations.
   std::int64_t compact_alive();
   /// Points the hot-path mirrors at `ws`'s (re)prepared lanes.
   void bind(Workspace& ws);
 
-  // Termination states of the `terminated` lane. A termination is
-  // `kEnding` for the rest of its round and `kEnded` (visible) from the
-  // end-of-round compaction on.
+  // States of the `terminated` lane. A termination is marked in the
+  // node's `sleep` byte during its walk and becomes kEnded (visible) at
+  // the end-of-walk compaction.
   static constexpr std::uint8_t kLive = 0;
   static constexpr std::uint8_t kEnded = 1;
-  static constexpr std::uint8_t kEnding = 2;
 
-  // Sleep (only when honoured). Per-node sleep states:
+  // States of the `pub` lane.
+  static constexpr std::uint8_t kUnstaged = 0;
+  static constexpr std::uint8_t kStaged = 1;
+  static constexpr std::uint8_t kStagedWide = 2;  ///< in `Workspace::wide`
+
+  // States of the `sleep` lane. Between walks a node is kAwake, kAsleep
+  // or kWoken (woken for the next round). A visit may set kAsleep (asleep
+  // under the deadline it is already queued with), kRelink (asleep under
+  // a new deadline) or kEnding (terminated); the compaction resolves the
+  // last two.
   static constexpr std::uint8_t kAwake = 0;
   static constexpr std::uint8_t kAsleep = 1;
-  static constexpr std::uint8_t kWoken = 2;  ///< woken for next round
+  static constexpr std::uint8_t kWoken = 2;
+  static constexpr std::uint8_t kRelink = 3;
+  static constexpr std::uint8_t kEnding = 4;
   /// Timer rounds are stored in 32 bits; a later deadline is clamped,
   /// which only wakes the node early (a no-op visit by contract).
   static constexpr std::int64_t kMaxTimerRound =
@@ -504,7 +611,8 @@ class Engine {
 
   /// Puts v to sleep until `round` (> the next round) or kNever. A
   /// deadline that clamping brings to the next round or before is no
-  /// sleep.
+  /// sleep, and a node that terminated in this visit stays terminated.
+  /// Touches only v's own lanes; the compaction relinks.
   void sleep(NodeId v, std::int64_t round);
   /// Marks u woken for the next round if it is asleep.
   void wake(NodeId u);
@@ -618,7 +726,10 @@ inline RegView NodeCtx::own() const {
 inline void NodeCtx::publish(RegView reg) {
   Engine& e = engine_;
   const std::int64_t width = static_cast<std::int64_t>(reg.size());
-  if (width > e.cap_) e.grow(width);
+  if (width > e.cap_) {
+    e.stage_wide(v_, reg);
+    return;
+  }
   e.stage(v_, reg.data(), width);
 }
 
@@ -632,7 +743,7 @@ inline void Engine::stage(NodeId v, const std::int64_t* words,
                           std::int64_t width) {
   const auto i = static_cast<std::size_t>(v);
   const std::size_t at = i * static_cast<std::size_t>(cap_);
-  if (pub_[i] == 0) {
+  if (pub_[i] == kUnstaged) {
     // Nothing staged yet: a register equal to the committed one changes
     // nothing any reader can see, so drop it — re-sending a register
     // must not count as a change that wakes sleeping neighbours.
@@ -641,9 +752,9 @@ inline void Engine::stage(NodeId v, const std::int64_t* words,
         std::equal(words, words + width, words_[plane] + at)) {
       return;
     }
-    pub_[i] = 1;
-    ws_->published.push_back(v);
   }
+  // Also supersedes a wide publish buffered earlier in this visit.
+  pub_[i] = kStaged;
   const int staging = cur_[i] ^ 1;
   if (width != 0) {
     std::memcpy(words_[staging] + at, words,

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "algo/registry.hpp"
 #include "core/batch.hpp"
@@ -79,8 +81,17 @@ TEST(BatchRunner, ResultsAreInJobOrder) {
 }
 
 TEST(BatchRunner, SingleVsMultiThreadIdentical) {
-  const auto jobs = make_stagger_jobs(16);
+  auto jobs = make_stagger_jobs(16);
+  // One registry job large enough that its walks shard across the idle
+  // workers of a multi-worker runner (it runs in the worker's
+  // tls_workspace(), through algo::run_registered).
+  jobs.push_back(core::make_solver_job("large", 20000.0, 9,
+                                       algo::solver("generic_hier_35"), {},
+                                       "random_attach", 20000, /*delta=*/0));
+  const std::size_t large = jobs.size() - 1;
   const auto serial = core::run_batch(jobs, 1);
+  EXPECT_TRUE(serial[large].ok()) << serial[large].check_reason;
+  for (const MeasuredRun& r : serial) EXPECT_EQ(r.sharded_rounds, 0);
   for (const int threads : {2, 4, 8}) {
     const auto parallel = core::run_batch(jobs, threads);
     ASSERT_EQ(parallel.size(), serial.size());
@@ -90,7 +101,9 @@ TEST(BatchRunner, SingleVsMultiThreadIdentical) {
       EXPECT_EQ(parallel[i].worst_case, serial[i].worst_case);
       EXPECT_EQ(parallel[i].n, serial[i].n);
       EXPECT_EQ(parallel[i].status, serial[i].status);
+      EXPECT_EQ(parallel[i].term.hist, serial[i].term.hist);
     }
+    EXPECT_GT(parallel[large].sharded_rounds, 0) << threads << " threads";
   }
 }
 
@@ -250,6 +263,86 @@ TEST(BatchRunner, SolverJobBuildsFamiliesByName) {
   EXPECT_THROW((void)core::make_solver_job("path", 1.0, 0, spec, {}, "path",
                                            10, /*delta=*/4),
                std::invalid_argument);
+}
+
+/// Every node stays awake until `stop` is set or round kLastRound, and
+/// each visit does a little work, so a round of this program on a large
+/// path takes milliseconds. Node 0 publishes the round number; every
+/// visit made on another thread than the job's records that a helper
+/// joined. (The shared atomics break the per-node state contract on
+/// purpose: this is a scheduling probe, not a measured program.)
+class Crawl final : public local::Program {
+ public:
+  static constexpr std::int64_t kLastRound = 2000;
+
+  Crawl(std::atomic<std::int64_t>& round, std::atomic<bool>& helper_seen,
+        const std::atomic<bool>& stop)
+      : owner_(std::this_thread::get_id()),
+        round_(round),
+        helper_seen_(helper_seen),
+        stop_(stop) {}
+
+  void on_init(local::NodeCtx&) override {}
+  void on_round(local::NodeCtx& ctx) override {
+    if (ctx.node() == 0) round_.store(ctx.round());
+    if (std::this_thread::get_id() != owner_) helper_seen_.store(true);
+    std::uint64_t x = static_cast<std::uint64_t>(ctx.node());
+    for (int i = 0; i < 200; ++i) x = x * 6364136223846793005ULL + 1;
+    if (ctx.round() >= kLastRound || stop_.load()) {
+      ctx.terminate(static_cast<int>(x & 1));
+    }
+  }
+
+ private:
+  std::thread::id owner_;
+  std::atomic<std::int64_t>& round_;
+  std::atomic<bool>& helper_seen_;
+  const std::atomic<bool>& stop_;
+};
+
+TEST(BatchRunner, QueuedJobStartsWithinOneRoundOfASharingRun) {
+  // Two workers: one runs a long program whose rounds the other helps
+  // with. A batch submitted meanwhile from another thread must start on
+  // the helper after the round it is helping with, not after the run.
+  BatchRunner runner(BatchOptions{2});
+  const graph::Tree path = graph::make_path(30000);
+  std::atomic<std::int64_t> round{0};
+  std::atomic<bool> helper_seen{false};
+  std::atomic<bool> stop{false};
+  BatchJob crawl;
+  crawl.run = [&](std::uint64_t) {
+    Crawl p(round, helper_seen, stop);
+    local::Engine engine(path);
+    (void)engine.run(p, local::tls_workspace());
+    MeasuredRun r;
+    r.status = core::RunStatus::kOk;
+    return r;
+  };
+  std::thread owner([&] { (void)runner.run_all({crawl}); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!helper_seen.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(helper_seen.load()) << "no helper joined the run's rounds";
+
+  std::int64_t started_in = -1;
+  BatchJob queued;
+  queued.run = [&](std::uint64_t) {
+    started_in = round.load();
+    MeasuredRun r;
+    r.status = core::RunStatus::kOk;
+    return r;
+  };
+  const std::int64_t submitted_in = round.load();
+  (void)runner.run_all({queued});
+  stop.store(true);
+  owner.join();
+  // The helper finishes the round it is in and then takes the job; one
+  // more round of slack covers the gap between reading the round and
+  // queueing the batch.
+  EXPECT_LE(started_in, submitted_in + 2);
+  EXPECT_LT(started_in, Crawl::kLastRound);
 }
 
 TEST(BatchRunner, EmptyBatchAndThreadCount) {

@@ -7,9 +7,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "algo/registry.hpp"
+#include "core/batch.hpp"
 #include "graph/builders.hpp"
+#include "graph/families.hpp"
 #include "local/engine.hpp"
 #include "test_util.hpp"
 
@@ -1384,6 +1389,315 @@ TEST(EngineTimers, RandomSleepersMatchPerNodeAndPinnedCounts) {
     EXPECT_EQ(by_default.total_rounds, pin.total_rounds);
     EXPECT_EQ(by_default.rounds, pin.rounds);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sharded rounds: walks of at least Engine::kShardMin nodes are cut into
+// chunks that a BatchRunner's idle workers walk too. Every run below is
+// large enough to shard and is compared with the same run on a 1-worker
+// runner (no helper, so never sharded) and in an engine-owned workspace.
+// ---------------------------------------------------------------------------
+
+/// One engine run and its profile.
+struct ProfiledRun {
+  RunStats stats;
+  local::RunProfile profile;
+};
+
+/// Runs `make()`'s program on `tree` as the only job of a `threads`-worker
+/// runner, in that worker's workspace — where the runner's other workers
+/// help. `threads == 0` runs it in an engine-owned workspace instead.
+template <typename Make>
+ProfiledRun run_with_helpers(const Tree& tree, int threads,
+                             local::DispatchMode mode, Make make) {
+  constexpr std::int64_t max_rounds = 100000;
+  ProfiledRun out;
+  const auto run = [&] {
+    auto program = make();
+    Engine engine(tree, mode);
+    if (threads == 0) {
+      out.stats = engine.run(*program, max_rounds, &out.profile);
+    } else {
+      out.stats = engine.run(*program, local::tls_workspace(), max_rounds,
+                             &out.profile);
+    }
+  };
+  if (threads == 0) {
+    run();
+    return out;
+  }
+  core::BatchJob job;
+  job.run = [&run](std::uint64_t) {
+    run();
+    core::MeasuredRun r;
+    r.status = core::RunStatus::kOk;
+    return r;
+  };
+  const std::vector<core::MeasuredRun> results =
+      core::run_batch({job}, threads);
+  EXPECT_TRUE(results[0].ok()) << results[0].check_reason;
+  return out;
+}
+
+/// Everything a run measures, `visits` and the profile included; only
+/// `sharded_rounds` may differ.
+void expect_same_run(const ProfiledRun& a, const ProfiledRun& b) {
+  expect_identical(a.stats, b.stats);
+  EXPECT_EQ(a.stats.visits, b.stats.visits);
+  EXPECT_EQ(a.stats.truncated, b.stats.truncated);
+  EXPECT_EQ(a.stats.unterminated, b.stats.unterminated);
+  EXPECT_EQ(a.profile.alive_per_round, b.profile.alive_per_round);
+  EXPECT_EQ(a.profile.term_count, b.profile.term_count);
+}
+
+/// Runs `make()` serially, on a 1-worker and on a 4-worker runner, in
+/// both dispatch modes (or only the default): all agree, the 4-worker
+/// runs shard and the others do not. Returns the default-dispatch
+/// 4-worker run.
+template <typename Make>
+ProfiledRun expect_shard_invariant(const Tree& tree, Make make,
+                                   bool per_node_too = true) {
+  ProfiledRun sharded;
+  for (const auto mode :
+       {local::DispatchMode::kPerNode, local::DispatchMode::kAuto}) {
+    if (mode == local::DispatchMode::kPerNode && !per_node_too) continue;
+    SCOPED_TRACE(mode == local::DispatchMode::kPerNode ? "per-node"
+                                                       : "default");
+    const ProfiledRun serial = run_with_helpers(tree, 0, mode, make);
+    const ProfiledRun one = run_with_helpers(tree, 1, mode, make);
+    const ProfiledRun four = run_with_helpers(tree, 4, mode, make);
+    expect_same_run(serial, one);
+    expect_same_run(serial, four);
+    EXPECT_EQ(serial.stats.sharded_rounds, 0);
+    EXPECT_EQ(one.stats.sharded_rounds, 0);
+    EXPECT_GT(four.stats.sharded_rounds, 0);
+    if (mode == local::DispatchMode::kAuto) sharded = four;
+  }
+  return sharded;
+}
+
+/// Exercises each deferred effect of a sharded walk on a path, whose
+/// walks are all of 0..n-1 for the first rounds, so chunk c holds ids
+/// [512c, 512c + 512). Round 1 publishes registers wider than the
+/// initial capacity (a plane growth inside the walk): some are then
+/// superseded by a narrower publish in the same callback, some by a
+/// second wide one, some follow a narrow one. Round 2 reads them all
+/// back; about every seventh node sleeps and terminates in one callback;
+/// the first node of each chunk sleeps with no deadline until its left
+/// neighbour, the last node of the previous chunk, publishes in round 3.
+class ShardProbe final : public Program {
+ public:
+  static constexpr std::size_t kChunk = 512;
+
+  explicit ShardProbe(const Tree& tree)
+      : tree_(tree), bad_(static_cast<std::size_t>(tree.size()), 0) {}
+
+  void on_init(NodeCtx& ctx) override { ctx.publish({ctx.node()}); }
+
+  void on_round(NodeCtx& ctx) override {
+    const NodeId v = ctx.node();
+    const std::int64_t r = ctx.round();
+    const auto i = static_cast<std::size_t>(v);
+    if (r == 1) {
+      switch (v % 4) {
+        case 0:
+          ctx.publish(wide(v, 1));
+          break;
+        case 1:
+          ctx.publish(wide(v, 1));
+          ctx.publish({v, 1});
+          break;
+        case 2:
+          ctx.publish({v, 1});
+          ctx.publish(wide(v, 2));
+          break;
+        default:
+          ctx.publish(wide(v, 1));
+          ctx.publish(wide(v, 3));
+      }
+      return;
+    }
+    if (r == 2) {
+      if (!same(ctx.own(), expected(v))) ++bad_[i];
+      const auto nb = tree_.neighbors(v);
+      for (std::size_t p = 0; p < nb.size(); ++p) {
+        if (!same(ctx.peek(static_cast<int>(p)), expected(nb[p]))) {
+          ++bad_[i];
+        }
+      }
+      if (sleeps_and_ends(i)) {
+        ctx.sleep_until(50);
+        ctx.terminate(1);
+        return;
+      }
+    }
+    if (r == 3 && i % kChunk == kChunk - 1) ctx.publish({v, 3});
+    if (i % kChunk == 0 && v > 0) {
+      // Waits for the left neighbour's round-3 publish.
+      for (int p = 0; p < ctx.degree(); ++p) {
+        if (same(ctx.peek(p), {v - 1, 3})) {
+          ctx.terminate(static_cast<int>(r));
+          return;
+        }
+      }
+      ctx.sleep_until(NodeCtx::kNever);
+      return;
+    }
+    if (r >= 5) ctx.terminate(2);
+  }
+
+  [[nodiscard]] const std::vector<int>& bad() const { return bad_; }
+  /// Whether node i sleeps and terminates in round 2 (never the last
+  /// node of a chunk, which has a publish to make in round 3).
+  static bool sleeps_and_ends(std::size_t i) {
+    return i % 7 == 3 && i % kChunk != kChunk - 1;
+  }
+
+ private:
+  static Register wide(NodeId v, std::int64_t tag) {
+    Register reg(9);
+    for (std::size_t w = 0; w < reg.size(); ++w) {
+      reg[w] = v * 16 + tag * static_cast<std::int64_t>(w);
+    }
+    return reg;
+  }
+  static Register expected(NodeId u) {
+    switch (u % 4) {
+      case 0:
+        return wide(u, 1);
+      case 1:
+        return {u, 1};
+      case 2:
+        return wide(u, 2);
+      default:
+        return wide(u, 3);
+    }
+  }
+  static bool same(local::RegView got, const Register& want) {
+    return std::equal(got.begin(), got.end(), want.begin(), want.end());
+  }
+
+  const Tree& tree_;
+  std::vector<int> bad_;
+};
+
+TEST(EngineShard, GrowthSleepTerminateAndChunkBoundaryWakes) {
+  const Tree t = graph::make_path(5000);
+  ASSERT_EQ(ShardProbe::kChunk, Engine::kShardChunk);
+  const ProfiledRun run = expect_shard_invariant(
+      t, [&] { return std::make_unique<ShardProbe>(t); });
+  for (std::size_t v = 0; v < 5000; ++v) {
+    const std::int64_t tv = run.stats.termination_round[v];
+    if (ShardProbe::sleeps_and_ends(v)) {
+      EXPECT_EQ(tv, 2) << v;
+    } else if (v % ShardProbe::kChunk == 0 && v > 0) {
+      EXPECT_EQ(tv, 4) << v;  // woken across the chunk boundary
+    } else {
+      EXPECT_EQ(tv, 5) << v;
+    }
+  }
+}
+
+TEST(EngineShard, WideRegistersSurviveAShardedGrowth) {
+  const Tree t = graph::make_path(5000);
+  for (const int threads : {1, 4}) {
+    std::vector<int> bad;
+    core::BatchJob job;
+    job.run = [&](std::uint64_t) {
+      ShardProbe p(t);
+      Engine engine(t);
+      const RunStats stats = engine.run(p, local::tls_workspace());
+      EXPECT_EQ(stats.sharded_rounds > 0, threads > 1);
+      bad = p.bad();
+      core::MeasuredRun r;
+      r.status = core::RunStatus::kOk;
+      return r;
+    };
+    (void)core::run_batch({job}, threads);
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), 5000)
+        << "nodes that read a wrong register at " << threads << " workers";
+  }
+}
+
+TEST(EngineShard, RandomSleepersMatchAcrossRunners) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(seed);
+    // The per-node reference is RandomSleepersMatchPerNodeAndPinnedCounts;
+    // here the default dispatch's wakes, relinks and terminations meet
+    // chunk boundaries.
+    const Tree t = graph::make_random_tree(6000, 4, seed);
+    (void)expect_shard_invariant(
+        t, [&] { return std::make_unique<RandomSleepers>(seed, t.size()); },
+        /*per_node_too=*/false);
+  }
+}
+
+TEST(EngineShard, EveryRegisteredSolverMatchesAcrossRunners) {
+  for (const algo::SolverSpec& spec : algo::registry()) {
+    SCOPED_TRACE(spec.name);
+    std::string family;
+    for (const char* name : {"random_attach", "prufer", "path"}) {
+      const graph::Family* f = graph::find_family(name);
+      if (f != nullptr && spec.compatible(*f)) {
+        family = name;
+        break;
+      }
+    }
+    ASSERT_FALSE(family.empty());
+    Tree t = graph::make_family_instance(family, /*n=*/4000, /*seed=*/5);
+    algo::prepare_instance(t, spec.needs, 5);
+    algo::SolverConfig cfg;
+    cfg.seed = 5;
+    cfg.validate(spec);
+    const ProfiledRun run =
+        expect_shard_invariant(t, [&] { return spec.factory(t, cfg); });
+    EXPECT_TRUE(
+        spec.certify(t, *spec.factory(t, cfg), run.stats, cfg).ok);
+  }
+}
+
+/// Node `thrower` throws in round 1; the exception must reach the run's
+/// caller from whichever thread walked that node's chunk.
+class ThrowsInRoundOne final : public Program {
+ public:
+  explicit ThrowsInRoundOne(NodeId thrower) : thrower_(thrower) {}
+  void on_init(NodeCtx&) override {}
+  void on_round(NodeCtx& ctx) override {
+    if (ctx.node() == thrower_) {
+      ctx.terminate(0);
+      ctx.terminate(1);
+    }
+    if (ctx.round() == 3) ctx.terminate(0);
+  }
+
+ private:
+  NodeId thrower_;
+};
+
+TEST(EngineShard, ACallbackExceptionReachesTheOwner) {
+  const Tree t = graph::make_path(5000);
+  for (const int threads : {1, 4}) {
+    core::BatchJob job;
+    job.run = [&](std::uint64_t) -> core::MeasuredRun {
+      ThrowsInRoundOne p(4321);
+      Engine engine(t);
+      (void)engine.run(p, local::tls_workspace());
+      ADD_FAILURE() << "the run did not throw";
+      return {};
+    };
+    const auto results = core::run_batch({job}, threads);
+    EXPECT_EQ(results[0].status, core::RunStatus::kException);
+    EXPECT_NE(results[0].check_reason.find("double termination"),
+              std::string::npos)
+        << results[0].check_reason;
+  }
+  // The workspace is usable again afterwards: a clean run on the same
+  // runner shape shards and completes.
+  const ProfiledRun clean = run_with_helpers(
+      t, 4, local::DispatchMode::kAuto,
+      [] { return std::make_unique<ThrowsInRoundOne>(-1); });
+  EXPECT_EQ(clean.stats.worst_case, 3);
+  EXPECT_GT(clean.stats.sharded_rounds, 0);
 }
 
 TEST(AlignedPlaneContract, PaddingAlignmentAndAllocAccounting) {

@@ -1,5 +1,7 @@
 #include "local/engine.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -10,6 +12,15 @@
 #include <utility>
 
 namespace lcl::local {
+
+void* map_plane(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void unmap_plane(void* p, std::size_t bytes) noexcept { ::munmap(p, bytes); }
 
 Output NodeCtx::neighbor_output(int port) const {
   if (!neighbor_terminated(port)) {
@@ -320,41 +331,6 @@ std::int64_t Engine::compact_alive() {
 
 namespace {
 
-/// Lists shorter than this are sorted by comparison, longer ones by radix.
-constexpr std::size_t kRadixMin = 256;
-constexpr int kRadixBits = 11;
-
-/// Sorts `ids` (each below `n`) in place. A long list goes through a
-/// least-significant-digit radix sort, 11 bits per pass, via `scratch`,
-/// whose capacity must hold the list; `scratch`'s contents are lost.
-void sort_ids(std::vector<NodeId>& ids, std::vector<NodeId>& scratch,
-              std::size_t n) {
-  if (ids.size() < kRadixMin) {
-    std::sort(ids.begin(), ids.end());
-    return;
-  }
-  constexpr std::size_t kBuckets = std::size_t{1} << kRadixBits;
-  const int bits = std::bit_width(n - 1);
-  scratch.resize(ids.size());
-  NodeId* from = ids.data();
-  NodeId* to = scratch.data();
-  for (int shift = 0; shift < bits; shift += kRadixBits) {
-    std::uint32_t start[kBuckets] = {};
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      ++start[(static_cast<std::uint32_t>(from[i]) >> shift) &
-              (kBuckets - 1)];
-    }
-    std::uint32_t sum = 0;
-    for (std::uint32_t& s : start) sum += std::exchange(s, sum);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      to[start[(static_cast<std::uint32_t>(from[i]) >> shift) &
-               (kBuckets - 1)]++] = from[i];
-    }
-    std::swap(from, to);
-  }
-  if (from != ids.data()) std::copy_n(from, ids.size(), ids.data());
-}
-
 /// The bucket of a deadline above the queue's base: the highest bit in
 /// which the two differ.
 int timer_bucket(std::int64_t round, std::int64_t base) {
@@ -470,10 +446,7 @@ void Engine::wake_due() {
     woken.clear();
     return;
   }
-  // The publisher list is empty from the flip to the next walk, and
-  // reserved for n ids: the sort borrows it as its scratch.
-  sort_ids(woken, ws.published, n);
-  ws.published.clear();
+  std::sort(woken.begin(), woken.end());
   // Merge from the back: compaction already dropped every woken node
   // from `alive` (they were asleep), so the two lists are disjoint, and
   // the merged size is at most the reserved n.

@@ -173,6 +173,19 @@ enum class DispatchMode { kPerNode = 0, kBatch = 1, kAuto = 2 };
 /// kernel per pass, and callers that still name a mode keep compiling.
 enum class KernelMode { kScalar, kSimd, kAuto };
 
+/// Storage of `AlignedPlane`, mapped from the kernel (page aligned) and
+/// unmapped when freed, never taken from malloc. glibc raises its mmap
+/// threshold to the size of each large block freed to it (and its trim
+/// threshold to twice that). Planes are the largest blocks a run makes
+/// (23 MB per word plane on a 734k-node job), so once a worker freed
+/// its planes to malloc, later allocations of every thread up to that
+/// size came from arena heaps whose free tops `malloc_trim` never
+/// returns for threads other than the main one, and which exited worker
+/// kept such a 24-40 MB top resident depended on thread timing
+/// (DESIGN.md, "Engine planes bypass malloc").
+[[nodiscard]] void* map_plane(std::size_t bytes);
+void unmap_plane(void* p, std::size_t bytes) noexcept;
+
 /// A 64-byte-aligned lane of trivially-copyable elements, padded to a
 /// whole number of 64-byte blocks. Capacity only grows (`ensure`/`assign`
 /// return true exactly when they had to allocate — the workspace's
@@ -199,8 +212,10 @@ class AlignedPlane {
   bool ensure(std::size_t count) {
     const std::size_t need = padded(count);
     if (need <= cap_) return false;
-    buf_.reset(static_cast<T*>(
-        ::operator new(need * sizeof(T), std::align_val_t(kAlign))));
+    buf_.reset();
+    const std::size_t bytes = need * sizeof(T);
+    buf_ = std::unique_ptr<T, Free>(static_cast<T*>(map_plane(bytes)),
+                                    Free{bytes});
     cap_ = need;
     return true;
   }
@@ -220,9 +235,8 @@ class AlignedPlane {
 
  private:
   struct Free {
-    void operator()(T* p) const {
-      ::operator delete(p, std::align_val_t(kAlign));
-    }
+    std::size_t bytes = 0;
+    void operator()(T* p) const { unmap_plane(p, bytes); }
   };
   std::unique_ptr<T, Free> buf_;
   std::size_t cap_ = 0;

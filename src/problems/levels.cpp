@@ -14,42 +14,45 @@ bool is_active(const Tree& tree, NodeId v) {
 }
 
 /// Peels the subgraph induced by `in_graph(v)`. A node is removed once
-/// it has a level (levels start at 1), so no separate removed mask. The
-/// level lane is the only per-node array: a round counts each candidate's
-/// unpeeled neighbours afresh (stopping at three), and the nodes it peels
-/// hold -round until the round ends, so they still count as unpeeled for
-/// the rest of the round (simultaneous removal).
+/// it has a level (levels start at 1), so no separate removed mask.
 template <typename InGraph>
 std::vector<int> peel(const Tree& tree, int k, InGraph in_graph) {
   const NodeId n = tree.size();
   std::vector<int> level(static_cast<std::size_t>(n), 0);
-  auto lv = [&](NodeId v) -> int& {
-    return level[static_cast<std::size_t>(v)];
+  std::vector<int> remaining_degree(static_cast<std::size_t>(n), 0);
+  auto alive = [&](NodeId v) {
+    return level[static_cast<std::size_t>(v)] == 0 && in_graph(v);
   };
+
+  for (NodeId v = 0; v < n; ++v) {
+    if (!in_graph(v)) continue;
+    int d = 0;
+    for (NodeId u : tree.neighbors(v)) {
+      if (in_graph(u)) ++d;
+    }
+    remaining_degree[static_cast<std::size_t>(v)] = d;
+  }
+
+  std::vector<NodeId> peeled;
   for (int round = 1; round <= k; ++round) {
-    bool peeled = false;
+    // Collect this round's peel set first (simultaneous removal).
+    peeled.clear();
     for (NodeId v = 0; v < n; ++v) {
-      if (lv(v) != 0 || !in_graph(v)) continue;
-      int unpeeled = 0;
+      if (alive(v) && remaining_degree[static_cast<std::size_t>(v)] <= 2) {
+        peeled.push_back(v);
+      }
+    }
+    for (NodeId v : peeled) level[static_cast<std::size_t>(v)] = round;
+    for (NodeId v : peeled) {
       for (NodeId u : tree.neighbors(v)) {
-        if ((lv(u) == 0 || lv(u) == -round) && in_graph(u) &&
-            ++unpeeled > 2) {
-          break;
-        }
-      }
-      if (unpeeled <= 2) {
-        lv(v) = -round;
-        peeled = true;
+        if (alive(u)) --remaining_degree[static_cast<std::size_t>(u)];
       }
     }
-    if (!peeled) break;  // nothing more will ever peel
-    for (int& l : level) {
-      if (l == -round) l = round;
-    }
+    if (peeled.empty()) break;  // nothing more will ever peel
   }
 
   for (NodeId v = 0; v < n; ++v) {
-    if (lv(v) == 0 && in_graph(v)) lv(v) = k + 1;
+    if (alive(v)) level[static_cast<std::size_t>(v)] = k + 1;
   }
   return level;
 }

@@ -265,11 +265,10 @@ std::string Server::run_solve(const Request& req) {
                              run.verdict);
   };
 
-  std::vector<core::MeasuredRun> results;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    results = pool_.run_all({std::move(job)});
-  }
+  // Concurrent solves queue in the pool in arrival order; while only one
+  // runs, the pool's idle workers help with its large rounds.
+  const std::vector<core::MeasuredRun> results =
+      pool_.run_all({std::move(job)});
   const core::MeasuredRun& r = results.at(0);
 
   std::string out = envelope_prefix(req.has_id, req.id);

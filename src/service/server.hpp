@@ -21,8 +21,9 @@
 // Execution: `classify` and `info` run inline on the calling/worker
 // thread (a classify is one cache probe after warmup). `solve` builds
 // a `core::BatchJob` — the same composition the bench scenarios use —
-// and executes it through the shared `BatchRunner`, serialized by a
-// mutex (the pool's run_all is batch-oriented); for table-driven
+// and executes it through the shared `BatchRunner`, where concurrent
+// solves queue in arrival order and idle pool workers help the large
+// rounds of a running one; for table-driven
 // solvers the job's program factory closes over the cache entry's
 // canonical table, so a warm solve skips sampling, stripping, and
 // canonicalization entirely.
@@ -122,7 +123,6 @@ class Server {
   ServerOptions opts_;
   ProblemCache cache_;
   core::BatchRunner pool_;
-  std::mutex pool_mu_;  ///< serializes run_all batches on pool_
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;  ///< workers: work or stop

@@ -420,6 +420,54 @@ TEST(ServiceHammer, IdenticalRequestsGetByteIdenticalResponses) {
   EXPECT_EQ(s.entries, seeds.size());
 }
 
+TEST(ServiceHammer, ConcurrentSolvesMatchSerialSolves) {
+  // Solves from several clients share the server's pool: they queue in
+  // it side by side, and one running alone gets the idle worker's help
+  // with its large rounds (5,000-node walks are sharded). Every reply
+  // must equal the one-worker server's reply to the same line.
+  auto solve_line = [](int k) {
+    const std::string family = k % 3 == 0 ? "path" : "random_attach";
+    const int n = k % 2 == 0 ? 5000 : 700;
+    return "{\"type\":\"solve\",\"problem_seed\":0,"
+           "\"solver\":\"bw_generic\",\"family\":\"" +
+           family + "\",\"n\":" + std::to_string(n) +
+           ",\"seed\":" + std::to_string(k) + "}";
+  };
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 3;
+  std::vector<std::string> expected;
+  {
+    ServerOptions opts;
+    opts.threads = 1;
+    Server serial(opts);
+    for (int k = 0; k < kClients * kPerClient; ++k) {
+      expected.push_back(serial.handle_line(solve_line(k)));
+    }
+  }
+
+  ServerOptions opts;
+  opts.threads = 2;
+  opts.max_queue = 64;
+  Server server(opts);
+  std::vector<std::string> got(expected.size());
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const int k = c * kPerClient + i;
+        const std::string line = solve_line(k);
+        got[static_cast<std::size_t>(k)] =
+            i % 2 == 0 ? server.handle_line(line) : server.submit(line).get();
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_TRUE(parse(expected[k]).get_bool("certified", false)) << k;
+    EXPECT_EQ(got[k], expected[k]) << "request " << k;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Transport supervisor: TCP/Unix sockets, pipelining, flow control.
 // ---------------------------------------------------------------------------

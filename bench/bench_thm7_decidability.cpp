@@ -12,7 +12,7 @@
 // and the free problem really costs O(1).
 #include <cstdio>
 
-#include "algo/generic_hier.hpp"
+#include "algo/registry.hpp"
 #include "bw/constant_good.hpp"
 #include "bw/label_sets.hpp"
 #include "bw/path_lcl.hpp"
@@ -55,10 +55,10 @@ void run_thm7_decidability(ScenarioContext& ctx) {
   {
     graph::Tree t = graph::make_path(n);
     graph::assign_ids(t, graph::IdScheme::kShuffled, 3);
-    algo::GenericOptions o;
-    o.variant = problems::Variant::kThreeHalf;
-    o.k = 1;
-    const auto stats = algo::run_generic(t, o);
+    algo::SolverConfig cfg;
+    cfg.set("k", 1);
+    const auto stats =
+        algo::run_registered(algo::solver("generic_hier_35"), t, cfg).stats;
     std::printf("  3-coloring (not constant-good): node-avg %.2f on "
                 "n=%d — Theta(log*)-sized, not O(1)\n",
                 stats.node_averaged, n);

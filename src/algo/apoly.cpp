@@ -20,8 +20,9 @@ ApolyProgram::ApolyProgram(const graph::Tree& tree, ApolyOptions options)
     : tree_(tree),
       opt_(std::move(options)),
       generic_(tree,
-               GenericOptions{opt_.variant, opt_.k, opt_.gammas,
-                              opt_.id_space, opt_.symmetry_pad},
+               GenericOptions{problems::Variant::kTwoHalf, opt_.k,
+                              opt_.gammas, opt_.id_space,
+                              opt_.symmetry_pad},
                problems::active_levels(tree, opt_.k)) {
   // Algorithm A on the weight subgraph: participants are weight nodes,
   // input-A nodes are the weight nodes adjacent to at least one active.
@@ -149,12 +150,6 @@ void ApolyProgram::on_round(local::NodeCtx& ctx) {
     // Only the label's arrival from a neighbour can change anything.
     ctx.sleep_until(local::NodeCtx::kNever);
   }
-}
-
-local::RunStats run_apoly(const graph::Tree& tree, ApolyOptions options) {
-  ApolyProgram program(tree, std::move(options));
-  local::Engine engine(tree);
-  return engine.run(program);
 }
 
 }  // namespace lcl::algo

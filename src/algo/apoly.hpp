@@ -27,8 +27,6 @@ struct ApolyOptions {
   int d = 2;
   /// gamma_i for the embedded generic algorithm (size k-1).
   std::vector<std::int64_t> gammas;
-  /// Variant for the active part; Theorem 2 uses 2.5.
-  problems::Variant variant = problems::Variant::kTwoHalf;
   std::int64_t id_space = 0;
   std::int64_t symmetry_pad = 0;
   /// Ablation: skip Algorithm A and make every weight node Copy (the
@@ -63,9 +61,5 @@ class ApolyProgram final : public local::Program {
   /// Port of the parent in the Copy-component flood tree (-1 for roots).
   std::vector<int> flood_parent_port_;
 };
-
-/// Convenience runner.
-[[nodiscard]] local::RunStats run_apoly(const graph::Tree& tree,
-                                        ApolyOptions options);
 
 }  // namespace lcl::algo

@@ -33,6 +33,24 @@ decomp::LayerAssignment decode_layer(int encoded) {
   return a;
 }
 
+decomp::Decomposition decode_decomposition(const graph::Tree& tree,
+                                           const local::RunStats& stats,
+                                           int gamma, int ell) {
+  decomp::Decomposition d;
+  d.gamma = gamma;
+  d.ell = ell;
+  d.relaxed = true;
+  d.assignment.resize(static_cast<std::size_t>(tree.size()));
+  d.assign_step.resize(static_cast<std::size_t>(tree.size()));
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    d.assignment[i] = decode_layer(stats.output[i].primary);
+    d.assign_step[i] = static_cast<int>(stats.termination_round[i]);
+    d.num_layers = std::max(d.num_layers, d.assignment[i].layer);
+  }
+  return d;
+}
+
 DecompositionProgram::DecompositionProgram(const graph::Tree& tree,
                                            int gamma, int ell)
     : tree_(tree), gamma_(gamma), ell_(ell) {
@@ -170,33 +188,6 @@ void DecompositionProgram::on_round(local::NodeCtx& ctx) {
     }
     return;
   }
-}
-
-DistributedDecomposition run_distributed_decomposition(
-    const graph::Tree& tree, int gamma, int ell) {
-  DecompositionProgram program(tree, gamma, ell);
-  local::Engine engine(tree);
-  DistributedDecomposition out;
-  out.stats = engine.run(program);
-  out.decomposition.gamma = gamma;
-  out.decomposition.ell = ell;
-  out.decomposition.relaxed = true;
-  out.decomposition.assignment.resize(
-      static_cast<std::size_t>(tree.size()));
-  out.decomposition.assign_step.resize(
-      static_cast<std::size_t>(tree.size()));
-  int max_layer = 0;
-  for (graph::NodeId v = 0; v < tree.size(); ++v) {
-    const auto a =
-        decode_layer(out.stats.output[static_cast<std::size_t>(v)].primary);
-    out.decomposition.assignment[static_cast<std::size_t>(v)] = a;
-    out.decomposition.assign_step[static_cast<std::size_t>(v)] =
-        static_cast<int>(
-            out.stats.termination_round[static_cast<std::size_t>(v)]);
-    max_layer = std::max(max_layer, a.layer);
-  }
-  out.decomposition.num_layers = max_layer;
-  return out;
 }
 
 }  // namespace lcl::algo

@@ -33,6 +33,13 @@ namespace lcl::algo {
 [[nodiscard]] int encode_layer(const decomp::LayerAssignment& a);
 [[nodiscard]] decomp::LayerAssignment decode_layer(int encoded);
 
+/// Decodes a completed `DecompositionProgram` run back into a relaxed
+/// Decomposition: each node's layer from its output, its peeling step
+/// from its termination round, and `num_layers` as the highest layer.
+[[nodiscard]] decomp::Decomposition decode_decomposition(
+    const graph::Tree& tree, const local::RunStats& stats, int gamma,
+    int ell);
+
 class DecompositionProgram final : public local::Program {
  public:
   DecompositionProgram(const graph::Tree& tree, int gamma, int ell);
@@ -55,13 +62,5 @@ class DecompositionProgram final : public local::Program {
   int ell_;
   std::vector<State> state_;
 };
-
-/// Runs the program and returns (decomposition view, run stats).
-struct DistributedDecomposition {
-  decomp::Decomposition decomposition;
-  local::RunStats stats;
-};
-[[nodiscard]] DistributedDecomposition run_distributed_decomposition(
-    const graph::Tree& tree, int gamma, int ell);
 
 }  // namespace lcl::algo

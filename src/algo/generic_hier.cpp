@@ -7,7 +7,6 @@
 
 #include "algo/cole_vishkin.hpp"
 #include "local/engine.hpp"
-#include "problems/levels.hpp"
 
 namespace lcl::algo {
 
@@ -352,13 +351,6 @@ void GenericHierProgram::on_round(local::NodeCtx& ctx) {
   } else {
     cv_round(ctx);
   }
-}
-
-local::RunStats run_generic(const Tree& tree, GenericOptions options) {
-  std::vector<int> levels = problems::compute_levels(tree, options.k);
-  GenericHierProgram program(tree, options, std::move(levels));
-  local::Engine engine(tree);
-  return engine.run(program);
 }
 
 std::vector<std::int64_t> gammas_for_35(std::int64_t lambda, int k) {

@@ -133,10 +133,6 @@ class GenericHierProgram final : public local::Program {
   std::vector<WaveState> wave_;
 };
 
-/// Convenience: run the generic algorithm on `tree` and return the stats.
-[[nodiscard]] local::RunStats run_generic(const Tree& tree,
-                                          GenericOptions options);
-
 /// Theory-optimal gammas for the *unweighted* problems:
 /// t = base^{1/(2^k - 1)}, gamma_i = t^{2^{i-1}} (Lemma 14; for the 2.5
 /// polynomial analog use base = n, exponent 1/(2k-1) instead).

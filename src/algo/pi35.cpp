@@ -161,10 +161,4 @@ void Pi35Program::on_round(local::NodeCtx& ctx) {
   }
 }
 
-local::RunStats run_pi35(const graph::Tree& tree, Pi35Options options) {
-  Pi35Program program(tree, std::move(options));
-  local::Engine engine(tree);
-  return engine.run(program);
-}
-
 }  // namespace lcl::algo

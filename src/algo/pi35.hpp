@@ -80,7 +80,4 @@ class Pi35Program final : public local::Program {
   std::vector<char> case_of_comp_;
 };
 
-[[nodiscard]] local::RunStats run_pi35(const graph::Tree& tree,
-                                       Pi35Options options);
-
 }  // namespace lcl::algo

@@ -80,11 +80,4 @@ void RandomColoringProgram::on_round(local::NodeCtx& ctx) {
   ctx.publish({proposal_[static_cast<std::size_t>(v)]});
 }
 
-local::RunStats run_random_coloring(const graph::Tree& tree, int colors,
-                                    std::uint64_t seed) {
-  RandomColoringProgram program(tree, colors, seed);
-  local::Engine engine(tree);
-  return engine.run(program);
-}
-
 }  // namespace lcl::algo

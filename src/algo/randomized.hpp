@@ -39,9 +39,4 @@ class RandomColoringProgram final : public local::Program {
   std::vector<int> proposal_;         ///< previous round's proposal
 };
 
-/// Convenience: run and return stats (outputs are color indices).
-[[nodiscard]] local::RunStats run_random_coloring(const graph::Tree& tree,
-                                                  int colors,
-                                                  std::uint64_t seed);
-
 }  // namespace lcl::algo

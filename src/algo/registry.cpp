@@ -229,23 +229,8 @@ CheckResult certify_levels(const Tree& tree, const local::RunStats& stats,
 CheckResult certify_decomposition(const Tree& tree,
                                   const local::RunStats& stats, int gamma,
                                   int ell) {
-  decomp::Decomposition d;
-  d.gamma = gamma;
-  d.ell = ell;
-  d.relaxed = true;
-  d.assignment.resize(static_cast<std::size_t>(tree.size()));
-  d.assign_step.resize(static_cast<std::size_t>(tree.size()));
-  int max_layer = 0;
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    const auto a =
-        decode_layer(stats.output[static_cast<std::size_t>(v)].primary);
-    d.assignment[static_cast<std::size_t>(v)] = a;
-    d.assign_step[static_cast<std::size_t>(v)] = static_cast<int>(
-        stats.termination_round[static_cast<std::size_t>(v)]);
-    max_layer = std::max(max_layer, a.layer);
-  }
-  d.num_layers = max_layer;
-  const std::string err = decomp::validate_decomposition(tree, d);
+  const std::string err = decomp::validate_decomposition(
+      tree, decode_decomposition(tree, stats, gamma, ell));
   return err.empty() ? CheckResult::pass() : CheckResult::fail(err);
 }
 

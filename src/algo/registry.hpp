@@ -198,13 +198,16 @@ struct SolverRun {
   problems::CheckResult verdict;
 };
 
-/// One uniform run, the only code that executes a solver: validates
+/// One uniform run, the only code that executes a solver (scenarios,
+/// lcld and the solver tests all run through it): validates
 /// `config`, builds the program through the spec's factory, executes it
 /// on a fresh engine over this thread's workspace, and certifies the
 /// outputs with the spec's checker binding. A truncated run is measured
 /// but not certified (partial outputs are not checkable). The instance
 /// must already be prepared (or be a paper construction that carries
-/// its own inputs); `core::make_solver_job` wraps this for batches.
+/// its own inputs). `core::make_solver_job` wraps this for batches and
+/// is the only code that turns a (solver, family) request into a job —
+/// sweeps and lcld's `solve` both go through it.
 [[nodiscard]] SolverRun run_registered(
     const SolverSpec& spec, const graph::Tree& tree, SolverConfig config,
     std::int64_t max_rounds = std::numeric_limits<int>::max());

@@ -253,14 +253,4 @@ void WeightAugProgram::on_round(local::NodeCtx& ctx) {
   }
 }
 
-local::RunStats run_weight_aug(const graph::Tree& tree,
-                               WeightAugOptions options,
-                               problems::OrientationMap* orientation_out) {
-  WeightAugProgram program(tree, std::move(options));
-  local::Engine engine(tree);
-  local::RunStats stats = engine.run(program);
-  if (orientation_out != nullptr) *orientation_out = program.orientation();
-  return stats;
-}
-
 }  // namespace lcl::algo

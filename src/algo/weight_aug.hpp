@@ -75,9 +75,4 @@ class WeightAugProgram final : public local::Program {
   problems::OrientationMap orient_;
 };
 
-[[nodiscard]] local::RunStats run_weight_aug(const graph::Tree& tree,
-                                             WeightAugOptions options,
-                                             problems::OrientationMap*
-                                                 orientation_out = nullptr);
-
 }  // namespace lcl::algo

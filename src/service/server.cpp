@@ -1,6 +1,7 @@
 #include "service/server.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "algo/bw_generic.hpp"
@@ -238,32 +239,22 @@ std::string Server::run_solve(const Request& req) {
       return std::make_unique<algo::BwGenericProgram>(tree, table);
     };
   }
+  const std::int64_t max_rounds =
+      req.max_rounds > 0 ? req.max_rounds : 8 * req.n + 4096;
+  const auto n = static_cast<graph::NodeId>(req.n);
+  // make_solver_job validates the options and dry-builds the cell on a
+  // tiny instance, so a misconfigured solve is rejected here instead of
+  // failing on a worker after the full-size build. The job refers to
+  // `run_spec`, which outlives it: run_all below blocks until it ends.
+  core::BatchJob job;
   try {
-    algo::SolverConfig probe = config;
-    probe.validate(run_spec);
+    job = core::make_solver_job(req.solver + "@" + req.family,
+                                static_cast<double>(n), req.seed, run_spec,
+                                config, req.family, n,
+                                static_cast<int>(req.delta), max_rounds);
   } catch (const std::invalid_argument& e) {
     throw ProtocolError(ErrorCode::kBadRequest, e.what());
   }
-
-  const std::int64_t max_rounds =
-      req.max_rounds > 0 ? req.max_rounds : 8 * req.n + 4096;
-  core::BatchJob job;
-  job.label = req.solver + "@" + req.family;
-  job.scale = static_cast<double>(req.n);
-  job.seed = req.seed;
-  const std::string family_name = req.family;
-  const auto n = static_cast<graph::NodeId>(req.n);
-  const int delta = static_cast<int>(req.delta);
-  job.run = [run_spec, config, family_name, n, delta,
-             max_rounds](std::uint64_t seed) {
-    graph::Tree tree =
-        graph::make_family_instance(family_name, n, seed, delta);
-    algo::prepare_instance(tree, run_spec.needs, seed);
-    const algo::SolverRun run =
-        algo::run_registered(run_spec, tree, config, max_rounds);
-    return core::measure_run(static_cast<double>(n), run.stats,
-                             run.verdict);
-  };
 
   // Concurrent solves queue in the pool in arrival order; while only one
   // runs, the pool's idle workers help with its large rounds.

@@ -18,15 +18,16 @@ namespace {
 using graph::Tree;
 using problems::Variant;
 
-algo::ApolyOptions make_options(const Tree& t, int delta, int d, int k) {
-  algo::ApolyOptions o;
-  o.k = k;
-  o.d = d;
+/// The `apoly` solver's config with the Theorem-2 gammas for `t`.
+algo::SolverConfig make_config(const Tree& t, int delta, int d, int k) {
   const double x = core::efficiency_x(delta, d);
   const auto alphas = core::alpha_profile_poly(x, k);
-  o.gammas = core::gammas_from_profile(
-      alphas, static_cast<double>(t.size()));
-  return o;
+  algo::SolverConfig cfg;
+  cfg.set("k", k);
+  cfg.set("d", d);
+  cfg.set("gammas", core::gammas_from_profile(
+                        alphas, static_cast<double>(t.size())));
+  return cfg;
 }
 
 class ApolySweep
@@ -42,7 +43,7 @@ TEST_P(ApolySweep, ValidOnWeightedConstruction) {
   graph::assign_ids(t, graph::IdScheme::kShuffled, 7 * delta + d);
 
   const auto stats =
-      algo::run_apoly(t, make_options(t, delta, d, k));
+      test::run_solver("apoly", t, make_config(t, delta, d, k)).stats;
   test::assert_valid(
       problems::check_weighted(t, k, d, Variant::kTwoHalf, stats.output));
 }
@@ -70,12 +71,8 @@ TEST(Apoly, NodeAverageScalesLikeAlpha1) {
     auto inst = graph::make_weighted_construction(ell, delta);
     Tree& t = inst.tree;
     graph::assign_ids(t, graph::IdScheme::kShuffled, 13);
-    algo::ApolyOptions o;
-    o.k = k;
-    o.d = d;
-    o.gammas = core::gammas_from_profile(
-        alphas, static_cast<double>(t.size()));
-    const auto stats = algo::run_apoly(t, o);
+    const auto stats =
+        test::run_solver("apoly", t, make_config(t, delta, d, k)).stats;
     test::assert_valid(problems::check_weighted(t, k, d,
                                                 Variant::kTwoHalf,
                                                 stats.output));
@@ -158,7 +155,8 @@ TEST(Apoly, PinnedRunTotals) {
     Tree& t = inst.tree;
     graph::assign_ids(t, graph::IdScheme::kShuffled, p.id_seed);
     const auto stats =
-        algo::run_apoly(t, make_options(t, p.delta, p.d, p.k));
+        test::run_solver("apoly", t, make_config(t, p.delta, p.d, p.k))
+            .stats;
     EXPECT_EQ(stats.total_rounds, p.sum_t) << "k=" << p.k;
     EXPECT_EQ(stats.rounds, p.rounds) << "k=" << p.k;
     EXPECT_EQ(stats.worst_case, p.worst) << "k=" << p.k;

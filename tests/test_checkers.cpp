@@ -2,7 +2,6 @@
 // corruption is rejected with a pinpointing reason.
 #include <gtest/gtest.h>
 
-#include "algo/generic_hier.hpp"
 #include "graph/builders.hpp"
 #include "problems/checkers.hpp"
 #include "problems/labels.hpp"
@@ -17,12 +16,17 @@ using graph::Tree;
 using problems::Color;
 using problems::Variant;
 
-std::vector<int> valid_hier_solution(const Tree& t, int k, Variant variant) {
-  algo::GenericOptions o;
-  o.variant = variant;
-  o.k = k;
-  o.gammas.assign(static_cast<std::size_t>(k - 1), 4);
-  return algo::run_generic(t, o).primaries();
+/// A certified generic-solver run with every gamma set to `gamma`.
+std::vector<int> valid_hier_solution(const Tree& t, int k, Variant variant,
+                                     std::int64_t gamma = 4) {
+  algo::SolverConfig cfg;
+  cfg.set("k", k);
+  cfg.set("gammas",
+          std::vector<std::int64_t>(static_cast<std::size_t>(k - 1), gamma));
+  return test::run_solver(variant == Variant::kTwoHalf ? "generic_hier_25"
+                                                       : "generic_hier_35",
+                          t, cfg)
+      .stats.primaries();
 }
 
 TEST(Checkers, RejectsOutOfAlphabet) {
@@ -82,11 +86,7 @@ TEST(Checkers, RejectsMissedExempt) {
   // Short level-1 paths color, so level-2 must be E; flip one to W.
   const auto inst = graph::make_hierarchical_lower_bound({3, 10});
   Tree t = inst.tree;
-  algo::GenericOptions o;
-  o.variant = Variant::kTwoHalf;
-  o.k = 2;
-  o.gammas = {10};
-  auto out = algo::run_generic(t, o).primaries();
+  auto out = valid_hier_solution(t, 2, Variant::kTwoHalf, 10);
   const auto levels = problems::compute_levels(t, 2);
   for (NodeId v = 0; v < t.size(); ++v) {
     if (levels[static_cast<std::size_t>(v)] == 2) {

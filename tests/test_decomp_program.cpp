@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "algo/decomp_program.hpp"
+#include "algo/registry.hpp"
 #include "decomp/rake_compress.hpp"
 #include "graph/builders.hpp"
 #include "test_util.hpp"
@@ -32,15 +33,24 @@ TEST(DecompProgram, EncodeDecodeRoundTrips) {
   }
 }
 
+/// Runs the registered `rake_compress` solver; its verdict validates the
+/// decoded decomposition against Definition 43.
+algo::SolverRun run(const Tree& t, int gamma, int ell) {
+  algo::SolverConfig cfg;
+  cfg.set("gamma", gamma);
+  cfg.set("ell", ell);
+  return algo::run_registered(algo::solver("rake_compress"), t, cfg);
+}
+
 class DecompProgramSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DecompProgramSweep, ValidRelaxedDecomposition) {
   const std::uint64_t seed = GetParam();
   Tree t = graph::make_random_tree(800, 4, seed);
   graph::assign_ids(t, graph::IdScheme::kShuffled, seed);
-  const auto out = algo::run_distributed_decomposition(t, 2, 3);
-  EXPECT_EQ(decomp::validate_decomposition(t, out.decomposition), "")
-      << "seed " << seed;
+  const auto out = run(t, 2, 3);
+  EXPECT_TRUE(out.verdict.ok) << "seed " << seed << ": "
+                              << out.verdict.reason;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecompProgramSweep,
@@ -49,8 +59,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DecompProgramSweep,
 TEST(DecompProgram, PathsAndCaterpillars) {
   for (Tree t : {graph::make_path(300), graph::make_caterpillar(120, 2)}) {
     graph::assign_ids(t, graph::IdScheme::kShuffled, 9);
-    const auto out = algo::run_distributed_decomposition(t, 1, 3);
-    EXPECT_EQ(decomp::validate_decomposition(t, out.decomposition), "");
+    test::expect_valid(run(t, 1, 3).verdict);
   }
 }
 
@@ -60,9 +69,10 @@ TEST(DecompProgram, Lemma72RoundBoundGammaRootK) {
   graph::assign_ids(t, graph::IdScheme::kShuffled, 3);
   const int gamma = static_cast<int>(
       std::ceil(std::sqrt(static_cast<double>(t.size())) * 1.5));
-  const auto out = algo::run_distributed_decomposition(t, gamma, 3);
-  EXPECT_EQ(decomp::validate_decomposition(t, out.decomposition), "");
-  EXPECT_LE(out.decomposition.num_layers, 2);
+  const auto out = run(t, gamma, 3);
+  test::expect_valid(out.verdict);
+  EXPECT_LE(algo::decode_decomposition(t, out.stats, gamma, 3).num_layers,
+            2);
   // Rounds <= #layers * window = O(n^{1/2}).
   EXPECT_LE(out.stats.worst_case,
             static_cast<std::int64_t>(2) * (2 * gamma + 3 + 3));
@@ -73,8 +83,8 @@ TEST(DecompProgram, Lemma72RoundBoundGammaOne) {
   for (NodeId n : {1000, 8000, 64000}) {
     Tree t = graph::make_random_tree(n, 4, 7);
     graph::assign_ids(t, graph::IdScheme::kShuffled, 7);
-    const auto out = algo::run_distributed_decomposition(t, 1, 3);
-    EXPECT_EQ(decomp::validate_decomposition(t, out.decomposition), "");
+    const auto out = run(t, 1, 3);
+    test::expect_valid(out.verdict);
     const double logn = std::log2(static_cast<double>(n));
     EXPECT_LE(out.stats.worst_case,
               static_cast<std::int64_t>(8.0 * 4.0 * logn))
@@ -88,10 +98,12 @@ TEST(DecompProgram, AgreesWithCentralizedOnLayerCounts) {
   // layer counts must be of the same order.
   Tree t = graph::make_random_tree(5000, 4, 11);
   graph::assign_ids(t, graph::IdScheme::kShuffled, 11);
-  const auto dist = algo::run_distributed_decomposition(t, 2, 3);
+  const auto run_out = run(t, 2, 3);
+  test::expect_valid(run_out.verdict);
+  const auto dist = algo::decode_decomposition(t, run_out.stats, 2, 3);
   const auto central = decomp::rake_compress(t, 2, 3, /*split=*/false);
-  EXPECT_LE(dist.decomposition.num_layers, 2 * central.num_layers + 2);
-  EXPECT_LE(central.num_layers, 2 * dist.decomposition.num_layers + 2);
+  EXPECT_LE(dist.num_layers, 2 * central.num_layers + 2);
+  EXPECT_LE(central.num_layers, 2 * dist.num_layers + 2);
 }
 
 }  // namespace

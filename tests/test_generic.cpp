@@ -21,14 +21,18 @@ using graph::Tree;
 using problems::Color;
 using problems::Variant;
 
-GenericOptions opts(Variant variant, int k, std::vector<std::int64_t> gammas,
+/// Runs the registered generic solver of `variant` (certified).
+local::RunStats run(const Tree& t, Variant variant, int k,
+                    std::vector<std::int64_t> gammas,
                     std::int64_t pad = 0) {
-  GenericOptions o;
-  o.variant = variant;
-  o.k = k;
-  o.gammas = std::move(gammas);
-  o.symmetry_pad = pad;
-  return o;
+  algo::SolverConfig cfg;
+  cfg.set("k", k);
+  cfg.set("gammas", std::move(gammas));
+  if (pad != 0) cfg.set("symmetry_pad", pad);
+  return test::run_solver(variant == Variant::kTwoHalf ? "generic_hier_25"
+                                                       : "generic_hier_35",
+                          t, cfg)
+      .stats;
 }
 
 // --- k = 1 degenerations ---------------------------------------------
@@ -36,7 +40,7 @@ GenericOptions opts(Variant variant, int k, std::vector<std::int64_t> gammas,
 TEST(Generic, TwoColoringOnPathIsProper) {
   Tree t = graph::make_path(101);
   graph::assign_ids(t, graph::IdScheme::kShuffled, 3);
-  const auto stats = algo::run_generic(t, opts(Variant::kTwoHalf, 1, {}));
+  const auto stats = run(t, Variant::kTwoHalf, 1, {});
   test::assert_valid(problems::check_hierarchical_coloring(
       t, 1, Variant::kTwoHalf, stats.primaries()));
   // All W/B, alternating.
@@ -49,7 +53,7 @@ TEST(Generic, TwoColoringNodeAverageIsLinear) {
   for (NodeId n : {200, 400, 800}) {
     Tree t = graph::make_path(n);
     graph::assign_ids(t, graph::IdScheme::kShuffled, 5);
-    const auto stats = algo::run_generic(t, opts(Variant::kTwoHalf, 1, {}));
+    const auto stats = run(t, Variant::kTwoHalf, 1, {});
     EXPECT_GT(stats.node_averaged, static_cast<double>(n) / 8.0);
     EXPECT_GT(stats.node_averaged, prev_avg);
     prev_avg = stats.node_averaged;
@@ -59,7 +63,7 @@ TEST(Generic, TwoColoringNodeAverageIsLinear) {
 TEST(Generic, ThreeColoringOnPathIsProperAndFast) {
   Tree t = graph::make_path(5000);
   graph::assign_ids(t, graph::IdScheme::kShuffled, 11);
-  const auto stats = algo::run_generic(t, opts(Variant::kThreeHalf, 1, {}));
+  const auto stats = run(t, Variant::kThreeHalf, 1, {});
   test::assert_valid(problems::check_hierarchical_coloring(
       t, 1, Variant::kThreeHalf, stats.primaries()));
   test::expect_valid(problems::check_three_coloring(t, stats.primaries()));
@@ -69,14 +73,13 @@ TEST(Generic, ThreeColoringOnPathIsProperAndFast) {
 
 TEST(Generic, ThreeColoringVirtualLogStarTarget) {
   Tree t = graph::make_path(500);
-  const auto base = algo::run_generic(t, opts(Variant::kThreeHalf, 1, {}));
+  const auto base = run(t, Variant::kThreeHalf, 1, {});
   // A target below the natural CV cost changes nothing.
-  const auto low = algo::run_generic(t, opts(Variant::kThreeHalf, 1, {}, 10));
+  const auto low = run(t, Variant::kThreeHalf, 1, {}, 10);
   EXPECT_EQ(low.worst_case, base.worst_case);
   // A target above it pads the phase to Lambda total rounds (+3 fixed
   // offset: phase start plus the final map-and-terminate rounds).
-  const auto high =
-      algo::run_generic(t, opts(Variant::kThreeHalf, 1, {}, 200));
+  const auto high = run(t, Variant::kThreeHalf, 1, {}, 200);
   EXPECT_EQ(high.worst_case, 203);
   test::expect_valid(problems::check_three_coloring(t, high.primaries()));
 }
@@ -97,7 +100,7 @@ TEST_P(GenericHier, ValidOnLowerBoundGraph) {
   graph::assign_ids(t, graph::IdScheme::kShuffled, 17 * k + variant_idx);
 
   std::vector<std::int64_t> gammas(static_cast<std::size_t>(k - 1), 4);
-  const auto stats = algo::run_generic(t, opts(variant, k, gammas));
+  const auto stats = run(t, variant, k, gammas);
   test::assert_valid(problems::check_hierarchical_coloring(
       t, k, variant, stats.primaries()));
 }
@@ -113,7 +116,7 @@ TEST(Generic, DeclinesLongPathsColorsShortOnes) {
   const auto inst = graph::make_hierarchical_lower_bound({9, 10});
   Tree t = inst.tree;
   graph::assign_ids(t, graph::IdScheme::kShuffled, 23);
-  const auto stats = algo::run_generic(t, opts(Variant::kTwoHalf, 2, {5}));
+  const auto stats = run(t, Variant::kTwoHalf, 2, {5});
   test::assert_valid(problems::check_hierarchical_coloring(
       t, 2, Variant::kTwoHalf, stats.primaries()));
   const auto out = stats.primaries();
@@ -137,7 +140,7 @@ TEST(Generic, ShortLowLevelPathsExemptHigherLevels) {
   const auto inst = graph::make_hierarchical_lower_bound({3, 10});
   Tree t = inst.tree;
   graph::assign_ids(t, graph::IdScheme::kShuffled, 29);
-  const auto stats = algo::run_generic(t, opts(Variant::kTwoHalf, 2, {10}));
+  const auto stats = run(t, Variant::kTwoHalf, 2, {10});
   test::assert_valid(problems::check_hierarchical_coloring(
       t, 2, Variant::kTwoHalf, stats.primaries()));
   const auto out = stats.primaries();
@@ -157,7 +160,7 @@ TEST(Generic, RandomTreesAllVariants) {
     for (int k : {1, 2, 3}) {
       std::vector<std::int64_t> gammas(static_cast<std::size_t>(k - 1), 4);
       for (Variant variant : {Variant::kTwoHalf, Variant::kThreeHalf}) {
-        const auto stats = algo::run_generic(t, opts(variant, k, gammas));
+        const auto stats = run(t, variant, k, gammas);
         test::assert_valid(problems::check_hierarchical_coloring(
             t, k, variant, stats.primaries()));
       }
@@ -176,8 +179,8 @@ TEST(Generic, NodeAveragedMatchesTheoryTwoHalf) {
       {ell1, n_target / ell1});
   Tree t = inst.tree;
   graph::assign_ids(t, graph::IdScheme::kShuffled, 31);
-  const auto stats = algo::run_generic(
-      t, opts(Variant::kTwoHalf, 2, algo::gammas_for_25(t.size(), 2)));
+  const auto stats =
+      run(t, Variant::kTwoHalf, 2, algo::gammas_for_25(t.size(), 2));
   test::assert_valid(problems::check_hierarchical_coloring(
       t, 2, Variant::kTwoHalf, stats.primaries()));
   // Node average should be Theta(n^{1/3}): within a generous band.
@@ -196,7 +199,8 @@ TEST(Generic, StateGrowsWithActiveNodesNotWithN) {
   for (NodeId v = active; v < n; ++v) {
     t.set_input(v, static_cast<int>(graph::WeightInput::kWeight));
   }
-  const auto options = opts(Variant::kThreeHalf, 1, {});
+  GenericOptions options;
+  options.variant = Variant::kThreeHalf;
   const algo::GenericHierProgram few(t, options,
                                      problems::active_levels(t, 1));
   const Tree all_active = graph::make_path(n);

@@ -6,8 +6,7 @@
 
 #include <random>
 
-#include "algo/apoly.hpp"
-#include "algo/pi35.hpp"
+#include "algo/registry.hpp"
 #include "core/experiment.hpp"
 #include "core/exponents.hpp"
 #include "graph/builders.hpp"
@@ -42,22 +41,26 @@ Tree random_marked_tree(NodeId n, int delta, double active_fraction,
   return t;
 }
 
+/// Config for the registered weighted solvers ("apoly", "pi35").
+algo::SolverConfig weighted_config(int k, int d,
+                                   std::vector<std::int64_t> gammas) {
+  algo::SolverConfig cfg;
+  cfg.set("k", k);
+  cfg.set("d", d);
+  cfg.set("gammas", std::move(gammas));
+  return cfg;
+}
+
 class ApolyRandomSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
 
 TEST_P(ApolyRandomSweep, ValidOnRandomMixedInstances) {
   const auto [seed, fraction] = GetParam();
   Tree t = random_marked_tree(1200, 5, fraction, seed);
-  algo::ApolyOptions o;
-  o.k = 2;
-  o.d = 2;
-  o.gammas = {8};
-  const auto stats = algo::run_apoly(t, o);
-  const auto check = problems::check_weighted(t, o.k, o.d,
-                                              Variant::kTwoHalf,
-                                              stats.output);
-  ASSERT_TRUE(check.ok) << check.reason << " (seed " << seed
-                        << ", fraction " << fraction << ")";
+  const auto run = algo::run_registered(algo::solver("apoly"), t,
+                                        weighted_config(2, 2, {8}));
+  ASSERT_TRUE(run.verdict.ok) << run.verdict.reason << " (seed " << seed
+                              << ", fraction " << fraction << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -71,16 +74,10 @@ class Pi35RandomSweep
 TEST_P(Pi35RandomSweep, ValidOnRandomMixedInstances) {
   const auto [seed, fraction] = GetParam();
   Tree t = random_marked_tree(1200, 6, fraction, seed + 100);
-  algo::Pi35Options o;
-  o.k = 2;
-  o.d = 3;
-  o.gammas = {8};
-  const auto stats = algo::run_pi35(t, o);
-  const auto check = problems::check_weighted(t, o.k, o.d,
-                                              Variant::kThreeHalf,
-                                              stats.output);
-  ASSERT_TRUE(check.ok) << check.reason << " (seed " << seed
-                        << ", fraction " << fraction << ")";
+  const auto run = algo::run_registered(algo::solver("pi35"), t,
+                                        weighted_config(2, 3, {8}));
+  ASSERT_TRUE(run.verdict.ok) << run.verdict.reason << " (seed " << seed
+                              << ", fraction " << fraction << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -90,12 +87,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Integration, ApolyIsDeterministic) {
   Tree t = random_marked_tree(800, 5, 0.2, 42);
-  algo::ApolyOptions o;
-  o.k = 2;
-  o.d = 2;
-  o.gammas = {6};
-  const auto a = algo::run_apoly(t, o);
-  const auto b = algo::run_apoly(t, o);
+  const auto cfg = weighted_config(2, 2, {6});
+  const auto a = test::run_solver("apoly", t, cfg).stats;
+  const auto b = test::run_solver("apoly", t, cfg).stats;
   ASSERT_EQ(a.output.size(), b.output.size());
   for (std::size_t i = 0; i < a.output.size(); ++i) {
     EXPECT_EQ(a.output[i].primary, b.output[i].primary);
@@ -106,11 +100,8 @@ TEST(Integration, ApolyIsDeterministic) {
 
 TEST(Integration, EngineAccountingConsistent) {
   Tree t = random_marked_tree(1000, 5, 0.25, 7);
-  algo::ApolyOptions o;
-  o.k = 2;
-  o.d = 2;
-  o.gammas = {8};
-  const auto stats = algo::run_apoly(t, o);
+  const auto stats =
+      test::run_solver("apoly", t, weighted_config(2, 2, {8})).stats;
   std::int64_t total = 0;
   std::int64_t worst = 0;
   for (std::int64_t r : stats.termination_round) {
@@ -132,14 +123,10 @@ TEST(Integration, WeightedCheckerFailureInjection) {
   auto inst = graph::make_weighted_construction(ell, 5);
   Tree& t = inst.tree;
   graph::assign_ids(t, graph::IdScheme::kShuffled, 3);
-  algo::ApolyOptions o;
-  o.k = 2;
-  o.d = 2;
-  for (int i = 0; i + 1 < o.k; ++i) {
-    o.gammas.push_back(std::max<std::int64_t>(
-        2, inst.skeleton_lengths[static_cast<std::size_t>(i)]));
-  }
-  const auto stats = algo::run_apoly(t, o);
+  const std::int64_t gamma =
+      std::max<std::int64_t>(2, inst.skeleton_lengths[0]);
+  const auto stats =
+      test::run_solver("apoly", t, weighted_config(2, 2, {gamma})).stats;
   test::assert_valid(
       problems::check_weighted(t, 2, 2, Variant::kTwoHalf, stats.output));
 
@@ -204,11 +191,11 @@ TEST(Integration, CopyCountsShrinkWithLargerD) {
     const auto ell = core::lower_bound_lengths(profile, 20000.0, 20000);
     auto inst = graph::make_weighted_construction(ell, 9);
     graph::assign_ids(inst.tree, graph::IdScheme::kShuffled, 5);
-    algo::ApolyOptions o;
-    o.k = 2;
-    o.d = d;
-    o.gammas.assign(1, std::max<std::int64_t>(2, inst.skeleton_lengths[0]));
-    const auto stats = algo::run_apoly(inst.tree, o);
+    const std::int64_t gamma =
+        std::max<std::int64_t>(2, inst.skeleton_lengths[0]);
+    const auto stats =
+        test::run_solver("apoly", inst.tree, weighted_config(2, d, {gamma}))
+            .stats;
     test::assert_valid(problems::check_weighted(
         inst.tree, 2, d, Variant::kTwoHalf, stats.output));
     for (const auto& out : stats.output) {

@@ -43,13 +43,23 @@ Pi35Setup make_setup(int delta, int d, int k, std::int64_t lambda,
   return s;
 }
 
+/// Runs the registered `pi35` solver with the setup's options (certified).
+local::RunStats run(const Pi35Setup& s) {
+  algo::SolverConfig cfg;
+  cfg.set("k", s.options.k);
+  cfg.set("d", s.options.d);
+  cfg.set("gammas", s.options.gammas);
+  cfg.set("symmetry_pad", s.options.symmetry_pad);
+  return test::run_solver("pi35", s.tree, cfg).stats;
+}
+
 class Pi35Sweep
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(Pi35Sweep, ValidOnWeightedConstruction) {
   const auto [delta, d, k] = GetParam();
   auto s = make_setup(delta, d, k, 16, 3000, 3 * delta + d);
-  const auto stats = algo::run_pi35(s.tree, s.options);
+  const auto stats = run(s);
   test::assert_valid(problems::check_weighted(
       s.tree, k, d, Variant::kThreeHalf, stats.output));
 }
@@ -69,7 +79,7 @@ TEST(Pi35, NodeAverageGrowsWithLambda) {
   std::vector<core::Sample> samples;
   for (std::int64_t lambda : {64, 128, 256, 512}) {
     auto s = make_setup(delta, d, k, lambda, 4000, 11);
-    const auto stats = algo::run_pi35(s.tree, s.options);
+    const auto stats = run(s);
     test::assert_valid(problems::check_weighted(
         s.tree, k, d, Variant::kThreeHalf, stats.output));
     EXPECT_GE(stats.node_averaged, prev * 0.9);
@@ -89,9 +99,7 @@ TEST(Pi35, NodeAverageGrowsWithLambda) {
 TEST(Pi35, KeptCopiesBounded) {
   const int delta = 7, d = 3, k = 2;
   auto s = make_setup(delta, d, k, 32, 6000, 23);
-  algo::Pi35Program program(s.tree, s.options);
-  local::Engine engine(s.tree);
-  const auto stats = engine.run(program);
+  const auto stats = run(s);
   test::assert_valid(problems::check_weighted(
       s.tree, k, d, Variant::kThreeHalf, stats.output));
   // Kept copies (weight nodes whose final primary output is Copy, the
@@ -144,7 +152,7 @@ TEST(Pi35, PinnedRunTotals) {
   for (const Pin& p : {Pin{7, 3, 2, 32, 6000, 37, 123496, 61, 61},
                        Pin{6, 3, 3, 16, 6000, 41, 136121, 63, 63}}) {
     auto s = make_setup(p.delta, p.d, p.k, p.lambda, p.target, p.seed);
-    const auto stats = algo::run_pi35(s.tree, s.options);
+    const auto stats = run(s);
     EXPECT_EQ(stats.total_rounds, p.sum_t) << "k=" << p.k;
     EXPECT_EQ(stats.rounds, p.rounds) << "k=" << p.k;
     EXPECT_EQ(stats.worst_case, p.worst) << "k=" << p.k;

@@ -3,7 +3,7 @@
 // reproducibility.
 #include <gtest/gtest.h>
 
-#include "algo/randomized.hpp"
+#include "algo/registry.hpp"
 #include "graph/builders.hpp"
 #include "problems/checkers.hpp"
 #include "test_util.hpp"
@@ -27,6 +27,19 @@ bool proper(const Tree& t, const std::vector<int>& colors) {
   return true;
 }
 
+/// The `random_coloring` solver's config: a palette and a run seed.
+algo::SolverConfig config(int colors, std::uint64_t seed) {
+  algo::SolverConfig cfg;
+  cfg.seed = seed;
+  cfg.set("colors", colors);
+  return cfg;
+}
+
+/// Runs the registered `random_coloring` solver (certified).
+local::RunStats run(const Tree& t, int colors, std::uint64_t seed) {
+  return test::run_solver("random_coloring", t, config(colors, seed)).stats;
+}
+
 class RandomColoring : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomColoring, ValidOnPathsAndTrees) {
@@ -34,13 +47,13 @@ TEST_P(RandomColoring, ValidOnPathsAndTrees) {
   {
     Tree t = graph::make_path(3000);
     graph::assign_ids(t, graph::IdScheme::kShuffled, seed);
-    const auto stats = algo::run_random_coloring(t, 3, seed);
+    const auto stats = run(t, 3, seed);
     EXPECT_TRUE(proper(t, stats.primaries()));
   }
   {
     Tree t = graph::make_random_tree(2000, 4, seed);
     graph::assign_ids(t, graph::IdScheme::kShuffled, seed + 7);
-    const auto stats = algo::run_random_coloring(t, 5, seed);
+    const auto stats = run(t, 5, seed);
     EXPECT_TRUE(proper(t, stats.primaries()));
   }
 }
@@ -55,7 +68,7 @@ TEST(RandomColoring, NodeAverageIsConstantInN) {
   for (NodeId n : {4000, 32000, 256000}) {
     Tree t = graph::make_path(n);
     graph::assign_ids(t, graph::IdScheme::kShuffled, 13);
-    const auto stats = algo::run_random_coloring(t, 3, 99);
+    const auto stats = run(t, 3, 99);
     EXPECT_TRUE(proper(t, stats.primaries()));
     EXPECT_LT(stats.node_averaged, 12.0) << n;
     if (first == 0) first = stats.node_averaged;
@@ -66,24 +79,30 @@ TEST(RandomColoring, NodeAverageIsConstantInN) {
 TEST(RandomColoring, WorstCaseLogarithmic) {
   Tree t = graph::make_path(100000);
   graph::assign_ids(t, graph::IdScheme::kShuffled, 17);
-  const auto stats = algo::run_random_coloring(t, 3, 5);
+  const auto stats = run(t, 3, 5);
   EXPECT_TRUE(proper(t, stats.primaries()));
   EXPECT_LE(stats.worst_case, 80);  // O(log n) w.h.p.
 }
 
 TEST(RandomColoring, Reproducible) {
   Tree t = graph::make_random_tree(1000, 4, 3);
-  const auto a = algo::run_random_coloring(t, 5, 42);
-  const auto b = algo::run_random_coloring(t, 5, 42);
+  const auto a = run(t, 5, 42);
+  const auto b = run(t, 5, 42);
   EXPECT_EQ(a.primaries(), b.primaries());
   EXPECT_EQ(a.termination_round, b.termination_round);
-  const auto c = algo::run_random_coloring(t, 5, 43);
+  const auto c = run(t, 5, 43);
   EXPECT_NE(a.primaries(), c.primaries());
 }
 
 TEST(RandomColoring, RejectsTooFewColors) {
   Tree t = graph::make_star(5);
-  EXPECT_THROW(algo::run_random_coloring(t, 3, 1), std::invalid_argument);
+  const algo::SolverSpec& spec = algo::solver("random_coloring");
+  // In range for `colors` but below max degree + 1: the program refuses.
+  EXPECT_THROW((void)algo::run_registered(spec, t, config(3, 1)),
+               std::invalid_argument);
+  // Out of the option's range: SolverConfig::validate refuses first.
+  EXPECT_THROW((void)algo::run_registered(spec, t, config(-1, 1)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -217,6 +217,24 @@ TEST(ServiceProtocol, UndeclaredSolverOptionIsBadRequest) {
   EXPECT_EQ(v.get_string("error", ""), "bad_request");
 }
 
+TEST(ServiceProtocol, MisconfiguredSolveIsBadRequest) {
+  // Each passes the per-option range checks but cannot be built: |gammas|
+  // != k-1, a gamma the solver refuses, a delta the family refuses. The
+  // solve is rejected before any full-size instance is built.
+  Server server(ServerOptions{});
+  for (const char* line :
+       {"{\"type\":\"solve\",\"solver\":\"apoly\","
+        "\"options\":{\"k\":3,\"gammas\":[5]}}",
+        "{\"type\":\"solve\",\"solver\":\"weight_aug\","
+        "\"options\":{\"gamma\":1}}",
+        "{\"type\":\"solve\",\"solver\":\"bw_generic\","
+        "\"family\":\"random_attach\",\"delta\":1}"}) {
+    const Value v = parse(server.handle_line(line));
+    EXPECT_FALSE(v.get_bool("ok", true)) << line;
+    EXPECT_EQ(v.get_string("error", ""), "bad_request") << line;
+  }
+}
+
 TEST(ServiceProtocol, IdIsEchoedWhenPresentAndOmittedWhenNot) {
   Server server(ServerOptions{});
   const std::string with_id =

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "algo/registry.hpp"
 #include "graph/builders.hpp"
 #include "graph/tree.hpp"
 #include "local/engine.hpp"
@@ -24,6 +26,17 @@ inline void assert_valid(const problems::CheckResult& r) {
 /// All primary outputs of a run.
 inline std::vector<int> primaries(const local::RunStats& stats) {
   return stats.primaries();
+}
+
+/// Runs the registered solver `name` through `algo::run_registered`, the
+/// path every scenario takes, and expects its certificate to pass.
+inline algo::SolverRun run_solver(const std::string& name,
+                                  const graph::Tree& tree,
+                                  const algo::SolverConfig& config) {
+  algo::SolverRun run =
+      algo::run_registered(algo::solver(name), tree, config);
+  EXPECT_TRUE(run.verdict.ok) << name << ": " << run.verdict.reason;
+  return run;
 }
 
 }  // namespace lcl::test

@@ -4,10 +4,9 @@
 
 #include <cmath>
 
-#include "algo/weight_aug.hpp"
+#include "algo/registry.hpp"
 #include "core/fitting.hpp"
 #include "graph/builders.hpp"
-#include "problems/checkers.hpp"
 #include "test_util.hpp"
 
 namespace lcl {
@@ -28,17 +27,20 @@ graph::WeightedInstance make_instance(int k, std::int64_t target_n,
   return inst;
 }
 
+/// Runs the registered `weight_aug` solver; its verdict is the
+/// Definition-67 check against the orientation the program commits to.
+algo::SolverRun run(const Tree& t, int k) {
+  algo::SolverConfig cfg;
+  cfg.set("k", k);
+  return algo::run_registered(algo::solver("weight_aug"), t, cfg);
+}
+
 class WeightAugSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WeightAugSweep, ValidOnWeightedConstruction) {
   const int k = GetParam();
   auto inst = make_instance(k, 4000, 31 + static_cast<std::uint64_t>(k));
-  algo::WeightAugOptions o;
-  o.k = k;
-  problems::OrientationMap orient;
-  const auto stats = algo::run_weight_aug(inst.tree, o, &orient);
-  test::assert_valid(
-      problems::check_weight_augmented(inst.tree, k, stats.output, orient));
+  test::assert_valid(run(inst.tree, k).verdict);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ks, WeightAugSweep, ::testing::Values(2, 3));
@@ -48,14 +50,10 @@ TEST(WeightAug, NodeAverageScalesLikeRootK) {
   std::vector<core::Sample> samples;
   for (std::int64_t n : {2000, 8000, 32000}) {
     auto inst = make_instance(k, n, 7);
-    algo::WeightAugOptions o;
-    o.k = k;
-    problems::OrientationMap orient;
-    const auto stats = algo::run_weight_aug(inst.tree, o, &orient);
-    test::assert_valid(problems::check_weight_augmented(
-        inst.tree, k, stats.output, orient));
+    const algo::SolverRun r = run(inst.tree, k);
+    test::assert_valid(r.verdict);
     samples.push_back({static_cast<double>(inst.tree.size()),
-                       stats.node_averaged});
+                       r.stats.node_averaged});
   }
   const auto fit = core::fit_power_law(samples);
   // Lemma 69: Theta(n^{1/2}) for k = 2.
@@ -67,10 +65,9 @@ TEST(WeightAug, MostWeightCopiesTheHost) {
   // Lemma 68: Omega(w) of each balanced weight tree copies the host's
   // output (efficiency factor x = 1).
   auto inst = make_instance(2, 6000, 11);
-  algo::WeightAugOptions o;
-  o.k = 2;
-  problems::OrientationMap orient;
-  const auto stats = algo::run_weight_aug(inst.tree, o, &orient);
+  const algo::SolverRun r = run(inst.tree, 2);
+  test::assert_valid(r.verdict);
+  const auto& stats = r.stats;
   std::int64_t weight = 0, copying = 0;
   for (graph::NodeId v = 0; v < inst.tree.size(); ++v) {
     if (inst.tree.input(v) !=

@@ -87,9 +87,11 @@ def check_service(lines):
     response line per request line, in order. The script sends the same
     classify twice (the second must be served from cache byte-identically),
     an info probe (which must see that hit), a solve that must certify,
-    and two malformed lines that must map to their typed errors."""
+    two malformed lines that must map to their typed errors, and a solve
+    whose options cannot build (|gammas| != k-1) that must be rejected
+    as bad_request before any instance is built."""
     rs = [json.loads(line) for line in lines]
-    assert len(rs) == 6, f"expected 6 response lines, got {len(rs)}"
+    assert len(rs) == 7, f"expected 7 response lines, got {len(rs)}"
     assert lines[0] == lines[1], \
         f"repeated classify not byte-identical:\n{lines[0]}\n{lines[1]}"
     classify = rs[0]
@@ -108,7 +110,9 @@ def check_service(lines):
     assert rs[4]["id"] == 4, rs[4]
     assert not rs[5]["ok"] and rs[5]["error"] == "bad_json", rs[5]
     assert "id" not in rs[5], rs[5]
-    print(f"6/6 service responses ok, cache_hits={int(info['cache_hits'])}")
+    assert not rs[6]["ok"] and rs[6]["error"] == "bad_request", rs[6]
+    assert rs[6]["id"] == 5, rs[6]
+    print(f"7/7 service responses ok, cache_hits={int(info['cache_hits'])}")
 
 
 def check_service_tcp(lcld_path, script_path):
@@ -120,8 +124,8 @@ def check_service_tcp(lcld_path, script_path):
     previous reply: with two workers, a burst lets both miss the cache
     together and lets `info` run before the second lookup, and lcld
     promises no order between concurrent requests. The remaining lines
-    (info, the slow solve, the two errors) go as ONE pipelined burst,
-    whose responses must still come back in request order."""
+    (info, the slow solve, the three rejected lines) go as ONE pipelined
+    burst, whose responses must still come back in request order."""
     proc = subprocess.Popen(
         [lcld_path, "--tcp", "127.0.0.1:0", "--threads", "2"],
         stderr=subprocess.PIPE, text=True)
